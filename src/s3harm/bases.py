@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,11 +24,12 @@ from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion
 from .su2 import Su2Exact, matrix_from_point
 from .wigner import (
-    EulerAngles,
+    _point_entries,
+    _scalar_or_array,
+    _wigner_columns,
     character_jj,
     euler_quadrature,
     wigner_d,
-    wigner_entry,
 )
 
 __all__ = [
@@ -61,20 +61,25 @@ def _is_half_integer(j) -> bool:
     return abs(two_j - round(two_j)) < 1e-9 and int(round(two_j)) % 2 == 1
 
 
-def multiplicity_c8(j) -> int:
-    """Number of cyclic-8 periodic harmonics of degree j.
-
-    Character average over the deck group; half-integer degree carries no
-    periodic states because the group contains the central inversion.
+def _character_average(group: DeckGroup, j) -> int:
+    """Multiplicity of the trivial representation of the deck group in
+    degree j: the character average, which must be a clean non-negative
+    integer.  Half-integer degree carries no periodic states because both
+    deck groups contain the central inversion.
     """
     if _is_half_integer(j):
         return 0
     jj = _require_integer_j(j)
-    total = sum(character_jj(el.pair, jj) for el in build_cyclic8().elements) / 8.0
+    total = sum(character_jj(el.pair, jj) for el in group.elements) / len(group.elements)
     value = int(round(total))
     if abs(total - value) > 1e-9 or value < 0:
-        raise RuntimeError(f"character sum for degree {jj} is not a clean integer: {total}")
+        raise RuntimeError(f"character sum for degree {jj} is not a clean non-negative integer: {total}")
     return value
+
+
+def multiplicity_c8(j) -> int:
+    """Number of cyclic-8 periodic harmonics of degree j, by character average."""
+    return _character_average(build_cyclic8(), j)
 
 
 def multiplicity_q(j) -> int:
@@ -91,23 +96,18 @@ def multiplicity_q(j) -> int:
 
 def multiplicity_q_character_sum(j) -> int:
     """Independent route to multiplicity_q via the character average."""
-    if _is_half_integer(j):
-        return 0
-    jj = _require_integer_j(j)
-    total = sum(character_jj(el.pair, jj) for el in build_quaternion().elements) / 8.0
-    value = int(round(total))
-    if abs(total - value) > 1e-9:
-        raise RuntimeError(f"character sum for degree {jj} is not a clean integer: {total}")
-    return value
+    return _character_average(build_quaternion(), j)
+
+
+def _by_manifold(manifold: str, for_c2, for_c3):
+    key = manifold.strip().upper()
+    if key not in ("C2", "C3"):
+        raise ValueError(f"unknown manifold {manifold!r}; expected C2 or C3")
+    return for_c2 if key == "C2" else for_c3
 
 
 def multiplicity_for(manifold: str, j) -> int:
-    key = manifold.strip().upper()
-    if key == "C2":
-        return multiplicity_c8(j)
-    if key == "C3":
-        return multiplicity_q(j)
-    raise ValueError(f"unknown manifold {manifold!r}; expected C2 or C3")
+    return _by_manifold(manifold, multiplicity_c8, multiplicity_q)(j)
 
 
 def _averaged_projector(group: DeckGroup, j: int) -> np.ndarray:
@@ -193,17 +193,7 @@ class BasisFunction:
     def evaluate(self, u):
         """Value at u: EulerAngles, a 2x2 unitary, stacked matrices, or an
         exact matrix; broadcasts over arrays."""
-        if isinstance(u, EulerAngles):
-            a, b, c, d = u.matrix_entries()
-        else:
-            arr = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
-            if arr.shape[-2:] != (2, 2):
-                raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
-            a, b, c, d = arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
-        total = 0
-        for tm1, tm2, coef in self.terms:
-            total = total + coef * wigner_entry(self.j, tm1, tm2, a, b, c, d)
-        return self.norm_factor * total
+        return _scalar_or_array(_basis_values([self], u)[..., 0])
 
     def coefficient_vector(self) -> np.ndarray:
         """Coefficients on the (2j+1)^2 space, (m1, m2) both descending."""
@@ -228,12 +218,44 @@ class BasisFunction:
         }
 
 
+def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
+    """Values of every function at u, one column per function in list order.
+
+    The point argument is parsed once.  Per degree, only the D^j entries
+    that some coefficient vector touches are evaluated, once each, and the
+    columns are those entries times the sparse coefficient matrix whose
+    rows are the coefficient vectors.
+    """
+    entries = _point_entries(u)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in entries))
+    out = np.zeros(shape + (len(functions),), dtype=complex)
+    for j in sorted({f.j for f in functions}):
+        index = [i for i, f in enumerate(functions) if f.j == j]
+        coef = np.stack([functions[i].coefficient_vector() for i in index])
+        rows, flat = np.nonzero(coef)
+        touched, slot = np.unique(flat, return_inverse=True)
+        dim = 2 * j + 1
+        pairs = [(2 * (j - k // dim), 2 * (j - k % dim)) for k in touched]
+        entry_values = _wigner_columns(2 * j, pairs, entries)
+        for r, col, k in zip(rows, slot, flat):
+            out[..., index[r]] += coef[r, k] * entry_values[..., col]
+    return out
+
+
 def _single_norm(j: int) -> float:
     return math.sqrt(2 * j + 1) / (math.sqrt(8.0) * math.pi)
 
 
 def _double_norm(j: int) -> float:
     return math.sqrt(2 * j + 1) / (4.0 * math.pi)
+
+
+def _sorted_checked(out: list[BasisFunction], expected: int, j: int) -> list[BasisFunction]:
+    """Sort by (j, m1, m2) and refuse a count that misses the multiplicity."""
+    out.sort(key=lambda f: (f.j, f.m1, f.m2))
+    if len(out) != expected:
+        raise RuntimeError(f"basis count {len(out)} disagrees with multiplicity {expected} at degree {j}")
+    return out
 
 
 def basis_c2(j) -> list[BasisFunction]:
@@ -274,12 +296,7 @@ def basis_c2(j) -> list[BasisFunction]:
                     norm_factor=_double_norm(jj),
                 )
             )
-    out.sort(key=lambda f: (f.j, f.m1, f.m2))
-    if len(out) != multiplicity_c8(jj):
-        raise RuntimeError(
-            f"basis count {len(out)} disagrees with multiplicity {multiplicity_c8(jj)} at degree {jj}"
-        )
-    return out
+    return _sorted_checked(out, multiplicity_c8(jj), jj)
 
 
 def basis_c3(j) -> list[BasisFunction]:
@@ -318,21 +335,11 @@ def basis_c3(j) -> list[BasisFunction]:
                     norm_factor=_double_norm(jj),
                 )
             )
-    out.sort(key=lambda f: (f.j, f.m1, f.m2))
-    if len(out) != multiplicity_q(jj):
-        raise RuntimeError(
-            f"basis count {len(out)} disagrees with multiplicity {multiplicity_q(jj)} at degree {jj}"
-        )
-    return out
+    return _sorted_checked(out, multiplicity_q(jj), jj)
 
 
 def basis_for(manifold: str, j) -> list[BasisFunction]:
-    key = manifold.strip().upper()
-    if key == "C2":
-        return basis_c2(j)
-    if key == "C3":
-        return basis_c3(j)
-    raise ValueError(f"unknown manifold {manifold!r}; expected C2 or C3")
+    return _by_manifold(manifold, basis_c2, basis_c3)(j)
 
 
 def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
@@ -341,14 +348,9 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
-    values = np.column_stack([f.evaluate(rule.angles) for f in functions])
+    values = _basis_values(functions, rule.angles)
     weighted = values * rule.weights[:, None]
     return _MEASURE_MASS * (values.conj().T @ weighted)
-
-
-@lru_cache(maxsize=None)
-def _group_for(manifold: str) -> DeckGroup:
-    return build_cyclic8() if manifold == "C2" else build_quaternion()
 
 
 def _full_projector(manifold: str, j: int) -> np.ndarray:
@@ -392,12 +394,11 @@ def verify_basis(
     report["gram_max_error"] = gram_err
 
     points = gc.random_sphere_points(n_points, seed=seed)
-    mats = np.stack([matrix_from_point(x) for x in points])
+    base_values = _basis_values(functions, np.stack([matrix_from_point(x) for x in points]))
     period_err = 0.0
-    base_values = np.column_stack([f.evaluate(mats) for f in functions])
     for el in group.elements:
         moved = np.stack([matrix_from_point(gc.apply(el.element, x)) for x in points])
-        moved_values = np.column_stack([f.evaluate(moved) for f in functions])
+        moved_values = _basis_values(functions, moved)
         period_err = max(period_err, float(np.max(np.abs(moved_values - base_values))))
     report["periodicity_max_error"] = period_err
 
@@ -409,12 +410,8 @@ def verify_basis(
         eigs = np.linalg.eigvalsh((proj + proj.conj().T) / 2.0)
         rank = int(np.sum(eigs > 0.5))
         expected = report["multiplicity_by_degree"][j]
-        fix_err = 0.0
-        for f in functions:
-            if f.j != j:
-                continue
-            vec = f.coefficient_vector()
-            fix_err = max(fix_err, float(np.max(np.abs(proj @ vec - vec))))
+        vecs = np.stack([f.coefficient_vector() for f in functions if f.j == j], axis=1)
+        fix_err = float(np.max(np.abs(proj @ vecs - vecs)))
         projector_report[j] = {"rank": rank, "expected_rank": expected, "fix_max_error": fix_err}
         ranks_ok = ranks_ok and rank == expected
         fix_err_all = max(fix_err_all, fix_err)

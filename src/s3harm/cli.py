@@ -4,7 +4,9 @@ representation census, and verification suites.
 Output is deterministic for fixed flags: identical invocations produce
 byte-identical bytes.  JSON payloads carry a top-level schema tag; CSV is
 RFC-4180 with a header row; text is an aligned human-readable table.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad degree,
+non-finite or non-positive tolerance, unwritable --output; all refused
+before any work is done).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from . import groupcore as gc
 from .bases import basis_for, multiplicity_for, verify_basis
 from .deck import build_cyclic8, build_quaternion, deck_group, verify_deck_group
-from .induced import irrep_census
+from .induced import census_sums, irrep_census
 
 SCHEMA = "s3harm/1"
 J_MAX_LIMIT = 20
@@ -40,14 +43,37 @@ class RunConfig:
     output: str | None
 
 
-def _default_tol() -> float:
+def _tolerance(text: str) -> float:
+    """A finite positive tolerance, parsed from --tol or the environment."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite positive number, got {text!r}")
+    return value
+
+
+def _resolve_tol(parser: argparse.ArgumentParser, flag: float | None) -> float:
+    if flag is not None:
+        return flag
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {TOL_ENV_VAR} value: {raw!r}")
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{TOL_ENV_VAR}: {exc}")
+
+
+def _check_output(parser: argparse.ArgumentParser, path: str | None) -> None:
+    """Refuse an --output path that cannot be written, before any work."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        parser.error(f"--output {path!r} cannot be written")
 
 
 def _check_j(parser: argparse.ArgumentParser, value: int, name: str) -> int:
@@ -172,13 +198,17 @@ def cmd_basis(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_induced(cfg: RunConfig) -> tuple[dict, int]:
     rows = irrep_census()
+    return {"schema": SCHEMA, **census_sums(rows), "rows": rows}, 0
+
+
+def _deck_check(name: str, group, cfg: RunConfig) -> dict:
+    quality = verify_deck_group(group, seed=cfg.seed, tol=cfg.tol)
     return {
-        "schema": SCHEMA,
-        "sum_dim_sq": sum(r["dim"] ** 2 for r in rows),
-        "sum_dim_m_c8": sum(r["dim"] * r["m_c8"] for r in rows),
-        "sum_dim_m_q": sum(r["dim"] * r["m_q"] for r in rows),
-        "rows": rows,
-    }, 0
+        "name": name,
+        "passed": quality["passed"],
+        "measured": quality["pair_action_max_error"],
+        "detail": quality,
+    }
 
 
 def _verify_group_suite(cfg: RunConfig) -> list[dict]:
@@ -192,15 +222,7 @@ def _verify_group_suite(cfg: RunConfig) -> list[dict]:
         {"name": "rotation-subgroup-order-48", "passed": len(sub) == 48, "measured": len(sub)}
     )
     c8 = build_cyclic8()
-    quality = verify_deck_group(c8, seed=cfg.seed, tol=cfg.tol)
-    checks.append(
-        {
-            "name": "deck-c2-structure",
-            "passed": quality["passed"],
-            "measured": quality["pair_action_max_error"],
-            "detail": quality,
-        }
-    )
+    checks.append(_deck_check("deck-c2-structure", c8, cfg))
     g1_4 = c8.by_label("g1^4").element
     checks.append(
         {
@@ -210,15 +232,7 @@ def _verify_group_suite(cfg: RunConfig) -> list[dict]:
         }
     )
     q = build_quaternion()
-    quality_q = verify_deck_group(q, seed=cfg.seed, tol=cfg.tol)
-    checks.append(
-        {
-            "name": "deck-c3-structure",
-            "passed": quality_q["passed"],
-            "measured": quality_q["pair_action_max_error"],
-            "detail": quality_q,
-        }
-    )
+    checks.append(_deck_check("deck-c3-structure", q, cfg))
     j4 = q.by_label("J4").element
     relations = all(
         gc.multiply(q.by_label(k).element, q.by_label(k).element) == j4
@@ -267,24 +281,16 @@ def _verify_induced_suite(cfg: RunConfig) -> list[dict]:
         rows = irrep_census()
     except RuntimeError as exc:
         return [{"name": "induced-census", "passed": False, "measured": str(exc)}]
-    checks = [
-        {
-            "name": "induced-sum-dim-squared-384",
-            "passed": sum(r["dim"] ** 2 for r in rows) == 384,
-            "measured": sum(r["dim"] ** 2 for r in rows),
-        },
-        {
-            "name": "induced-aggregate-c8-48",
-            "passed": sum(r["dim"] * r["m_c8"] for r in rows) == 48,
-            "measured": sum(r["dim"] * r["m_c8"] for r in rows),
-        },
-        {
-            "name": "induced-aggregate-q-48",
-            "passed": sum(r["dim"] * r["m_q"] for r in rows) == 48,
-            "measured": sum(r["dim"] * r["m_q"] for r in rows),
-        },
+    sums = census_sums(rows)
+    targets = (
+        ("induced-sum-dim-squared-384", "sum_dim_sq", 384),
+        ("induced-aggregate-c8-48", "sum_dim_m_c8", 48),
+        ("induced-aggregate-q-48", "sum_dim_m_q", 48),
+    )
+    return [
+        {"name": name, "passed": sums[key] == want, "measured": sums[key]}
+        for name, key, want in targets
     ]
-    return checks
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> tuple[dict, int]:
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=42)
     common.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help=f"tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR})",
     )
@@ -372,13 +378,14 @@ def main(argv=None) -> int:
         _check_j(parser, j, "--j")
     if j_max is not None:
         _check_j(parser, j_max, "--jmax")
+    _check_output(parser, args.output)
     cfg = RunConfig(
         subcommand=args.subcommand,
         manifold=getattr(args, "manifold", None),
         j=j,
         j_max=j_max,
         seed=args.seed,
-        tol=args.tol if args.tol is not None else _default_tol(),
+        tol=_resolve_tol(parser, args.tol),
         fmt=args.format,
         output=args.output,
     )

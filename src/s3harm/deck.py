@@ -59,6 +59,11 @@ _Q1_ALT = (2, 1, 0, 4)
 
 _CELL_CENTER = np.array([1.0, 0.0, 0.0, 0.0])
 
+# Seeded probe points at which the builders compare the two forms of each
+# element, and the largest disagreement they accept.
+_PROBE_SEED = 20240404
+_PROBE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GlueOperator:
@@ -137,18 +142,14 @@ def _element_order(g: HyperoctElement) -> int:
     return n
 
 
-def _probe_points(n: int = 6) -> np.ndarray:
-    rng = np.random.default_rng(20240404)
-    pts = rng.standard_normal((n, 4))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _check_pair_matches_element(el: DeckElement) -> None:
-    for x in _probe_points():
+def _pair_action_error(el: DeckElement, points) -> float:
+    """Largest coordinate gap between the two forms of el; NaN propagates."""
+    gaps = []
+    for x in points:
         expected = gc.apply(el.element, x)
         got = point_from_matrix(el.pair.apply_complex(matrix_from_point(x)))
-        if not np.allclose(expected, got, atol=1e-12):
-            raise RuntimeError(f"pair of {el.label!r} disagrees with its permutation form")
+        gaps.append(np.max(np.abs(expected - got)))
+    return float(np.max(gaps))
 
 
 def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> DeckGroup:
@@ -163,8 +164,10 @@ def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> D
             pair_prod = a.pair.compose(b.pair)
             if not pair_prod.same_isometry(table[prod].pair):
                 raise RuntimeError(f"{name}: pair table disagrees with permutation table")
+    probes = gc.random_sphere_points(6, seed=_PROBE_SEED)
     for el in elements:
-        _check_pair_matches_element(el)
+        if not _pair_action_error(el, probes) <= _PROBE_TOL:
+            raise RuntimeError(f"pair of {el.label!r} disagrees with its permutation form")
         if el.element != gc.IDENTITY and gc.has_fixed_point_on_sphere(el.element):
             raise RuntimeError(f"{name}: element {el.label!r} has a fixed point")
         if el.element.determinant() != 1:
@@ -184,7 +187,7 @@ def build_cyclic8() -> DeckGroup:
             el = gc.multiply(gen, el)
         label = "e" if t == 8 else ("g1" if t == 1 else f"g1^{t}")
         elements.append(
-            DeckElement(label=label, element=el, pair=gen_pair.power(t), order=_element_order(el) if el != gc.IDENTITY else 1)
+            DeckElement(label=label, element=el, pair=gen_pair.power(t), order=_element_order(el))
         )
     if elements[-1].element != gc.IDENTITY:
         raise RuntimeError("cyclic generator does not have order 8")
@@ -196,21 +199,13 @@ def build_cyclic8() -> DeckGroup:
 @lru_cache(maxsize=None)
 def build_quaternion() -> DeckGroup:
     """Deck group of the second cubic manifold: quaternion of order 8."""
-    words = {
-        "e": (),
-        "q1": QUATERNION_WORDS["q1"],
-        "q2": QUATERNION_WORDS["q2"],
-        "q3": QUATERNION_WORDS["q3"],
-        "J4": (J4,),
-        "J4*q1": (J4,) + QUATERNION_WORDS["q1"],
-        "J4*q2": (J4,) + QUATERNION_WORDS["q2"],
-        "J4*q3": (J4,) + QUATERNION_WORDS["q3"],
-    }
+    words = {"e": (), **QUATERNION_WORDS, "J4": (J4,)}
+    words.update({f"J4*{k}": (J4,) + w for k, w in QUATERNION_WORDS.items()})
     elements = []
     for label, word in words.items():
         el = gc.element_from_word(word)
         elements.append(
-            DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el) if el != gc.IDENTITY else 1)
+            DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el))
         )
     by = {el.label: el for el in elements}
     j4 = by["J4"].element
@@ -272,12 +267,7 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
     iso = _isomorphism_signature(group)
 
     pts = gc.random_sphere_points(n_points, seed=seed)
-    worst = 0.0
-    for el in group.elements:
-        for x in pts:
-            a = gc.apply(el.element, x)
-            b = point_from_matrix(el.pair.apply_complex(matrix_from_point(x)))
-            worst = max(worst, float(np.max(np.abs(a - b))))
+    worst = float(np.max([_pair_action_error(el, pts) for el in group.elements]))
 
     centers = gc.orbit(elems, _CELL_CENTER)
     report = {

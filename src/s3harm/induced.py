@@ -20,14 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion
-from .groupcore import HyperoctElement
+from .groupcore import HyperoctElement, _perm_inverse
 
 __all__ = [
     "InducedIrrep",
     "MU_REPRESENTATIVES",
+    "census_sums",
     "coset_generators",
     "induced_character",
     "irrep_census",
@@ -98,7 +100,7 @@ def sn_character_table(n: int) -> dict:
     parts = _partitions(n)
     classes = parts
     sizes = {c: _class_size(n, c) for c in classes}
-    order = _factorial(n)
+    order = factorial(n)
     table = {(f, c): sn_character(f, c) for f in parts for c in classes}
     for f1 in parts:
         for f2 in parts:
@@ -114,19 +116,12 @@ def sn_character_table(n: int) -> dict:
     return table
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _class_size(n: int, cycle_type: tuple[int, ...]) -> int:
     denom = 1
     for length in set(cycle_type):
         count = cycle_type.count(length)
-        denom *= length**count * _factorial(count)
-    return _factorial(n) // denom
+        denom *= length**count * factorial(count)
+    return factorial(n) // denom
 
 
 def _cycle_type(perm: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,13 +250,6 @@ def _sign_character(mu: tuple[int, ...], eps: tuple[int, ...]) -> int:
     return value
 
 
-def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return tuple(inv)
-
-
 def induced_character(rep: InducedIrrep, g: HyperoctElement) -> int:
     """Character of (mu, f)^ on a group element, by the induction sum."""
     eps, perm = g.signs, g.perm
@@ -329,14 +317,23 @@ def irrep_census() -> list[dict]:
                     "m_q": multiplicity_identity(rep, q),
                 }
             )
-    dim_sq = sum(r["dim"] ** 2 for r in rows)
-    if dim_sq != 384:
-        raise RuntimeError(f"census dimension check failed: sum of squares {dim_sq} != 384")
-    for key in ("m_c8", "m_q"):
-        agg = sum(r["dim"] * r[key] for r in rows)
-        if agg != 48:
-            raise RuntimeError(f"census aggregate {key} = {agg} != 48")
+    sums = census_sums(rows)
+    if sums["sum_dim_sq"] != 384:
+        raise RuntimeError(f"census dimension check failed: sum of squares {sums['sum_dim_sq']} != 384")
+    for key in ("sum_dim_m_c8", "sum_dim_m_q"):
+        if sums[key] != 48:
+            raise RuntimeError(f"census aggregate {key} = {sums[key]} != 48")
     return rows
+
+
+def census_sums(rows: list[dict]) -> dict:
+    """Sum of squared dimensions and the two dimension-weighted multiplicity
+    sums of census rows; 384, 48 and 48 for a correct census."""
+    return {
+        "sum_dim_sq": sum(r["dim"] ** 2 for r in rows),
+        "sum_dim_m_c8": sum(r["dim"] * r["m_c8"] for r in rows),
+        "sum_dim_m_q": sum(r["dim"] * r["m_q"] for r in rows),
+    }
 
 
 def transversal_is_left(little: str) -> bool:

@@ -14,8 +14,11 @@ matrices:
 * Half-integer degrees are supported throughout, although the space-form
   bases only consume integer ones.
 
-All evaluators broadcast over numpy arrays, so a grid of group elements is
-one call, not a Python loop.
+Every harmonic evaluator wraps one private kernel: _point_entries parses
+a point argument, and _wigner_columns sums the monomials of the requested
+entries of one degree over arrays of points.  Its power tables use numpy's
+x**k; a running product p[k] = p[k-1] * x raised the verify --jmax 12
+periodicity error from 6.8e-14 to 9.0e-14.
 """
 
 from __future__ import annotations
@@ -90,25 +93,47 @@ def _entry_terms(two_j: int, two_m1: int, two_m2: int):
     return tuple(terms)
 
 
+def _point_entries(u):
+    """Entries (a, b, c, d) of a point argument, each of the batch shape.
+
+    u may be EulerAngles, one 2x2 special unitary, a stacked array of them
+    with shape (..., 2, 2), or an exact Su2Exact matrix.
+    """
+    if isinstance(u, EulerAngles):
+        return u.matrix_entries()
+    arr = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
+    return arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
+
+
+def _wigner_columns(two_j: int, pairs, entries) -> np.ndarray:
+    """D^j_{m1 m2} for each (2 m1, 2 m2) in pairs, stacked on the last axis.
+
+    entries are the broadcastable (a, b, c, d) of _point_entries; the
+    powers 0..2j of each are tabulated once and shared by every monomial.
+    """
+    entries = [np.asarray(v, dtype=complex) for v in entries]
+    shape = np.broadcast_shapes(*(v.shape for v in entries))
+    pa, pb, pc, pd = ([v**k for k in range(two_j + 1)] for v in entries)
+    out = np.zeros(shape + (len(pairs),), dtype=complex)
+    for col, (tm1, tm2) in enumerate(pairs):
+        total = 0
+        for coef, ka, kb, kc, kd in _entry_terms(two_j, tm1, tm2):
+            total = total + coef * pa[ka] * pb[kb] * pc[kc] * pd[kd]
+        out[..., col] = total
+    return out
+
+
+def _scalar_or_array(values: np.ndarray):
+    return values if values.shape else complex(values)
+
+
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
-    tm1 = _two_m(m1, tj, "m1")
-    tm2 = _two_m(m2, tj, "m2")
-    a, b, c, d = (np.asarray(v, dtype=complex) for v in (a, b, c, d))
-    out = np.zeros(np.broadcast(a, b, c, d).shape, dtype=complex)
-    for coef, ka, kb, kc, kd in _entry_terms(tj, tm1, tm2):
-        out = out + coef * a**ka * b**kb * c**kc * d**kd
-    return out if out.shape else complex(out)
-
-
-def _as_numeric_2x2(u) -> np.ndarray:
-    if isinstance(u, Su2Exact):
-        return u.to_complex()
-    arr = np.asarray(u, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    return arr
+    pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
+    return _scalar_or_array(_wigner_columns(tj, [pair], (a, b, c, d))[..., 0])
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -117,19 +142,15 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     Rows and columns run over m1 and m2 in descending order.  A visibly
     non-unitary argument is rejected rather than silently represented.
     """
-    mat = _as_numeric_2x2(u)
+    entries = _point_entries(u)
+    if np.shape(entries[0]) != ():
+        raise ValueError(f"expected one 2x2 matrix, got a batch of shape {np.shape(entries[0])}")
+    mat = np.reshape(entries, (2, 2))
     if np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > unitary_tol:
         raise ValueError("argument matrix is not unitary")
     tj = _two_j(j)
-    dim = tj + 1
-    a, b, c, d = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    out = np.empty((dim, dim), dtype=complex)
-    for r in range(dim):
-        tm1 = tj - 2 * r
-        for col in range(dim):
-            tm2 = tj - 2 * col
-            out[r, col] = wigner_entry(tj / 2, tm1 / 2, tm2 / 2, a, b, c, d)
-    return out
+    ms = range(tj, -tj - 1, -2)
+    return _wigner_columns(tj, [(tm1, tm2) for tm1 in ms for tm2 in ms], entries).reshape(tj + 1, tj + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -232,12 +253,10 @@ class EulerAngles:
 def wigner_entry_function(j, m1, m2):
     """Vectorized callable of EulerAngles returning D^j_{m1,m2}."""
     tj = _two_j(j)
-    tm1 = _two_m(m1, tj, "m1")
-    tm2 = _two_m(m2, tj, "m2")
+    pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
 
     def evaluate(angles: EulerAngles):
-        a, b, c, d = angles.matrix_entries()
-        return wigner_entry(tj / 2, tm1 / 2, tm2 / 2, a, b, c, d)
+        return _scalar_or_array(_wigner_columns(tj, [pair], _point_entries(angles))[..., 0])
 
     return evaluate
 
@@ -337,20 +356,9 @@ def conjugation_harmonic(beta_label: int, l, m, u):
     if tl % 2 or tl > 2 * two_j:
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
-    if isinstance(u, EulerAngles):
-        a, b, c, d = u.matrix_entries()
-    else:
-        arr = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
-        if arr.shape[-2:] != (2, 2):
-            raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
-        a, b, c, d = arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
-    total = 0
-    for tm1, tm2, coef in _cg_column(two_j, tl, tm):
-        total = total + coef * wigner_entry(two_j / 2, tm1 / 2, tm2 / 2, a, b, c, d)
-    if isinstance(total, int):
-        shape = np.broadcast(a, b).shape
-        return np.zeros(shape, dtype=complex) if shape else 0j
-    return total
+    column = _cg_column(two_j, tl, tm)
+    values = _wigner_columns(two_j, [(tm1, tm2) for tm1, tm2, _ in column], _point_entries(u))
+    return _scalar_or_array(values @ np.array([coef for _, _, coef in column], dtype=complex))
 
 
 def wigner_from_harmonics(beta_label: int, m1, m2, u):

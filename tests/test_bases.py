@@ -7,7 +7,13 @@ from s3harm import bases
 from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.deck import build_cyclic8, build_quaternion
-from s3harm.wigner import EulerAngles, euler_quadrature
+from s3harm.wigner import (
+    EulerAngles,
+    conjugation_harmonic,
+    euler_quadrature,
+    wigner_d,
+    wigner_entry,
+)
 
 
 # frozen degree-0 through degree-8 counts
@@ -180,6 +186,37 @@ def test_evaluate_agrees_across_input_forms():
     assert abs(v_plain - v_stack[0]) < 1e-14
     q1 = build_quaternion().by_label("q1").pair.left
     assert abs(f.evaluate(q1) - f.evaluate(q1.to_complex())) < 1e-14
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_batched_evaluator_matches_per_function_sums(manifold):
+    rng = np.random.default_rng(5)
+    fns = [f for j in range(7) for f in bases.basis_for(manifold, j)]
+    fns = [fns[i] for i in rng.permutation(len(fns))]
+    angles = EulerAngles(
+        rng.uniform(0, 2 * np.pi, 6), rng.uniform(0, np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
+    )
+    stacked = np.stack([su2.matrix_from_point(x) for x in gc.random_sphere_points(6, seed=9)])
+    exact = build_quaternion().by_label("q2").pair.left
+    for u, mats in ((angles, angles.matrix()), (stacked, stacked), (exact, exact.to_complex())):
+        entries = (mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1])
+        batched = bases._basis_values(fns, u)
+        assert batched.shape == mats.shape[:-2] + (len(fns),)
+        for k, f in enumerate(fns):
+            explicit = f.norm_factor * sum(
+                coef * wigner_entry(f.j, m1, m2, *entries) for m1, m2, coef in f.terms
+            )
+            assert np.max(np.abs(batched[..., k] - f.evaluate(u))) < 1e-13
+            assert np.max(np.abs(batched[..., k] - explicit)) < 1e-13
+    bad = np.ones((3, 3))
+    for call in (
+        lambda: wigner_d(1, bad),
+        lambda: wigner_d(1, stacked),
+        lambda: conjugation_harmonic(3, 1, 0, bad),
+        lambda: fns[0].evaluate(bad),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_coefficient_vector_layout():

@@ -199,3 +199,34 @@ def test_text_format_renders_table(capsys):
     assert code == 0
     assert "j" in out and "m" in out
     assert "7" in out
+
+
+def assert_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "0"])
+def test_bad_tol_environment_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("S3HARM_TOL", value)
+    assert_usage_error(capsys, ["verify", "--suite", "group"])
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+def test_bad_tol_flag_is_usage_error(capsys, value):
+    assert_usage_error(capsys, ["verify", "--suite", "group", "--tol", value])
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "is-a-directory"])
+def test_unwritable_output_is_refused_before_any_suite(capsys, monkeypatch, tmp_path, where):
+    target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before --output was checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", must_not_run)
+    assert_usage_error(capsys, ["verify", "--suite", "group", "--output", str(target)])
