@@ -7,6 +7,11 @@ the H-invariant subspace is the multiplicity m(j), computed here by
 character averaging, and realized concretely by closed-form combinations
 of one or two matrix elements.
 
+A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
+(rows m1, columns m2, both descending).  Precomposing it with
+u -> wl^-1 u wr sends X to A X B^T, A = D(wl^-1)^T and B = D(wr): the map
+kron(A, B) on the row-major flattening that coefficient_vector uses.
+
 Normalization: the emitted functions have unit norm under the UNNORMALIZED
 Euler measure da sin(b) db dg of total mass 8 pi^2.  The quadrature inner
 product in this package divides by 8 pi^2, so Gram matrices are assembled
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion
-from .su2 import Su2Exact, matrix_from_point
+from .su2 import matrix_from_point
 from .wigner import (
     _point_entries,
     _scalar_or_array,
@@ -110,22 +115,17 @@ def multiplicity_for(manifold: str, j) -> int:
     return _by_manifold(manifold, multiplicity_c8, multiplicity_q)(j)
 
 
-def _averaged_projector(group: DeckGroup, j: int) -> np.ndarray:
-    """Group average of the two-sided operators on the (2j+1)^2 space.
+def _deck_operators(group: DeckGroup, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of A_h = D(wl^-1)^T and B_h = D(wr) over the deck elements h."""
+    left = np.stack([wigner_d(j, el.pair.left.inverse()).T for el in group.elements])
+    right = np.stack([wigner_d(j, el.pair.right) for el in group.elements])
+    return left, right
 
-    The operator acts on coefficient vectors of harmonics: a function
-    sum_{m1',m2'} v_{m1'm2'} D_{m1'm2'}(u) precomposed with u -> wl^-1 u wr
-    picks up D(wl^-1) on the left index and D(wr) on the right, which is
-    the Kronecker product below.  Index pairs (m1, m2) are flattened
-    row-major with both indices descending, matching coefficient_vector.
-    """
-    dim = 2 * j + 1
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for el in group.elements:
-        left = wigner_d(j, el.pair.left.inverse())
-        right = wigner_d(j, el.pair.right)
-        total += np.kron(left.T, right)
-    return total / len(group.elements)
+
+def _deck_average(left: np.ndarray, right: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Group average P(X) = mean_h A_h X B_h^T of each coefficient matrix X
+    in mats (shape (..., 2j+1, 2j+1)), never forming the (2j+1)^2 square."""
+    return sum(a @ mats @ b.T for a, b in zip(left, right)) / len(left)
 
 
 def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +137,11 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    averaged = _averaged_projector(build_cyclic8(), jj)
+    left, right = _deck_operators(build_cyclic8(), jj)
+    averaged = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a, b in zip(left, right):
+        averaged += np.kron(a, b)
+    averaged /= len(left)
     closed = np.zeros((dim * dim, dim * dim), dtype=complex)
     for r1, m1 in enumerate(range(jj, -jj - 1, -1)):
         if m1 % 2:
@@ -153,18 +157,17 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
 def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     """Projector onto quaternion-invariant harmonics on the m1 index alone.
 
-    The quaternion deck elements act from one side only, so the operator is
-    (2j+1) x (2j+1) and applies identically for every m2.  Returns
+    The quaternion deck elements act from one side only (every B_h is the
+    identity, which is checked), so the operator is the (2j+1) x (2j+1)
+    mean of the A_h and applies identically for every m2.  Returns
     (averaged, closed_form); trace times (2j+1) is the multiplicity.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    group = build_quaternion()
-    averaged = np.zeros((dim, dim), dtype=complex)
-    for el in group.elements:
-        sign = 1.0 if el.pair.right == Su2Exact.identity() else (-1.0) ** (2 * jj)
-        averaged += sign * wigner_d(jj, el.pair.left.inverse()).T
-    averaged /= len(group.elements)
+    left, right = _deck_operators(build_quaternion(), jj)
+    if np.max(np.abs(right - np.eye(dim))) > 1e-12:
+        raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
+    averaged = left.sum(axis=0) / len(left)
     closed = np.zeros((dim, dim), dtype=complex)
     for r, m1 in enumerate(range(jj, -jj - 1, -1)):
         if m1 % 2:
@@ -349,15 +352,8 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
     values = _basis_values(functions, rule.angles)
-    weighted = values * rule.weights[:, None]
-    return _MEASURE_MASS * (values.conj().T @ weighted)
-
-
-def _full_projector(manifold: str, j: int) -> np.ndarray:
-    if manifold == "C2":
-        return projector_c8(j)[0]
-    small = projector_q(j)[0]
-    return np.kron(small, np.eye(2 * j + 1))
+    values *= np.sqrt(rule.weights)[:, None]
+    return _MEASURE_MASS * (values.conj().T @ values)
 
 
 def verify_basis(
@@ -371,8 +367,10 @@ def verify_basis(
 
     Covers orthonormality (including cross-degree blocks), pointwise
     periodicity under every deck element at seeded sample points, and
-    agreement with the projector of each degree (rank equals count,
-    projector fixes each coefficient vector).
+    agreement with the group average P of each degree, applied to
+    coefficient matrices: P fixes each basis matrix, P is idempotent at
+    seeded probe matrices, and its rank round(trace P), with
+    trace P = mean_h tr A_h tr B_h, equals the count.
     """
     report: dict = {"manifold": None, "seed": seed, "tol": tol, "n_points": n_points}
     if not functions:
@@ -402,22 +400,26 @@ def verify_basis(
         period_err = max(period_err, float(np.max(np.abs(moved_values - base_values))))
     report["periodicity_max_error"] = period_err
 
-    projector_report = {}
-    fix_err_all = 0.0
-    ranks_ok = True
+    blocks = report["projector"] = {}
+    rng = np.random.default_rng(seed)
     for j in degrees:
-        proj = _full_projector(manifold, j)
-        eigs = np.linalg.eigvalsh((proj + proj.conj().T) / 2.0)
-        rank = int(np.sum(eigs > 0.5))
-        expected = report["multiplicity_by_degree"][j]
-        vecs = np.stack([f.coefficient_vector() for f in functions if f.j == j], axis=1)
-        fix_err = float(np.max(np.abs(proj @ vecs - vecs)))
-        projector_report[j] = {"rank": rank, "expected_rank": expected, "fix_max_error": fix_err}
-        ranks_ok = ranks_ok and rank == expected
-        fix_err_all = max(fix_err_all, fix_err)
-    report["projector"] = projector_report
+        dim = 2 * j + 1
+        left, right = _deck_operators(group, j)
+        mats = np.stack([f.coefficient_vector().reshape(dim, dim) for f in functions if f.j == j])
+        probes = (rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))) / math.sqrt(2.0)
+        once = _deck_average(left, right, probes)
+        trace = float(np.mean(np.trace(left, axis1=1, axis2=2) * np.trace(right, axis1=1, axis2=2)).real)
+        blocks[j] = {
+            "rank": round(trace),
+            "expected_rank": report["multiplicity_by_degree"][j],
+            "trace": trace,
+            "fix_max_error": float(np.max(np.abs(_deck_average(left, right, mats) - mats))),
+            "idempotence_max_error": float(np.max(np.abs(_deck_average(left, right, once) - once))),
+        }
+    ranks_ok = all(b["rank"] == b["expected_rank"] for b in blocks.values())
+    proj_err = max(max(b["fix_max_error"], b["idempotence_max_error"]) for b in blocks.values())
 
     report["passed"] = bool(
-        counts_ok and gram_err < tol and period_err < tol and ranks_ok and fix_err_all < tol
+        counts_ok and gram_err < tol and period_err < tol and ranks_ok and proj_err < tol
     )
     return report

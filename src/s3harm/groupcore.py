@@ -174,9 +174,6 @@ class HyperoctElement:
             "cycles": self.cycles,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     def sort_key(self):
         return (self.perm, tuple(0 if s > 0 else 1 for s in self.signs))
 

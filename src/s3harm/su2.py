@@ -297,9 +297,6 @@ class IsoPair:
                         return self if first > 0 else IsoPair(-self.left, -self.right)
         return self
 
-    def apply_exact(self, u: Su2Exact) -> Su2Exact:
-        return self.left.inverse() * u * self.right
-
     def apply_complex(self, u: np.ndarray) -> np.ndarray:
         wli = self.left.inverse().to_complex()
         return wli @ np.asarray(u, dtype=complex) @ self.right.to_complex()
@@ -326,12 +323,17 @@ def lift_even_word(word) -> IsoPair:
     return IsoPair(wl, wr)
 
 
+def _complex_matrices(u) -> np.ndarray:
+    """Su2Exact, one 2x2 matrix or a (..., 2, 2) stack, as a complex array."""
+    arr = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
+    return arr
+
+
 def pair_action(pair: IsoPair, u) -> np.ndarray:
-    """Numeric image of the special unitary matrix u under the pair."""
-    u = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    return pair.apply_complex(u)
+    """Numeric image of a special unitary u (or a stack) under the pair."""
+    return pair.apply_complex(_complex_matrices(u))
 
 
 def matrix_from_point(x) -> np.ndarray:

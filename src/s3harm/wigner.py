@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .su2 import IsoPair, Su2Exact, rotation_angles
+from .su2 import IsoPair, _complex_matrices, rotation_angles
 
 __all__ = [
     "EulerAngles",
@@ -101,9 +101,7 @@ def _point_entries(u):
     """
     if isinstance(u, EulerAngles):
         return u.matrix_entries()
-    arr = u.to_complex() if isinstance(u, Su2Exact) else np.asarray(u, dtype=complex)
-    if arr.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
+    arr = _complex_matrices(u)
     return arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
 
 

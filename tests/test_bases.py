@@ -104,6 +104,15 @@ def test_degree_one_quaternion_projector_vanishes():
     assert np.max(np.abs(closed)) < 1e-13
 
 
+def test_one_sided_projector_refuses_a_two_sided_group(monkeypatch):
+    # projector_q averages the left factors only; a group acting on the
+    # right as well must be refused, not silently truncated
+    monkeypatch.setattr(bases, "build_quaternion", build_cyclic8)
+    bases.projector_q(0)
+    with pytest.raises(RuntimeError):
+        bases.projector_q(1)
+
+
 # --------------------------------------------------------------------- bases
 
 
@@ -255,12 +264,25 @@ def test_gram_across_degrees_stays_identity():
 
 
 def test_projector_fixes_coefficient_vectors():
-    for manifold, build in (("C2", bases.basis_c2), ("C3", bases.basis_c3)):
-        for j in range(5):
-            proj = bases._full_projector(manifold, j)
-            for f in build(j):
-                vec = f.coefficient_vector()
-                assert np.max(np.abs(proj @ vec - vec)) < 1e-12
+    # the operator form A X B^T on coefficient matrices against the public
+    # dense projectors, at the basis matrices and at random matrices
+    rng = np.random.default_rng(3)
+    cases = (
+        (bases.basis_c2, build_cyclic8(), lambda j: bases.projector_c8(j)[0]),
+        (bases.basis_c3, build_quaternion(), lambda j: np.kron(bases.projector_q(j)[0], np.eye(2 * j + 1))),
+    )
+    for build, group, dense_projector in cases:
+        for j in range(6):
+            dim = 2 * j + 1
+            dense = dense_projector(j)
+            left, right = bases._deck_operators(group, j)
+            mats = [f.coefficient_vector().reshape(dim, dim) for f in build(j)]
+            probes = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+            for x in mats + list(probes):
+                projected = bases._deck_average(left, right, x)
+                assert np.max(np.abs(projected.reshape(-1) - dense @ x.reshape(-1))) < 1e-13
+            for x in mats:
+                assert np.max(np.abs(bases._deck_average(left, right, x) - x)) < 1e-12
 
 
 def test_verify_basis_passes_for_both_manifolds():
@@ -282,6 +304,11 @@ def test_verify_basis_fails_against_wrong_group():
     report = bases.verify_basis(fns, build_quaternion(), seed=42, n_points=30)
     assert report["passed"] is False
     assert report["periodicity_max_error"] > 1e-3
+    # the projector block audits the group it is given, not the manifold's own
+    assert any(
+        block["fix_max_error"] > 1e-3 or block["rank"] != block["expected_rank"]
+        for block in report["projector"].values()
+    )
 
 
 def test_verify_basis_empty_list():

@@ -238,3 +238,9 @@ def test_pair_composition_is_application_order():
     combined = su2.pair_action(p.compose(q), u)
     stepped = su2.pair_action(q, su2.pair_action(p, u))
     assert np.allclose(combined, stepped, atol=1e-13)
+    # a stack of matrices and an exact matrix are parsed like one 2x2 array
+    stack = np.stack([u, u.conj().T])
+    assert np.allclose(su2.pair_action(p, stack)[1], su2.pair_action(p, u.conj().T), atol=1e-15)
+    assert np.allclose(su2.pair_action(p, q.left), su2.pair_action(p, q.left.to_complex()), atol=1e-15)
+    with pytest.raises(ValueError):
+        su2.pair_action(p, np.eye(3))
