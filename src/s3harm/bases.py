@@ -31,6 +31,7 @@ from .su2 import matrix_from_point
 from .wigner import (
     _point_entries,
     _scalar_or_array,
+    _two_j,
     _wigner_columns,
     character_jj,
     euler_quadrature,
@@ -55,15 +56,14 @@ _MEASURE_MASS = 8.0 * math.pi**2
 
 
 def _require_integer_j(j) -> int:
-    jj = int(round(float(j)))
-    if abs(float(j) - jj) > 1e-9 or jj < 0:
+    two_j = _two_j(j)
+    if two_j % 2:
         raise ValueError(f"degree must be a non-negative integer, got {j}")
-    return jj
+    return two_j // 2
 
 
 def _is_half_integer(j) -> bool:
-    two_j = 2 * float(j)
-    return abs(two_j - round(two_j)) < 1e-9 and int(round(two_j)) % 2 == 1
+    return _two_j(j) % 2 == 1
 
 
 def _character_average(group: DeckGroup, j) -> int:
@@ -128,12 +128,24 @@ def _deck_average(left: np.ndarray, right: np.ndarray, mats: np.ndarray) -> np.n
     return sum(a @ mats @ b.T for a, b in zip(left, right)) / len(left)
 
 
+def _span_projector(functions: list[BasisFunction], size: int, place) -> np.ndarray:
+    """Orthogonal projector onto the span of closed-form records: the sum of
+    c c^H / |c|^2 over each record's terms c, at the indices place(m1, m2)."""
+    out = np.zeros((size, size), dtype=complex)
+    for f in functions:
+        index = [place(m1, m2) for m1, m2, _ in f.terms]
+        c = np.array([coef for _, _, coef in f.terms])
+        out[np.ix_(index, index)] += np.outer(c, c.conj()) / np.vdot(c, c).real
+    return out
+
+
 def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     """Projector onto cyclic-8 invariant harmonics, by two routes.
 
     Returns (averaged, closed_form) on the (2j+1)^2 space; the first is the
-    group average of representation operators, the second the explicit
-    selection-rule matrix.  Agreement of the two is a standing cross-check.
+    group average of representation operators, the second the projector
+    onto the span of the closed-form basis `basis_c2`.  Agreement of the
+    two is a standing cross-check.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
@@ -142,15 +154,7 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     for a, b in zip(left, right):
         averaged += np.kron(a, b)
     averaged /= len(left)
-    closed = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for r1, m1 in enumerate(range(jj, -jj - 1, -1)):
-        if m1 % 2:
-            continue
-        for c2, m2p in enumerate(range(jj, -jj - 1, -1)):
-            col = r1 * dim + c2
-            closed[r1 * dim + c2, col] += 0.5  # m2 = m2'
-            phase = (1j) ** m1 * (-1.0) ** (jj + m2p) * (1j) ** m2p
-            closed[r1 * dim + (jj + m2p), col] += 0.5 * phase  # m2 = -m2'
+    closed = _span_projector(basis_c2(jj), dim * dim, lambda m1, m2: (jj - m1) * dim + (jj - m2))
     return averaged, closed
 
 
@@ -160,7 +164,9 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     The quaternion deck elements act from one side only (every B_h is the
     identity, which is checked), so the operator is the (2j+1) x (2j+1)
     mean of the A_h and applies identically for every m2.  Returns
-    (averaged, closed_form); trace times (2j+1) is the multiplicity.
+    (averaged, closed_form), the second the projector onto the span of the
+    closed-form basis `basis_c3` at any one m2; trace times (2j+1) is the
+    multiplicity.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
@@ -168,12 +174,8 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     if np.max(np.abs(right - np.eye(dim))) > 1e-12:
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
     averaged = left.sum(axis=0) / len(left)
-    closed = np.zeros((dim, dim), dtype=complex)
-    for r, m1 in enumerate(range(jj, -jj - 1, -1)):
-        if m1 % 2:
-            continue
-        closed[r, r] += 0.5
-        closed[r, jj + m1] += 0.5 * (-1.0) ** jj  # column of m1' = -m1
+    records = [f for f in basis_c3(jj) if f.m2 == jj]
+    closed = _span_projector(records, dim, lambda m1, m2: jj - m1)
     return averaged, closed
 
 
@@ -392,11 +394,10 @@ def verify_basis(
     report["gram_max_error"] = gram_err
 
     points = gc.random_sphere_points(n_points, seed=seed)
-    base_values = _basis_values(functions, np.stack([matrix_from_point(x) for x in points]))
+    base_values = _basis_values(functions, matrix_from_point(points))
     period_err = 0.0
     for el in group.elements:
-        moved = np.stack([matrix_from_point(gc.apply(el.element, x)) for x in points])
-        moved_values = _basis_values(functions, moved)
+        moved_values = _basis_values(functions, matrix_from_point(gc.apply(el.element, points)))
         period_err = max(period_err, float(np.max(np.abs(moved_values - base_values))))
     report["periodicity_max_error"] = period_err
 

@@ -4,8 +4,13 @@ Both manifolds arise by gluing opposite faces of one cell of the 8-cell
 tessellation of S^3.  The homotopies differ: one gluing scheme generates a
 cyclic group of order 8, the other a quaternion group.  Each deck element
 is stored twice over, as an exact signed permutation of R^4 and as an exact
-SU(2) x SU(2) pair; the builders cross-check the two forms against each
-other and refuse to return an inconsistent group.
+SU(2) x SU(2) pair.
+
+Every group property (closure, the pair table, agreement of the two forms,
+freeness, orientation, isomorphism type, the labelled presentation and the
+cell-center orbit) is computed in one place, `verify_deck_group`, with the
+presentation in `relations_hold`.  The builders run that same audit at
+seeded probe points and refuse to return a group whose report fails.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import groupcore as gc
 from .groupcore import J4, HyperoctElement
-from .su2 import IsoPair, lift_even_word, matrix_from_point, point_from_matrix
+from .su2 import IsoPair, lift_even_word, matrix_from_point, pair_action, point_from_matrix
 
 __all__ = [
     "CYCLIC_GENERATOR_WORD",
@@ -28,6 +33,7 @@ __all__ = [
     "build_cyclic8",
     "build_quaternion",
     "deck_group",
+    "relations_hold",
     "standard_glue",
     "verify_deck_group",
 ]
@@ -54,13 +60,13 @@ QUATERNION_WORDS = {
 }
 
 # Equivalent inversion-free spelling of q1; same isometry, used as a
-# consistency probe by the builders.
+# consistency probe on the builder's input.
 _Q1_ALT = (2, 1, 0, 4)
 
 _CELL_CENTER = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Seeded probe points at which the builders compare the two forms of each
-# element, and the largest disagreement they accept.
+# Seeded probe points of the builders' audit, and the largest disagreement
+# between the two forms of an element that it accepts.
 _PROBE_SEED = 20240404
 _PROBE_TOL = 1e-12
 
@@ -121,15 +127,6 @@ class DeckGroup:
                 return el
         raise KeyError(label)
 
-    def pairs(self) -> list[IsoPair]:
-        return [el.pair for el in self.elements]
-
-    def identity(self) -> DeckElement:
-        for el in self.elements:
-            if el.element == gc.IDENTITY:
-                return el
-        raise RuntimeError("group has no identity element")
-
 
 def _element_order(g: HyperoctElement) -> int:
     acc = g
@@ -142,37 +139,25 @@ def _element_order(g: HyperoctElement) -> int:
     return n
 
 
+def _power_label(t: int) -> str:
+    """Label of the t-th power of the cyclic generator g1, for t in 1..8."""
+    return "e" if t == 8 else ("g1" if t == 1 else f"g1^{t}")
+
+
 def _pair_action_error(el: DeckElement, points) -> float:
     """Largest coordinate gap between the two forms of el; NaN propagates."""
-    gaps = []
-    for x in points:
-        expected = gc.apply(el.element, x)
-        got = point_from_matrix(el.pair.apply_complex(matrix_from_point(x)))
-        gaps.append(np.max(np.abs(expected - got)))
-    return float(np.max(gaps))
+    expected = gc.apply(el.element, points)
+    got = point_from_matrix(pair_action(el.pair, matrix_from_point(points)))
+    return float(np.max(np.abs(expected - got)))
 
 
 def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> DeckGroup:
-    if len({el.element for el in elements}) != len(elements):
-        raise RuntimeError(f"{name}: duplicate deck elements")
-    table = {el.element: el for el in elements}
-    for a in elements:
-        for b in elements:
-            prod = gc.multiply(b.element, a.element)  # a first, then b
-            if prod not in table:
-                raise RuntimeError(f"{name}: not closed under composition")
-            pair_prod = a.pair.compose(b.pair)
-            if not pair_prod.same_isometry(table[prod].pair):
-                raise RuntimeError(f"{name}: pair table disagrees with permutation table")
-    probes = gc.random_sphere_points(6, seed=_PROBE_SEED)
-    for el in elements:
-        if not _pair_action_error(el, probes) <= _PROBE_TOL:
-            raise RuntimeError(f"pair of {el.label!r} disagrees with its permutation form")
-        if el.element != gc.IDENTITY and gc.has_fixed_point_on_sphere(el.element):
-            raise RuntimeError(f"{name}: element {el.label!r} has a fixed point")
-        if el.element.determinant() != 1:
-            raise RuntimeError(f"{name}: element {el.label!r} reverses orientation")
-    return DeckGroup(name=name, isomorphism=isomorphism, elements=tuple(elements))
+    """The group of the given elements, refused unless its audit passes."""
+    group = DeckGroup(name=name, isomorphism=isomorphism, elements=tuple(elements))
+    report = verify_deck_group(group, seed=_PROBE_SEED, n_points=6, tol=_PROBE_TOL)
+    if not report["passed"]:
+        raise RuntimeError(f"{name}: deck-group audit failed: {', '.join(_failed_checks(report))}")
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -182,23 +167,18 @@ def build_cyclic8() -> DeckGroup:
     gen_pair = lift_even_word(CYCLIC_GENERATOR_WORD)
     elements = []
     for t in range(1, 9):
-        el = gc.IDENTITY
-        for _ in range(t):
-            el = gc.multiply(gen, el)
-        label = "e" if t == 8 else ("g1" if t == 1 else f"g1^{t}")
-        elements.append(
-            DeckElement(label=label, element=el, pair=gen_pair.power(t), order=_element_order(el))
-        )
-    if elements[-1].element != gc.IDENTITY:
-        raise RuntimeError("cyclic generator does not have order 8")
-    if any(elements[t - 1].element == gc.IDENTITY for t in range(1, 8)):
-        raise RuntimeError("cyclic generator order is below 8")
+        el = gc.compose_in_order([gen] * t)
+        label, pair = _power_label(t), gen_pair.power(t)
+        elements.append(DeckElement(label=label, element=el, pair=pair, order=_element_order(el)))
     return _finish_group("C2", "cyclic-8", elements)
 
 
 @lru_cache(maxsize=None)
 def build_quaternion() -> DeckGroup:
     """Deck group of the second cubic manifold: quaternion of order 8."""
+    alt_element, alt_pair = gc.element_from_word(_Q1_ALT), lift_even_word(_Q1_ALT)
+    if alt_element != gc.element_from_word(_Q1) or not alt_pair.same_isometry(lift_even_word(_Q1)):
+        raise RuntimeError("alternate q1 spelling disagrees")
     words = {"e": (), **QUATERNION_WORDS, "J4": (J4,)}
     words.update({f"J4*{k}": (J4,) + w for k, w in QUATERNION_WORDS.items()})
     elements = []
@@ -207,20 +187,6 @@ def build_quaternion() -> DeckGroup:
         elements.append(
             DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el))
         )
-    by = {el.label: el for el in elements}
-    j4 = by["J4"].element
-    q = {k: by[k].element for k in ("q1", "q2", "q3")}
-    for k in ("q1", "q2", "q3"):
-        if gc.multiply(q[k], q[k]) != j4:
-            raise RuntimeError(f"{k} squared is not the central inversion")
-    chain = gc.multiply(q["q3"], gc.multiply(q["q2"], q["q1"]))  # q1 first
-    if chain != j4:
-        raise RuntimeError("q1 q2 q3 is not the central inversion")
-    if gc.multiply(q["q2"], q["q1"]) != by["q3"].element:
-        raise RuntimeError("q1 q2 is not q3")
-    alt = gc.element_from_word(_Q1_ALT)
-    if alt != q["q1"] or not lift_even_word(_Q1_ALT).same_isometry(by["q1"].pair):
-        raise RuntimeError("alternate q1 spelling disagrees")
     return _finish_group("C3", "quaternion", elements)
 
 
@@ -234,40 +200,78 @@ def deck_group(name: str) -> DeckGroup:
     raise ValueError(f"unknown deck group {name!r}; expected C2 or C3")
 
 
-def _isomorphism_signature(group: DeckGroup) -> str:
-    orders = sorted(el.order for el in group.elements)
-    elems = [el.element for el in group.elements]
-    abelian = all(
-        gc.multiply(a, b) == gc.multiply(b, a) for a in elems for b in elems
-    )
-    if orders == [1, 2, 4, 4, 8, 8, 8, 8] and abelian:
-        return "cyclic-8"
-    if orders == [1, 2, 4, 4, 4, 4, 4, 4] and not abelian:
-        return "quaternion"
-    return "unrecognised"
+# Sorted element orders and commutativity of the two possible deck groups.
+_SIGNATURES = {
+    ((1, 2, 4, 4, 8, 8, 8, 8), True): "cyclic-8",
+    ((1, 2, 4, 4, 4, 4, 4, 4), False): "quaternion",
+}
+
+
+def relations_hold(group: DeckGroup) -> bool:
+    """Whether the labelled elements satisfy the presentation of the group.
+
+    Cyclic-8: the element labelled like the t-th power of g1 is that power,
+    for t = 1..8, and g1^4 is the central inversion.  Quaternion: J4 is the
+    central inversion, q^2 = J4 for q = q1, q2, q3, q1 then q2 is q3, and
+    q1 q2 q3 = J4 (q1 acting first).  Another isomorphism name, or a missing
+    label, fails.
+    """
+    labelled = {el.label: el.element for el in group.elements}
+    if group.isomorphism == "cyclic-8" and "g1" in labelled:
+        powers = [gc.compose_in_order([labelled["g1"]] * t) for t in range(1, 9)]
+        named = all(labelled.get(_power_label(t)) == p for t, p in enumerate(powers, start=1))
+        return named and powers[3] == gc.INVERSION
+    if group.isomorphism == "quaternion" and {"J4", "q1", "q2", "q3"} <= labelled.keys():
+        j4, q1, q2, q3 = (labelled[k] for k in ("J4", "q1", "q2", "q3"))
+        squares = all(gc.multiply(q, q) == j4 for q in (q1, q2, q3))
+        chain = gc.multiply(q2, q1) == q3 and gc.compose_in_order([q1, q2, q3]) == j4
+        return j4 == gc.INVERSION and squares and chain
+    return False
+
+
+def _failed_checks(report: dict) -> list[str]:
+    """Names of the report fields whose check fails; every boolean field
+    other than "passed" is a check."""
+    flags = {key: value for key, value in report.items() if isinstance(value, (bool, np.bool_))}
+    failed = [key for key, value in flags.items() if not value and key != "passed"]
+    failed += [key for key in ("order", "cell_center_orbit_size") if report[key] != 8]
+    if not report["pair_action_max_error"] <= report["tol"]:
+        failed.append("pair_action_max_error")
+    return failed
 
 
 def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol: float = 1e-10) -> dict:
-    """Independent structural audit of a deck group; returns a JSON-able report.
+    """Structural audit of a deck group; returns a JSON-able report.
 
-    Checks closure, inverses, freeness of the action, orientation, the
-    isomorphism type recomputed from element orders, agreement of the two
-    element representations at random points, and transitivity on the
-    eight cell centers.
+    Checks that the elements are distinct, closure, inverses, that the
+    exact pair table agrees with the permutation table up to sign, freeness
+    of the action, orientation, the isomorphism type recomputed from
+    element orders, the labelled presentation (`relations_hold`), agreement
+    of the two element representations at random points, and transitivity
+    on the eight cell centers.  The builders refuse a group on this report.
     """
-    elems = [el.element for el in group.elements]
-    table = set(elems)
-    closed = all(gc.multiply(a, b) in table for a in elems for b in elems)
-    has_identity = gc.IDENTITY in table
-    has_inverses = all(gc.inverse(a) in table for a in elems)
+    els = group.elements
+    elems = [el.element for el in els]
+    by_element = {el.element: el for el in els}
+    # product[i][k]: els[i] acts first, then els[k]
+    product = [[gc.multiply(b.element, a.element) for b in els] for a in els]
+    closed = all(c in by_element for row in product for c in row)
+    pair_table_matches = all(
+        c in by_element and a.pair.compose(b.pair).same_isometry(by_element[c].pair)
+        for a, row in zip(els, product)
+        for b, c in zip(els, row)
+    )
+    abelian = all(product[i][k] == product[k][i] for i in range(len(els)) for k in range(i))
+    iso = _SIGNATURES.get((tuple(sorted(el.order for el in els)), abelian), "unrecognised")
+    has_identity = gc.IDENTITY in by_element
+    has_inverses = all(gc.inverse(a) in by_element for a in elems)
     fixed_point_free = all(
         not gc.has_fixed_point_on_sphere(a) for a in elems if a != gc.IDENTITY
     )
     orientation = all(a.determinant() == 1 for a in elems)
-    iso = _isomorphism_signature(group)
 
     pts = gc.random_sphere_points(n_points, seed=seed)
-    worst = float(np.max([_pair_action_error(el, pts) for el in group.elements]))
+    worst = float(np.max([_pair_action_error(el, pts) for el in els]))
 
     centers = gc.orbit(elems, _CELL_CENTER)
     report = {
@@ -275,26 +279,19 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
         "order": group.order,
         "isomorphism": iso,
         "isomorphism_matches": iso == group.isomorphism,
+        "distinct": len(by_element) == len(elems),
         "closed": closed,
         "has_identity": has_identity,
         "has_inverses": has_inverses,
+        "pair_table_matches": pair_table_matches,
         "fixed_point_free": fixed_point_free,
         "orientation_preserving": orientation,
+        "relations": relations_hold(group),
         "pair_action_max_error": worst,
         "cell_center_orbit_size": len(centers),
         "seed": seed,
         "n_points": n_points,
         "tol": tol,
     }
-    report["passed"] = bool(
-        group.order == 8
-        and report["isomorphism_matches"]
-        and closed
-        and has_identity
-        and has_inverses
-        and fixed_point_free
-        and orientation
-        and worst <= tol
-        and len(centers) == 8
-    )
+    report["passed"] = not _failed_checks(report)
     return report

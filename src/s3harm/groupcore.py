@@ -14,8 +14,8 @@ for those.
 
 Cycle strings are parsed and printed right to left: "(0132)" denotes the
 permutation with 1 -> 0, 3 -> 1, 2 -> 3, 0 -> 2, matching the emitted
-deck-group tables.  Points of E^4 are plain length-4 sequences; `apply`
-keeps integer inputs exact.
+deck-group tables.  Points of E^4 are plain length-4 sequences or (..., 4)
+stacks of them; `apply` keeps integer inputs exact.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "INVERSION",
     "WEYL_GENERATORS",
     "WEYL_VECTORS",
-    "WeylGenerator",
     "apply",
     "closure",
     "compose_in_order",
@@ -47,7 +46,6 @@ __all__ = [
     "multiply",
     "orbit",
     "perm_to_cycles",
-    "weyl_generator",
 ]
 
 
@@ -205,27 +203,6 @@ WEYL_GENERATORS = {
 J4 = "J4"
 
 
-@dataclass(frozen=True)
-class WeylGenerator:
-    """A reflection generator together with its unit hyperplane normal."""
-
-    index: int
-    element: HyperoctElement
-    normal: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        n = sum(c * c for c in self.normal)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"normal must be a unit vector, |a|^2 = {n}")
-
-
-def weyl_generator(s: int) -> WeylGenerator:
-    """Reflection data for generator index s in 0..4."""
-    if s not in WEYL_GENERATORS:
-        raise ValueError(f"unknown generator index {s}; expected 0..4")
-    return WeylGenerator(s, WEYL_GENERATORS[s], WEYL_VECTORS[s])
-
-
 def multiply(g: HyperoctElement, h: HyperoctElement) -> HyperoctElement:
     """Product g*h in right-to-left convention: h acts first."""
     pinv = _perm_inverse(g.perm)
@@ -262,12 +239,12 @@ def element_from_word(word) -> HyperoctElement:
 
 
 def apply(g: HyperoctElement, x):
-    """Image of the point x under g; integer input stays integer."""
+    """Image of the point x, or of a (..., 4) stack, under g; integer input
+    stays integer."""
     x = np.asarray(x)
-    if x.shape != (4,):
-        raise ValueError(f"expected a length-4 point, got shape {x.shape}")
-    inv = _perm_inverse(g.perm)
-    return np.array([g.signs[i] * x[inv[i]] for i in range(4)])
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"expected length-4 points, got shape {x.shape}")
+    return x[..., list(_perm_inverse(g.perm))] * np.array(g.signs)
 
 
 def closure(generators, bound: int = 10_000) -> list[HyperoctElement]:

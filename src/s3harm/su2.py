@@ -152,9 +152,6 @@ class Cyclo8:
             body = f"({body})"
         return f"{body}/{den}"
 
-    def sort_key(self):
-        return (self.half_powers, self.coeffs)
-
 
 _ZERO = Cyclo8((0, 0, 0, 0))
 _ONE = Cyclo8((1, 0, 0, 0))
@@ -337,20 +334,21 @@ def pair_action(pair: IsoPair, u) -> np.ndarray:
 
 
 def matrix_from_point(x) -> np.ndarray:
-    """Coordinate chart sending x on S^3 to a special unitary 2x2 matrix."""
+    """Coordinate chart sending x on S^3 (or a (..., 4) stack) to special
+    unitary 2x2 matrices."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise ValueError(f"expected a length-4 point, got shape {x.shape}")
-    z1 = complex(x[0], -x[3])
-    z2 = complex(-x[2], -x[1])
-    return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"expected length-4 points, got shape {x.shape}")
+    z1 = x[..., 0] - 1j * x[..., 3]
+    z2 = -x[..., 2] - 1j * x[..., 1]
+    return np.stack([np.stack([z1, z2], -1), np.stack([-z2.conj(), z1.conj()], -1)], -2)
 
 
 def point_from_matrix(u) -> np.ndarray:
-    """Inverse of `matrix_from_point`."""
-    u = np.asarray(u, dtype=complex)
-    z1, z2 = u[0, 0], u[0, 1]
-    return np.array([z1.real, -z2.imag, -z2.real, -z1.imag])
+    """Inverse of `matrix_from_point`, on one matrix or a (..., 2, 2) stack."""
+    u = _complex_matrices(u)
+    z1, z2 = u[..., 0, 0], u[..., 0, 1]
+    return np.stack([z1.real, -z2.imag, -z2.real, -z1.imag], axis=-1)
 
 
 def _angle(trace_value: complex) -> float:

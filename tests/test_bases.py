@@ -177,6 +177,11 @@ def test_half_integer_degree_rejected():
         bases.basis_c2(1.5)
     with pytest.raises(ValueError):
         bases.basis_c3(0.5)
+    # negative degrees are refused, half-integer or not
+    for count in (bases.multiplicity_c8, bases.multiplicity_q, bases.multiplicity_q_character_sum):
+        for j in (-0.5, -1, -1.5):
+            with pytest.raises(ValueError):
+                count(j)
 
 
 def test_basis_for_dispatch():

@@ -134,6 +134,27 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_basis_row_measures_the_projector_errors(capsys, monkeypatch):
+    # a projector failure must show in the row's measured value, not only
+    # in its passed flag
+    real = cli.verify_basis
+
+    def failing_fix(functions, group, **kwargs):
+        report = real(functions, group, **kwargs)
+        block = report["projector"][max(report["projector"])]
+        block["fix_max_error"] = 1.0
+        report["passed"] = False
+        return report
+
+    monkeypatch.setattr(cli, "verify_basis", failing_fix)
+    code, out = run(capsys, ["verify", "--suite", "basis", "--manifold", "C2", "--jmax", "2",
+                             "--format", "json"])
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert row["passed"] is False
+    assert row["measured"] == 1.0
+
+
 def test_jmax_guard_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["multiplicity", "--manifold", "C2", "--jmax", "25"])

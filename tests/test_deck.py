@@ -175,6 +175,9 @@ def test_verify_reports_pass():
         assert report["cell_center_orbit_size"] == 8
         assert report["pair_action_max_error"] < 1e-12
         assert report["isomorphism_matches"] is True
+        assert report["distinct"] is True
+        assert report["pair_table_matches"] is True
+        assert report["relations"] is True
 
 
 def test_verify_flags_a_corrupted_group():
@@ -193,6 +196,37 @@ def test_verify_flags_a_corrupted_group():
     )
     report = deck.verify_deck_group(broken, seed=42)
     assert report["passed"] is False
+
+
+def test_swapped_quaternion_labels_break_the_relations():
+    # q1 and q2 trade labels: the group is unchanged but its presentation
+    # fails, since q2 then q1 is J4*q3, not q3
+    base = deck.build_quaternion()
+    swap = {"q1": "q2", "q2": "q1"}
+    relabelled = [
+        deck.DeckElement(swap.get(el.label, el.label), el.element, el.pair, el.order)
+        for el in base.elements
+    ]
+    group = deck.DeckGroup(base.name, base.isomorphism, tuple(relabelled))
+    report = deck.verify_deck_group(group, seed=42)
+    assert report["relations"] is False
+    assert report["passed"] is False
+    assert report["closed"] is True and report["pair_table_matches"] is True
+    with pytest.raises(RuntimeError, match="relations"):
+        deck._finish_group(base.name, base.isomorphism, relabelled)
+
+
+def test_swapped_pairs_break_the_pair_table():
+    base = deck.build_cyclic8()
+    els = list(base.elements)
+    g1, g3 = els[0], els[2]
+    els[0] = deck.DeckElement(g1.label, g1.element, g3.pair, g1.order)
+    els[2] = deck.DeckElement(g3.label, g3.element, g1.pair, g3.order)
+    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)), seed=42)
+    assert report["pair_table_matches"] is False
+    assert report["passed"] is False
+    with pytest.raises(RuntimeError, match="pair_table_matches"):
+        deck._finish_group(base.name, base.isomorphism, els)
 
 
 def test_group_builders_are_cached():

@@ -219,6 +219,22 @@ def test_coordinate_chart_round_trip():
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-13)
         assert abs(np.linalg.det(u) - 1.0) < 1e-13
         assert np.allclose(su2.point_from_matrix(u), x, atol=1e-13)
+    # a (..., 4) stack maps point by point, and back from (..., 2, 2)
+    stack = pts.reshape(5, 6, 4)
+    mats = su2.matrix_from_point(stack)
+    assert mats.shape == (5, 6, 2, 2)
+    assert np.array_equal(mats[2, 3], su2.matrix_from_point(stack[2, 3]))
+    assert np.array_equal(su2.point_from_matrix(mats), stack)
+    g = gc.WEYL_GENERATORS[2]
+    assert np.array_equal(gc.apply(g, stack)[4, 1], gc.apply(g, stack[4, 1]))
+    assert gc.apply(g, np.arange(8).reshape(2, 4)).dtype.kind == "i"
+    for bad in (np.zeros(3), np.zeros((2, 5))):
+        with pytest.raises(ValueError):
+            su2.matrix_from_point(bad)
+        with pytest.raises(ValueError):
+            gc.apply(g, bad)
+    with pytest.raises(ValueError):
+        su2.point_from_matrix(np.zeros((4, 3, 3)))
 
 
 def test_su2_exact_inverse_requires_unit_determinant():
