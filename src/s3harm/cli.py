@@ -6,7 +6,8 @@ byte-identical bytes.  JSON payloads carry a top-level schema tag; CSV is
 RFC-4180 with a header row; text is an aligned human-readable table.
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad degree,
 non-finite or non-positive tolerance, unwritable --output; all refused
-before any work is done).
+before any work is done), 3 internal error (an unexpected exception inside
+a subcommand, reported as one line on stderr, never as a failed check).
 """
 
 from __future__ import annotations
@@ -370,19 +371,24 @@ def main(argv=None) -> int:
         fmt=args.format,
         output=args.output,
     )
-    if cfg.subcommand == "group":
-        payload, code = cmd_group(cfg, args.which, args.count_only)
-    elif cfg.subcommand == "multiplicity":
-        payload, code = cmd_multiplicity(cfg)
-    elif cfg.subcommand == "basis":
-        payload, code = cmd_basis(cfg)
-    elif cfg.subcommand == "induced":
-        payload, code = cmd_induced(cfg)
-    elif cfg.subcommand == "verify":
-        payload, code = cmd_verify(cfg, args.suite)
-    else:  # pragma: no cover - argparse enforces choices
-        parser.error(f"unknown subcommand {cfg.subcommand}")
-    _emit(payload, cfg)
+    try:
+        if cfg.subcommand == "group":
+            payload, code = cmd_group(cfg, args.which, args.count_only)
+        elif cfg.subcommand == "multiplicity":
+            payload, code = cmd_multiplicity(cfg)
+        elif cfg.subcommand == "basis":
+            payload, code = cmd_basis(cfg)
+        elif cfg.subcommand == "induced":
+            payload, code = cmd_induced(cfg)
+        elif cfg.subcommand == "verify":
+            payload, code = cmd_verify(cfg, args.suite)
+        else:  # pragma: no cover - argparse enforces choices
+            parser.error(f"unknown subcommand {cfg.subcommand}")
+        _emit(payload, cfg)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"s3harm: internal error: {type(exc).__name__}: {message}\n")
+        return 3
     return code
 
 

@@ -7,10 +7,11 @@ is stored twice over, as an exact signed permutation of R^4 and as an exact
 SU(2) x SU(2) pair.
 
 Every group property (closure, the pair table, agreement of the two forms,
-freeness, orientation, isomorphism type, the labelled presentation and the
-cell-center orbit) is computed in one place, `verify_deck_group`, with the
-presentation in `relations_hold`.  The builders run that same audit at
-seeded probe points and refuse to return a group whose report fails.
+freeness, orientation, element orders, isomorphism type, the labelled
+presentation and the cell-center orbit) is computed in one place,
+`verify_deck_group`, with the presentation in `relations_hold`.  The
+builders run that same audit at seeded probe points and refuse to return a
+group whose report fails.
 """
 
 from __future__ import annotations
@@ -229,6 +230,19 @@ def relations_hold(group: DeckGroup) -> bool:
     return False
 
 
+def _table_orders(product: list[list[HyperoctElement]], els) -> list[int | None]:
+    """Order of each element, read off the product table by taking powers;
+    None where a power leaves the table or the identity is not reached."""
+    index = {el.element: k for k, el in enumerate(els)}
+    orders = []
+    for i in range(len(els)):
+        k, n = i, 1
+        while k is not None and n <= len(els) and els[k].element != gc.IDENTITY:
+            k, n = index.get(product[k][i]), n + 1
+        orders.append(n if k is not None and els[k].element == gc.IDENTITY else None)
+    return orders
+
+
 def _failed_checks(report: dict) -> list[str]:
     """Names of the report fields whose check fails; every boolean field
     other than "passed" is a check."""
@@ -245,8 +259,9 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
 
     Checks that the elements are distinct, closure, inverses, that the
     exact pair table agrees with the permutation table up to sign, freeness
-    of the action, orientation, the isomorphism type recomputed from
-    element orders, the labelled presentation (`relations_hold`), agreement
+    of the action, orientation, the element orders recomputed from the
+    product table against the stored ones, the isomorphism type from those
+    recomputed orders, the labelled presentation (`relations_hold`), agreement
     of the two element representations at random points, and transitivity
     on the eight cell centers.  The builders refuse a group on this report.
     """
@@ -262,7 +277,9 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
         for b, c in zip(els, row)
     )
     abelian = all(product[i][k] == product[k][i] for i in range(len(els)) for k in range(i))
-    iso = _SIGNATURES.get((tuple(sorted(el.order for el in els)), abelian), "unrecognised")
+    orders = _table_orders(product, els)
+    signature = (tuple(sorted(orders)), abelian) if None not in orders else None
+    iso = _SIGNATURES.get(signature, "unrecognised")
     has_identity = gc.IDENTITY in by_element
     has_inverses = all(gc.inverse(a) in by_element for a in elems)
     fixed_point_free = all(
@@ -279,6 +296,7 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
         "order": group.order,
         "isomorphism": iso,
         "isomorphism_matches": iso == group.isomorphism,
+        "orders_match": orders == [el.order for el in els],
         "distinct": len(by_element) == len(elems),
         "closed": closed,
         "has_identity": has_identity,

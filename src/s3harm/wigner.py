@@ -14,11 +14,22 @@ matrices:
 * Half-integer degrees are supported throughout, although the space-form
   bases only consume integer ones.
 
-Every harmonic evaluator wraps one private kernel: _point_entries parses
-a point argument, and _wigner_columns sums the monomials of the requested
-entries of one degree over arrays of points.  Its power tables use numpy's
-x**k; a running product p[k] = p[k-1] * x raised the verify --jmax 12
-periodicity error from 6.8e-14 to 9.0e-14.
+* At Euler angles every entry factorises as
+  D^j_{m1 m2}(alpha, beta, gamma) = e^{i m1 alpha} d^j_{m1 m2}(beta) e^{i m2 gamma}.
+
+Every pointwise harmonic evaluator wraps one private kernel: _point_entries
+parses a point argument, and _wigner_columns sums the monomials of the
+requested entries of one degree over arrays of points.  Its power tables
+use numpy's x**k; a running product p[k] = p[k-1] * x raised the verify
+--jmax 12 periodicity error from 6.8e-14 to 9.0e-14.  The monomial sums
+lose about a digit every four degrees (unitarity about 1e-5 at j = 40),
+so the reduced matrices d^j(beta) of the separable Gram sum come from a
+second, stable kernel, _wigner_small_d: the exact diagonalisation of J_y
+(Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307), unitary to 1e-13
+at j = 40.
+
+EulerQuadrature keeps the one-dimensional factors of its product rule, so
+sums over it can be taken in separable order.
 """
 
 from __future__ import annotations
@@ -123,6 +134,48 @@ def _wigner_columns(two_j: int, pairs, entries) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact eigenvalues and orthonormal eigenvectors of J_y at degree j,
+    in the descending m layout: J_y = V diag(lam) V^H."""
+    m = np.arange(two_j, -two_j - 1, -2) / 2.0
+    j = two_j / 2.0
+    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)): row of m+1, column of m
+    j_plus = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), k=1)
+    lam, vec = np.linalg.eigh((j_plus - j_plus.T) / 2j)
+    exact = np.round(2.0 * lam) / 2.0
+    if np.max(np.abs(lam - exact)) > 1e-9:
+        raise RuntimeError(f"J_y spectrum at degree {j} is not -j..j")
+    exact.flags.writeable = vec.flags.writeable = False
+    return exact, vec
+
+
+def _wigner_small_d(two_j: int, beta) -> np.ndarray:
+    """Reduced matrices d^j(beta) = D^j at EulerAngles(0, beta, 0) for every
+    beta of an array, shape beta.shape + (2j+1, 2j+1), (m1, m2) descending.
+
+    Computed as exp(+i beta J_y) = V diag(e^{i beta lam}) V^H from one cached
+    eigendecomposition per degree; the result is real up to rounding, and
+    its real part is returned.
+    """
+    lam, vec = _jy_eigen(two_j)
+    phase = np.exp(1j * np.asarray(beta, dtype=float)[..., None] * lam)
+    return ((vec * phase[..., None, :]) @ vec.conj().T).real
+
+
+def _wigner_matrices(two_j: int, entries, unitary_tol: float = 1e-9) -> np.ndarray:
+    """Full D^j at every point of the parsed entries (a, b, c, d), shape
+    batch + (2j+1, 2j+1); refuses the call if any point is visibly not
+    unitary."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in entries))
+    mats = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(shape + (2, 2))
+    if np.max(np.abs(mats @ mats.conj().swapaxes(-1, -2) - np.eye(2))) > unitary_tol:
+        raise ValueError("argument matrix is not unitary")
+    ms = range(two_j, -two_j - 1, -2)
+    columns = _wigner_columns(two_j, [(tm1, tm2) for tm1 in ms for tm2 in ms], entries)
+    return columns.reshape(shape + (two_j + 1, two_j + 1))
+
+
 def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
@@ -143,12 +196,7 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     entries = _point_entries(u)
     if np.shape(entries[0]) != ():
         raise ValueError(f"expected one 2x2 matrix, got a batch of shape {np.shape(entries[0])}")
-    mat = np.reshape(entries, (2, 2))
-    if np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > unitary_tol:
-        raise ValueError("argument matrix is not unitary")
-    tj = _two_j(j)
-    ms = range(tj, -tj - 1, -2)
-    return _wigner_columns(tj, [(tm1, tm2) for tm1 in ms for tm2 in ms], entries).reshape(tj + 1, tj + 1)
+    return _wigner_matrices(_two_j(j), entries, unitary_tol)
 
 
 def su2_character(j, phi) -> float:
@@ -261,15 +309,38 @@ def wigner_entry_function(j, m1, m2):
 
 @dataclass(frozen=True)
 class EulerQuadrature:
-    """Product rule for the normalized measure (1/8 pi^2) da sin(b) db dg."""
+    """Product rule for the normalized measure (1/8 pi^2) da sin(b) db dg.
 
-    angles: EulerAngles
-    weights: np.ndarray
+    Kept as its one-dimensional factors: uniform grids alpha and gamma, and
+    Gauss-Legendre nodes beta = arccos(t) with their weights in t, which
+    sum to 2.  The product nodes (`angles`, alpha slowest, gamma fastest)
+    and their `weights` are built from the factors on request.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    beta_weights: np.ndarray
+    gamma: np.ndarray
     max_degree: int
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.alpha.size, self.beta.size, self.gamma.size
+
+    @property
     def node_count(self) -> int:
-        return self.weights.size
+        return math.prod(self.shape)
+
+    @property
+    def angles(self) -> EulerAngles:
+        aa, bb, gg = np.meshgrid(self.alpha, self.beta, self.gamma, indexing="ij")
+        return EulerAngles(aa.reshape(-1), bb.reshape(-1), gg.reshape(-1))
+
+    @property
+    def weights(self) -> np.ndarray:
+        na, nb, ng = self.shape
+        per_beta = self.beta_weights / (2.0 * na * ng)
+        return np.broadcast_to(per_beta[None, :, None], self.shape).reshape(-1)
 
 
 def euler_quadrature(
@@ -298,16 +369,12 @@ def euler_quadrature(
         raise ValueError(
             f"cos(beta) rule needs at least {max_degree + 2} nodes for degree {max_degree}"
         )
-    alpha = 2.0 * np.pi * np.arange(na) / na
-    gamma = 2.0 * np.pi * np.arange(ng) / ng
     t, wt = leggauss(nb)
-    beta = np.arccos(t)
-    aa, bb, gg = np.meshgrid(alpha, beta, gamma, indexing="ij")
-    ww = np.broadcast_to(wt[None, :, None], aa.shape)
-    weights = (ww / (2.0 * na * ng)).reshape(-1)
     return EulerQuadrature(
-        angles=EulerAngles(aa.reshape(-1), bb.reshape(-1), gg.reshape(-1)),
-        weights=weights,
+        alpha=2.0 * np.pi * np.arange(na) / na,
+        beta=np.arccos(t),
+        beta_weights=wt,
+        gamma=2.0 * np.pi * np.arange(ng) / ng,
         max_degree=max_degree,
     )
 
@@ -319,8 +386,9 @@ def quadrature_inner(f, g, resolution) -> complex:
     EulerQuadrature.  f and g must broadcast over array-valued angles.
     """
     rule = resolution if isinstance(resolution, EulerQuadrature) else euler_quadrature(int(resolution))
-    fv = np.asarray(f(rule.angles), dtype=complex)
-    gv = np.asarray(g(rule.angles), dtype=complex)
+    angles = rule.angles
+    fv = np.asarray(f(angles), dtype=complex)
+    gv = np.asarray(g(angles), dtype=complex)
     return complex(np.sum(rule.weights * np.conj(fv) * gv))
 
 

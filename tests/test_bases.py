@@ -1,5 +1,8 @@
 """Multiplicity tables, invariance projectors, and the explicit bases."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,53 @@ def test_gram_across_degrees_stays_identity():
     fns = [f for j in range(4) for f in bases.basis_c3(j)]
     gram = bases.gram_matrix(fns, rule=euler_quadrature(6))
     assert np.max(np.abs(gram - np.eye(len(fns)))) < 1e-10
+
+
+def product_grid_gram(fns, rule):
+    """Test oracle: every function at every product node, values^H W values."""
+    values = bases._basis_values(fns, rule.angles)
+    return 8.0 * math.pi**2 * (values.conj().T @ (values * rule.weights[:, None]))
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_separable_gram_equals_product_grid_sum(manifold):
+    for j_max in range(7):
+        fns = [f for j in range(j_max + 1) for f in bases.basis_for(manifold, j)]
+        default = bases.gram_matrix(fns)
+        assert np.max(np.abs(default - product_grid_gram(fns, euler_quadrature(2 * j_max)))) < 1e-13
+        coarse = euler_quadrature(6)
+        assert np.max(np.abs(bases.gram_matrix(fns, coarse) - product_grid_gram(fns, coarse))) < 1e-13
+
+
+def test_too_coarse_rule_aliases_alike_in_both_routes():
+    rule = euler_quadrature(4)
+    for manifold in ("C2", "C3"):
+        fns = [f for j in range(5) for f in bases.basis_for(manifold, j)]
+        separable, oracle = bases.gram_matrix(fns, rule), product_grid_gram(fns, rule)
+        assert np.max(np.abs(separable - oracle)) < 1e-13
+        if manifold == "C2":
+            # alpha differences of 5 alias on the 5-node grid
+            for gram in (separable, oracle):
+                assert abs(np.max(np.abs(gram - np.eye(len(fns)))) - 0.703) < 1e-3
+
+
+def test_batched_deck_operators_match_per_element_wigner_d():
+    for group in (build_cyclic8(), build_quaternion()):
+        for j in range(13):
+            left, right = bases._deck_operators(group, j)
+            for el, a, b in zip(group.elements, left, right):
+                assert np.max(np.abs(a - wigner_d(j, el.pair.left.inverse()).T)) < 1e-15
+                assert np.max(np.abs(b - wigner_d(j, el.pair.right))) < 1e-15
+
+
+def test_deck_operators_refuse_a_non_unitary_lift():
+    def factor(matrix):
+        return SimpleNamespace(to_complex=lambda: np.array(matrix, dtype=complex))
+
+    pair = SimpleNamespace(left=SimpleNamespace(inverse=lambda: factor(np.eye(2))), right=factor([[1, 0.3], [0, 1]]))
+    group = SimpleNamespace(elements=(SimpleNamespace(pair=pair),))
+    with pytest.raises(ValueError, match="not unitary"):
+        bases._deck_operators(group, 1)
 
 
 def test_projector_fixes_coefficient_vectors():

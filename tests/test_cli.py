@@ -134,6 +134,21 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # an exception inside a subcommand is an internal error: exit 3 with
+    # one line on stderr, not a traceback and not a verification failure
+    def raising(*args, **kwargs):
+        raise RuntimeError("kernel exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "verify_basis", raising)
+    code = cli.main(["verify", "--suite", "basis", "--jmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == ["s3harm: internal error: RuntimeError: kernel exploded second line"]
+
+
 def test_basis_row_measures_the_projector_errors(capsys, monkeypatch):
     # a projector failure must show in the row's measured value, not only
     # in its passed flag

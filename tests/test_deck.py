@@ -178,6 +178,7 @@ def test_verify_reports_pass():
         assert report["distinct"] is True
         assert report["pair_table_matches"] is True
         assert report["relations"] is True
+        assert report["orders_match"] is True
 
 
 def test_verify_flags_a_corrupted_group():
@@ -226,6 +227,22 @@ def test_swapped_pairs_break_the_pair_table():
     assert report["pair_table_matches"] is False
     assert report["passed"] is False
     with pytest.raises(RuntimeError, match="pair_table_matches"):
+        deck._finish_group(base.name, base.isomorphism, els)
+
+
+def test_swapped_stored_orders_fail_the_audit():
+    # g1 (order 8) and g1^2 (order 4) trade their stored orders: the sorted
+    # orders still read like cyclic-8, but the table disagrees
+    base = deck.build_cyclic8()
+    els = list(base.elements)
+    assert (els[0].label, els[0].order, els[1].label, els[1].order) == ("g1", 8, "g1^2", 4)
+    els[0] = deck.DeckElement(els[0].label, els[0].element, els[0].pair, 4)
+    els[1] = deck.DeckElement(els[1].label, els[1].element, els[1].pair, 8)
+    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)), seed=42)
+    assert report["orders_match"] is False
+    assert report["passed"] is False
+    assert report["isomorphism"] == "cyclic-8"
+    with pytest.raises(RuntimeError, match="orders_match"):
         deck._finish_group(base.name, base.isomorphism, els)
 
 

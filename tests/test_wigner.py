@@ -5,6 +5,9 @@ construction that never touches the factorial sum used in the library.
 """
 
 import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from s3harm import su2
 from s3harm.deck import build_cyclic8, build_quaternion
 from s3harm.wigner import (
     EulerAngles,
+    _wigner_small_d,
     clebsch_gordan,
     character_jj,
     conjugation_harmonic,
@@ -103,6 +107,74 @@ def test_euler_factorization_of_matrix_entries():
         for r, m1 in enumerate(ms)
     ])
     assert np.allclose(got, want, atol=1e-13)
+
+
+def test_monomial_kernel_factorises_at_euler_angles():
+    # the separable Gram sum relies on D(a, b, g) = e^{i m1 a} d(b) e^{i m2 g};
+    # checked here on the monomial kernel, which does not assume it
+    rng = np.random.default_rng(2015)
+    for two_j in range(13):
+        j = two_j / 2
+        ms = np.array(mrange(j))
+        for al, b, ga in rng.uniform([0, 0, 0], [2 * np.pi, np.pi, 2 * np.pi], size=(4, 3)):
+            small = wigner_d(j, EulerAngles(0.0, b, 0.0))
+            want = np.exp(1j * ms * al)[:, None] * small * np.exp(1j * ms * ga)[None, :]
+            assert np.max(np.abs(wigner_d(j, EulerAngles(al, b, ga)) - want)) < 1e-13
+
+
+# ------------------------------------------------- stable d^j(beta) kernel
+
+
+# Pythagorean triples: cos(beta/2) = p/r and sin(beta/2) = q/r are rational
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+
+
+def exact_small_d(two_j, cos_half, sin_half):
+    """d^j at u = [[C, S], [-S, C]] from the monomial formula in exact
+    rationals: each entry is sqrt(N) times a rational sum, so one square
+    root and one rounding are its only errors."""
+    out = np.zeros((two_j + 1, two_j + 1))
+    for r in range(two_j + 1):
+        for c in range(two_j + 1):
+            jm1, jm2 = two_j - r, two_j - c
+            m1m2 = jm1 + jm2 - two_j
+            total = Fraction(0)
+            for k in range(max(0, m1m2), min(jm1, jm2) + 1):
+                den = (math.factorial(k) * math.factorial(jm2 - k)
+                       * math.factorial(jm1 - k) * math.factorial(k - m1m2))
+                total += (-1) ** (jm2 - k) * cos_half ** (2 * k - m1m2) * sin_half ** (jm1 + jm2 - 2 * k) / den
+            norm = math.factorial(jm1) * math.factorial(r) * math.factorial(jm2) * math.factorial(c)
+            out[r, c] = math.copysign(math.sqrt(float(total * total * norm)), total)
+    return out
+
+
+def test_stable_small_d_matches_exact_rational_values():
+    for p, q, r in PYTHAGOREAN:
+        for cos_half, sin_half in ((Fraction(p, r), Fraction(q, r)), (Fraction(q, r), Fraction(p, r))):
+            beta = 2.0 * math.atan2(sin_half, cos_half)
+            for two_j in (*range(13), 24):
+                got = _wigner_small_d(two_j, beta)
+                assert np.max(np.abs(got - exact_small_d(two_j, cos_half, sin_half))) < 1e-14, (two_j, beta)
+
+
+def test_stable_small_d_matches_monomial_kernel():
+    # the monomial oracle itself drifts by up to 1.4e-13 at 2j = 24 (against
+    # the exact values above), hence 2e-13 rather than the kernel's accuracy
+    betas = np.concatenate([[0.0, np.pi], np.random.default_rng(43).uniform(0, np.pi, 14)])
+    for two_j in range(25):
+        small = _wigner_small_d(two_j, betas)
+        assert small.shape == (betas.size, two_j + 1, two_j + 1)
+        for b, got in zip(betas, small):
+            want = wigner_d(two_j / 2, EulerAngles(0.0, b, 0.0))
+            assert np.max(np.abs(got - want)) < 2e-13, (two_j, b)
+
+
+def test_stable_small_d_stays_unitary_at_high_degree():
+    # the monomial kernel is off by about 1e-5 at j = 40
+    betas = np.random.default_rng(44).uniform(0, np.pi, 8)
+    small = _wigner_small_d(80, betas)
+    assert small.dtype == float
+    assert np.max(np.abs(small @ small.swapaxes(-1, -2) - np.eye(81))) < 1e-13
 
 
 # ------------------------------------------------- deck generators, frozen
@@ -330,6 +402,19 @@ def test_rule_node_counts_enforce_minimums():
         euler_quadrature(4, n_beta=5)
     with pytest.raises(ValueError):
         euler_quadrature(4, n_gamma=3)
+
+
+def test_rule_keeps_its_factors():
+    rule = euler_quadrature(4, n_alpha=6, n_beta=7, n_gamma=5)
+    assert rule.shape == (6, 7, 5) and rule.node_count == 210
+    grid = [v.reshape(rule.shape) for v in (rule.angles.alpha, rule.angles.beta, rule.angles.gamma)]
+    assert np.array_equal(grid[0][:, 0, 0], rule.alpha)
+    assert np.array_equal(grid[1][0, :, 0], rule.beta)
+    assert np.array_equal(grid[2][0, 0, :], rule.gamma)
+    assert np.allclose(np.cos(rule.beta), np.polynomial.legendre.leggauss(7)[0], atol=1e-15)
+    weights = rule.weights.reshape(rule.shape)
+    assert np.array_equal(weights[2, :, 3], rule.beta_weights / (2.0 * 6 * 5))
+    assert abs(rule.weights.sum() - 1.0) < 1e-14
 
 
 def test_oversampled_rule_still_exact():
