@@ -10,7 +10,15 @@ of one or two matrix elements.
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
 u -> wl^-1 u wr sends X to A X B^T, A = D(wl^-1)^T and B = D(wr): the map
-kron(A, B) on the row-major flattening that coefficient_vector uses.
+kron(A, B) on the row-major flattening that coefficient_vector uses.  Every
+lift of both deck groups is diag(z, w) or [[0, b], [c, 0]] with eighth
+roots of unity as entries, so D^j of it has one nonzero per row and each
+deck element moves the (2j+1)^2 index pairs by a permutation times an
+eighth root of unity.  `_deck_action` reads that gather and its exponents
+mod 8 exactly off the Su2Exact lifts.  Group averages, the projector
+ranks (orbits with trivial stabiliser phase), the homomorphism check and
+the dense `averaged` projectors are all built from it, with no Wigner
+kernel on the deck path.
 
 Normalization: the emitted functions have unit norm under the UNNORMALIZED
 Euler measure da sin(b) db dg of total mass 8 pi^2.  The quadrature inner
@@ -23,7 +31,8 @@ means over the uniform grids are exact Kronecker deltas modulo the grid
 sizes, and only the Gauss-Legendre sum over beta is numeric, with d^j from
 the stable kernel.  It equals the sum over the product nodes, aliasing of
 a too-coarse rule included, and never evaluates a function at a node.
-Pointwise values (periodicity, `evaluate`) use the monomial kernel.
+Pointwise values (the periodicity check, `evaluate`) are the only users
+of the monomial kernel here.
 """
 
 from __future__ import annotations
@@ -35,14 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groupcore as gc
-from .deck import DeckGroup, build_cyclic8, build_quaternion
-from .su2 import matrix_from_point
+from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
+from .su2 import Cyclo8, Su2Exact, matrix_from_point
 from .wigner import (
     _point_entries,
     _scalar_or_array,
     _two_j,
     _wigner_columns,
-    _wigner_matrices,
     _wigner_small_d,
     character_jj,
     euler_quadrature,
@@ -114,6 +122,11 @@ def multiplicity_q_character_sum(j) -> int:
     return _character_average(build_quaternion(), j)
 
 
+# independent counts of each manifold's harmonics, against which verify_basis
+# checks the exact orbit count; the first is the one `multiplicity_for` gives
+_MULTIPLICITY_ROUTES = {"C2": (multiplicity_c8,), "C3": (multiplicity_q, multiplicity_q_character_sum)}
+
+
 def _by_manifold(manifold: str, for_c2, for_c3):
     key = manifold.strip().upper()
     if key not in ("C2", "C3"):
@@ -125,22 +138,158 @@ def multiplicity_for(manifold: str, j) -> int:
     return _by_manifold(manifold, multiplicity_c8, multiplicity_q)(j)
 
 
-def _deck_operators(group: DeckGroup, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of A_h = D(wl^-1)^T and B_h = D(wr) over the deck elements h,
-    from one kernel call over all the lifts, each checked to be unitary."""
-    lifts = np.stack(
-        [(el.pair.left.inverse().to_complex(), el.pair.right.to_complex()) for el in group.elements]
+# mu8[k] = exp(i pi k / 4), exact at the even k and correctly rounded at the odd
+_R = math.sqrt(0.5)
+_MU8 = np.array([1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j])
+
+
+def _mu8_exponent(z: Cyclo8) -> int:
+    """k with z = exp(i pi k / 4) exactly; refuses any other entry."""
+    nonzero = [(k, c) for k, c in enumerate(z.coeffs) if c]
+    if z.half_powers or len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+        raise ValueError(f"lift entry {z} is not an eighth root of unity")
+    k, c = nonzero[0]
+    return k if c == 1 else k + 4
+
+
+def _monomial_form(mat: Su2Exact) -> tuple[bool, int, int]:
+    """(anti, e1, e2) of a lift diag(mu8^e1, mu8^e2) (anti False) or
+    [[0, mu8^e1], [mu8^e2, 0]] (anti True), read exactly off its entries;
+    refuses any other lift."""
+    (a, b), (c, d) = mat.entries
+    if b.is_zero() and c.is_zero():
+        return False, _mu8_exponent(a), _mu8_exponent(d)
+    if a.is_zero() and d.is_zero():
+        return True, _mu8_exponent(b), _mu8_exponent(c)
+    raise ValueError(f"lift {mat} is neither diagonal nor anti-diagonal")
+
+
+def _monomial_rows(form: tuple[bool, int, int], j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column of the one nonzero entry in each row of D^j of a lift of the
+    given `_monomial_form`, and its exponent mod 8 (rows m1 = j..-j):
+
+        D^j(diag(a, d))_{m1 m1}        = a^{j+m1} d^{j-m1}
+        D^j([[0, b], [c, 0]])_{m1,-m1} = b^{j+m1} c^{j-m1}
+    """
+    anti, e1, e2 = form
+    m1 = np.arange(j, -j - 1, -1)
+    cols = np.arange(2 * j, -1, -1) if anti else np.arange(2 * j + 1)
+    return cols, ((j + m1) * e1 + (j - m1) * e2) % 8
+
+
+def _deck_action(group: DeckGroup, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact action X -> A_h X B_h^T of every deck element h on the
+    flattened degree-j coefficient matrices, A_h = D(wl^-1)^T, B_h = D(wr).
+
+    Every lift is monomial, so the action is a gather times an eighth root
+    of unity: (A_h X B_h^T).flat[i] = mu8[phase[h, i]] * X.flat[gather[h, i]].
+    Returns (gather, phase), each of shape (|H|, (2j+1)^2), read exactly off
+    the Su2Exact lifts; refuses a lift that is not diagonal or
+    anti-diagonal and an entry that is not an eighth root of unity.
+    """
+    dim = 2 * j + 1
+    gather = np.empty((len(group.elements), dim * dim), dtype=np.intp)
+    phase = np.empty((len(group.elements), dim * dim), dtype=np.int8)
+    for h, el in enumerate(group.elements):
+        # entry (p, q) of A_h X B_h^T reads X at the row whose nonzero in
+        # D(wl^-1) lies in column p, and at the column of the nonzero in
+        # row q of D(wr)
+        (lcols, lexp), (rcols, rexp) = (
+            _monomial_rows(_monomial_form(m), j) for m in (el.pair.left.inverse(), el.pair.right)
+        )
+        rows = np.argsort(lcols)
+        np.add.outer(rows * dim, rcols, out=gather[h].reshape(dim, dim))
+        np.add.outer(lexp[rows].astype(np.int8), rexp.astype(np.int8), out=phase[h].reshape(dim, dim))
+    phase &= 7  # mod 8 of the non-negative sums
+    return gather, phase
+
+
+def _is_homomorphism(gather: np.ndarray, phase: np.ndarray, table) -> bool:
+    """Whether composing the actions matches the product table exactly:
+    the element table[a][b] (a acts first on points) must act on
+    coefficients as a after b, with gathers composed and exponents added
+    mod 8."""
+    if any(c is None for row in table for c in row):
+        return False
+    table = np.array(table, dtype=np.intp)
+    h = np.arange(len(gather))
+    # composed[a, b, i] = gather[b, gather[a, i]]
+    composed = gather[h[None, :, None], gather[:, None, :]]
+    summed = (phase[:, None, :] + phase[h[None, :, None], gather[:, None, :]]) & 7
+    return bool(np.array_equal(composed, gather[table]) and np.array_equal(summed, phase[table]))
+
+
+def _invariant_orbits(gather: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the index pairs that carry an invariant vector.
+
+    Returns (rep, orbit_phase, invariant): rep[i] is the smallest index of
+    the orbit of i, the invariant vector of that orbit has the entry
+    mu8[orbit_phase[i]] at i (and 1 at its representative), and invariant
+    lists the representatives of the orbits whose stabiliser acts with
+    exponent 0.  Their number is the rank of the group average.
+    """
+    index = np.arange(gather.shape[1])
+    rep = gather.min(axis=0)
+    orbit_phase = np.empty_like(phase[0])
+    for g, p in zip(gather[::-1], phase[::-1]):
+        orbit_phase[g == rep] = p[g == rep]
+    twisted = np.zeros(len(index), dtype=bool)
+    twisted[rep[np.any((gather == index) & (phase != 0), axis=0)]] = True
+    return rep, orbit_phase, np.flatnonzero((rep == index) & ~twisted)
+
+
+def _average(gather: np.ndarray, phase: np.ndarray, index: np.ndarray, value: np.ndarray):
+    """Group average mean_h A_h X B_h^T of sparse coefficient vectors, given
+    by their entries X.flat[index] = value.
+
+    Since (A_h X B_h^T).flat[i] = mu8[phase[h, i]] X.flat[gather[h, i]],
+    the entry at k moves to the i with gather[h, i] = k.  Returns those
+    positions and their values, each of shape (|H|,) + index.shape;
+    entries at one position add up.
+    """
+    moved = np.argsort(gather, axis=1)[:, index]
+    return moved, _MU8[np.take_along_axis(phase, moved, axis=1)] * value / len(gather)
+
+
+def _terms(functions: list[BasisFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of functions of one degree as arrays (owner, index, coef):
+    the function's position in the list, the flat index of (m1, m2) in its
+    coefficient vector, and the closed-form coefficient (norm not applied)."""
+    owner = [n for n, f in enumerate(functions) for _ in f.terms]
+    index = [(f.j - m1) * (2 * f.j + 1) + (f.j - m2) for f in functions for m1, m2, _ in f.terms]
+    coef = [c for f in functions for _, _, c in f.terms]
+    return np.array(owner, dtype=np.intp), np.array(index, dtype=np.intp), np.array(coef, dtype=complex)
+
+
+def _fix_error(gather: np.ndarray, phase: np.ndarray, owner, index, value) -> float:
+    """Largest entry of P(X) - X over sparse coefficient vectors X, the
+    entries X_owner.flat[index] = value."""
+    size = gather.shape[1]
+    moved, averaged = _average(gather, phase, index, value)
+    keys = np.concatenate([(owner * size + moved).reshape(-1), owner * size + index])
+    slots, where = np.unique(keys, return_inverse=True)
+    residual = np.zeros(len(slots), dtype=complex)
+    np.add.at(residual, where, np.concatenate([averaged.reshape(-1), -value]))
+    return float(np.max(np.abs(residual)))
+
+
+def _matches_orbits(owner, index, coef, rep, orbit_phase, invariant) -> bool:
+    """Whether the functions, given by their terms (see `_terms`), are
+    exactly the invariant orbit vectors up to normalisation: one function
+    per invariant orbit, its terms on the whole orbit, their coefficients
+    eighth roots of unity with the orbit's phases up to one common factor."""
+    exps = np.rint(np.angle(coef) * 4.0 / np.pi).astype(int) & 7
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    orbit = rep[index[first]]
+    shift = (exps - orbit_phase[index]) & 7
+    return bool(
+        np.array_equal(coef, _MU8[exps])
+        and np.array_equal(rep[index], orbit[owner])
+        and np.array_equal(shift, shift[first][owner])
+        and np.array_equal(np.bincount(rep)[orbit], np.bincount(owner))
+        and np.all(np.bincount(index) <= 1)
+        and np.array_equal(np.sort(orbit), invariant)
     )
-    mats = _wigner_matrices(2 * j, _point_entries(lifts))
-    # contiguous copies: returning views of the joint stack raised the peak
-    # RSS of projector_c8 at j = 16..20 by 17 MB (allocator layout)
-    return np.ascontiguousarray(mats[:, 0].swapaxes(-1, -2)), np.ascontiguousarray(mats[:, 1])
-
-
-def _deck_average(left: np.ndarray, right: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Group average P(X) = mean_h A_h X B_h^T of each coefficient matrix X
-    in mats (shape (..., 2j+1, 2j+1)), never forming the (2j+1)^2 square."""
-    return sum(a @ mats @ b.T for a, b in zip(left, right)) / len(left)
 
 
 def _span_projector(functions: list[BasisFunction], size: int, place) -> np.ndarray:
@@ -158,17 +307,16 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     """Projector onto cyclic-8 invariant harmonics, by two routes.
 
     Returns (averaged, closed_form) on the (2j+1)^2 space; the first is the
-    group average of representation operators, the second the projector
-    onto the span of the closed-form basis `basis_c2`.  Agreement of the
-    two is a standing cross-check.
+    group average of the representation operators kron(A_h, B_h), scattered
+    from the exact monomial action (one entry mu8^k / 8 per row and
+    element), the second the projector onto the span of the closed-form
+    basis `basis_c2`.  Agreement of the two is a standing cross-check.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    left, right = _deck_operators(build_cyclic8(), jj)
+    gather, phase = _deck_action(build_cyclic8(), jj)
     averaged = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, b in zip(left, right):
-        averaged += np.kron(a, b)
-    averaged /= len(left)
+    np.add.at(averaged, (np.arange(dim * dim), gather), _MU8[phase] / len(gather))
     closed = _span_projector(basis_c2(jj), dim * dim, lambda m1, m2: (jj - m1) * dim + (jj - m2))
     return averaged, closed
 
@@ -176,19 +324,24 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
 def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     """Projector onto quaternion-invariant harmonics on the m1 index alone.
 
-    The quaternion deck elements act from one side only (every B_h is the
-    identity, which is checked), so the operator is the (2j+1) x (2j+1)
-    mean of the A_h and applies identically for every m2.  Returns
+    The quaternion deck elements act from one side only: the exact action
+    of every element leaves the column index alone with a phase that does
+    not depend on it (every B_h is the identity), which is checked.  So the
+    operator is the (2j+1) x (2j+1) mean of the A_h, scattered from the
+    exact action, and applies identically for every m2.  Returns
     (averaged, closed_form), the second the projector onto the span of the
     closed-form basis `basis_c3` at any one m2; trace times (2j+1) is the
     multiplicity.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    left, right = _deck_operators(build_quaternion(), jj)
-    if np.max(np.abs(right - np.eye(dim))) > 1e-12:
+    gather, phase = _deck_action(build_quaternion(), jj)
+    gather, phase = gather.reshape(-1, dim, dim), phase.reshape(-1, dim, dim)
+    if not (np.array_equal(gather % dim, np.broadcast_to(np.arange(dim), gather.shape))
+            and np.array_equal(phase, np.broadcast_to(phase[..., :1], phase.shape))):
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
-    averaged = left.sum(axis=0) / len(left)
+    averaged = np.zeros((dim, dim), dtype=complex)
+    np.add.at(averaged, (np.arange(dim), gather[..., 0] // dim), _MU8[phase[..., 0]] / len(gather))
     records = [f for f in basis_c3(jj) if f.m2 == jj]
     closed = _span_projector(records, dim, lambda m1, m2: jj - m1)
     return averaged, closed
@@ -403,11 +556,17 @@ def verify_basis(
     """Audit a basis list against a deck group; returns a JSON-able report.
 
     Covers orthonormality (including cross-degree blocks), pointwise
-    periodicity under every deck element at seeded sample points, and
-    agreement with the group average P of each degree, applied to
-    coefficient matrices: P fixes each basis matrix, P is idempotent at
-    seeded probe matrices, and its rank round(trace P), with
-    trace P = mean_h tr A_h tr B_h, equals the count.
+    periodicity under every deck element at seeded sample points, and, per
+    degree, the exact monomial action of the group on coefficient matrices
+    (`_deck_action`): it must compose as the group's product table does
+    (`homomorphism`, so its average P is idempotent by construction); its
+    rank, the number of orbits of index pairs with trivial stabiliser
+    phase, is an exact integer reported beside trace P; its invariant orbit
+    vectors must be the basis records up to normalisation
+    (`closed_form_matches`); and P, applied to the terms of each basis
+    matrix through the same permutations and phases, must fix it
+    (`fix_max_error`).  The rank is compared with
+    every independent count of the manifold (`multiplicity_routes_agree`).
     """
     report: dict = {"manifold": None, "seed": seed, "tol": tol, "n_points": n_points}
     if not functions:
@@ -418,10 +577,14 @@ def verify_basis(
         raise ValueError("basis list mixes manifolds")
     manifold = manifolds.pop()
     report["manifold"] = manifold
-    degrees = sorted({f.j for f in functions})
+    by_degree = defaultdict(list)
+    for f in functions:
+        by_degree[f.j].append(f)
+    degrees = sorted(by_degree)
     report["degrees"] = degrees
-    report["count_by_degree"] = {j: sum(1 for f in functions if f.j == j) for j in degrees}
-    report["multiplicity_by_degree"] = {j: multiplicity_for(manifold, j) for j in degrees}
+    report["count_by_degree"] = {j: len(by_degree[j]) for j in degrees}
+    routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
+    report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
     gram = gram_matrix(functions)
@@ -437,26 +600,34 @@ def verify_basis(
     period_err = float(np.max(np.abs(values[1:] - values[0])))
     report["periodicity_max_error"] = period_err
 
+    table = product_table(group)
     blocks = report["projector"] = {}
-    rng = np.random.default_rng(seed)
     for j in degrees:
-        dim = 2 * j + 1
-        left, right = _deck_operators(group, j)
-        mats = np.stack([f.coefficient_vector().reshape(dim, dim) for f in functions if f.j == j])
-        probes = (rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))) / math.sqrt(2.0)
-        once = _deck_average(left, right, probes)
-        trace = float(np.mean(np.trace(left, axis1=1, axis2=2) * np.trace(right, axis1=1, axis2=2)).real)
+        owner, index, coef = _terms(by_degree[j])
+        norm = np.array([f.norm_factor for f in by_degree[j]])[owner]
+        gather, phase = _deck_action(group, j)
+        rep, orbit_phase, invariant = _invariant_orbits(gather, phase)
+        fixed = gather == np.arange(gather.shape[1])
         blocks[j] = {
-            "rank": round(trace),
+            "rank": len(invariant),
             "expected_rank": report["multiplicity_by_degree"][j],
-            "trace": trace,
-            "fix_max_error": float(np.max(np.abs(_deck_average(left, right, mats) - mats))),
-            "idempotence_max_error": float(np.max(np.abs(_deck_average(left, right, once) - once))),
+            "trace": float(np.sum(_MU8[phase[fixed]]).real) / len(gather),
+            "fix_max_error": _fix_error(gather, phase, owner, index, norm * coef),
+            "homomorphism": _is_homomorphism(gather, phase, table),
+            "closed_form_matches": _matches_orbits(owner, index, coef, rep, orbit_phase, invariant),
         }
-    ranks_ok = all(b["rank"] == b["expected_rank"] for b in blocks.values())
-    proj_err = max(max(b["fix_max_error"], b["idempotence_max_error"]) for b in blocks.values())
+    exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())
+    fix_err = max(b["fix_max_error"] for b in blocks.values())
+    report["multiplicity_routes_agree"] = all(
+        count == blocks[j]["rank"] for j, counts in routes.items() for count in counts
+    )
 
     report["passed"] = bool(
-        counts_ok and gram_err < tol and period_err < tol and ranks_ok and proj_err < tol
+        counts_ok
+        and gram_err < tol
+        and period_err < tol
+        and exact_ok
+        and report["multiplicity_routes_agree"]
+        and fix_err < tol
     )
     return report

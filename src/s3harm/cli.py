@@ -239,11 +239,10 @@ def _largest_error(report: dict) -> float:
 
 def _verify_basis_suite(cfg: RunConfig) -> list[dict]:
     checks = []
-    j_max = cfg.j_max if cfg.j_max is not None else 4
     for manifold, builder in (("C2", build_cyclic8), ("C3", build_quaternion)):
         if cfg.manifold and cfg.manifold != manifold:
             continue
-        functions = [f for j in range(j_max + 1) for f in basis_for(manifold, j)]
+        functions = [f for j in range(cfg.j_max + 1) for f in basis_for(manifold, j)]
         report = verify_basis(
             functions, builder(), seed=cfg.seed, tol=cfg.tol
         )

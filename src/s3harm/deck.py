@@ -34,6 +34,7 @@ __all__ = [
     "build_cyclic8",
     "build_quaternion",
     "deck_group",
+    "product_table",
     "relations_hold",
     "standard_glue",
     "verify_deck_group",
@@ -230,16 +231,24 @@ def relations_hold(group: DeckGroup) -> bool:
     return False
 
 
-def _table_orders(product: list[list[HyperoctElement]], els) -> list[int | None]:
+def product_table(group: DeckGroup) -> list[list[int | None]]:
+    """table[i][k]: index of the element that is elements[i] followed by
+    elements[k] (elements[i] acts first), None where that product is not
+    among the elements."""
+    els = group.elements
+    index = {el.element: k for k, el in enumerate(els)}
+    return [[index.get(gc.multiply(b.element, a.element)) for b in els] for a in els]
+
+
+def _table_orders(table: list[list[int | None]], identity: int | None) -> list[int | None]:
     """Order of each element, read off the product table by taking powers;
     None where a power leaves the table or the identity is not reached."""
-    index = {el.element: k for k, el in enumerate(els)}
     orders = []
-    for i in range(len(els)):
+    for i in range(len(table)):
         k, n = i, 1
-        while k is not None and n <= len(els) and els[k].element != gc.IDENTITY:
-            k, n = index.get(product[k][i]), n + 1
-        orders.append(n if k is not None and els[k].element == gc.IDENTITY else None)
+        while k is not None and n <= len(table) and k != identity:
+            k, n = table[k][i], n + 1
+        orders.append(n if k is not None and k == identity else None)
     return orders
 
 
@@ -267,21 +276,20 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
     """
     els = group.elements
     elems = [el.element for el in els]
-    by_element = {el.element: el for el in els}
-    # product[i][k]: els[i] acts first, then els[k]
-    product = [[gc.multiply(b.element, a.element) for b in els] for a in els]
-    closed = all(c in by_element for row in product for c in row)
+    index = {el.element: k for k, el in enumerate(els)}
+    table = product_table(group)
+    closed = all(c is not None for row in table for c in row)
     pair_table_matches = all(
-        c in by_element and a.pair.compose(b.pair).same_isometry(by_element[c].pair)
-        for a, row in zip(els, product)
+        c is not None and a.pair.compose(b.pair).same_isometry(els[c].pair)
+        for a, row in zip(els, table)
         for b, c in zip(els, row)
     )
-    abelian = all(product[i][k] == product[k][i] for i in range(len(els)) for k in range(i))
-    orders = _table_orders(product, els)
+    abelian = closed and all(table[i][k] == table[k][i] for i in range(len(els)) for k in range(i))
+    orders = _table_orders(table, index.get(gc.IDENTITY))
     signature = (tuple(sorted(orders)), abelian) if None not in orders else None
     iso = _SIGNATURES.get(signature, "unrecognised")
-    has_identity = gc.IDENTITY in by_element
-    has_inverses = all(gc.inverse(a) in by_element for a in elems)
+    has_identity = gc.IDENTITY in index
+    has_inverses = all(gc.inverse(a) in index for a in elems)
     fixed_point_free = all(
         not gc.has_fixed_point_on_sphere(a) for a in elems if a != gc.IDENTITY
     )
@@ -297,7 +305,7 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
         "isomorphism": iso,
         "isomorphism_matches": iso == group.isomorphism,
         "orders_match": orders == [el.order for el in els],
-        "distinct": len(by_element) == len(elems),
+        "distinct": len(index) == len(elems),
         "closed": closed,
         "has_identity": has_identity,
         "has_inverses": has_inverses,

@@ -1,6 +1,7 @@
 """Multiplicity tables, invariance projectors, and the explicit bases."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from s3harm import bases
 from s3harm import groupcore as gc
 from s3harm import su2
-from s3harm.deck import build_cyclic8, build_quaternion
+from s3harm.deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from s3harm.wigner import (
     EulerAngles,
     conjugation_harmonic,
@@ -299,28 +300,60 @@ def test_too_coarse_rule_aliases_alike_in_both_routes():
                 assert abs(np.max(np.abs(gram - np.eye(len(fns)))) - 0.703) < 1e-3
 
 
+def dense_action(gather, phase):
+    """Test helper: each element's exact action as a dense (2j+1)^2 matrix."""
+    size = gather.shape[1]
+    out = np.zeros((len(gather), size, size), dtype=complex)
+    for h, (g, p) in enumerate(zip(gather, phase)):
+        out[h, np.arange(size), g] = bases._MU8[p]
+    return out
+
+
 def test_batched_deck_operators_match_per_element_wigner_d():
+    # kernel honesty: the exact monomial rows of every lift factor, made
+    # dense, against the numeric Wigner kernel, and the pair action against
+    # the Kronecker product of those factors.  The kernel raises
+    # fl(exp(i pi/4)), of modulus 1 + 1.1e-16, to powers up to 2j, so its
+    # unit entries drift from the exact ones by up to 2j * 2.2e-16.
     for group in (build_cyclic8(), build_quaternion()):
         for j in range(13):
-            left, right = bases._deck_operators(group, j)
-            for el, a, b in zip(group.elements, left, right):
-                assert np.max(np.abs(a - wigner_d(j, el.pair.left.inverse()).T)) < 1e-15
-                assert np.max(np.abs(b - wigner_d(j, el.pair.right))) < 1e-15
+            dim = 2 * j + 1
+            kernel_tol = 1e-15 + 2 * j * 2.3e-16
+            gather, phase = bases._deck_action(group, j)
+            assert gather.shape == phase.shape == (8, dim * dim)
+            assert phase.min() >= 0 and phase.max() < 8
+            for el, pair_action in zip(group.elements, dense_action(gather, phase)):
+                factors = []
+                for lift in (el.pair.left.inverse(), el.pair.right):
+                    cols, exps = bases._monomial_rows(bases._monomial_form(lift), j)
+                    dense = np.zeros((dim, dim), dtype=complex)
+                    dense[np.arange(dim), cols] = bases._MU8[exps]
+                    assert np.max(np.abs(dense - wigner_d(j, lift))) < kernel_tol
+                    factors.append(dense)
+                assert np.max(np.abs(pair_action - np.kron(factors[0].T, factors[1]))) < 1e-15
 
 
 def test_deck_operators_refuse_a_non_unitary_lift():
-    def factor(matrix):
-        return SimpleNamespace(to_complex=lambda: np.array(matrix, dtype=complex))
+    def group_of(right):
+        pair = su2.IsoPair(su2.Su2Exact.identity(), right)
+        return SimpleNamespace(elements=(SimpleNamespace(pair=pair),))
 
-    pair = SimpleNamespace(left=SimpleNamespace(inverse=lambda: factor(np.eye(2))), right=factor([[1, 0.3], [0, 1]]))
-    group = SimpleNamespace(elements=(SimpleNamespace(pair=pair),))
-    with pytest.raises(ValueError, match="not unitary"):
-        bases._deck_operators(group, 1)
+    not_monomial = su2.weyl_matrix(2)
+    assert not_monomial.det() == su2.Su2Exact.identity().det()
+    with pytest.raises(ValueError, match="neither diagonal nor anti-diagonal"):
+        bases._deck_action(group_of(not_monomial), 1)
+    # diag(2, 1/2) has determinant 1, but its entries are not roots of unity
+    stretched = su2.Su2Exact.from_rows((2, 0), (0, su2.Cyclo8((1, 0, 0, 0), 2)))
+    assert stretched.det() == su2.Su2Exact.identity().det()
+    with pytest.raises(ValueError, match="not an eighth root of unity"):
+        bases._deck_action(group_of(stretched), 1)
+    half_turn = su2.Su2Exact.from_rows((0, 1), (-1, 0))
+    bases._deck_action(group_of(half_turn), 1)
 
 
 def test_projector_fixes_coefficient_vectors():
-    # the operator form A X B^T on coefficient matrices against the public
-    # dense projectors, at the basis matrices and at random matrices
+    # the gather-plus-phase average on coefficient matrices against the
+    # public dense projectors, at the basis matrices and at random matrices
     rng = np.random.default_rng(3)
     cases = (
         (bases.basis_c2, build_cyclic8(), lambda j: bases.projector_c8(j)[0]),
@@ -330,14 +363,81 @@ def test_projector_fixes_coefficient_vectors():
         for j in range(6):
             dim = 2 * j + 1
             dense = dense_projector(j)
-            left, right = bases._deck_operators(group, j)
-            mats = [f.coefficient_vector().reshape(dim, dim) for f in build(j)]
-            probes = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
-            for x in mats + list(probes):
-                projected = bases._deck_average(left, right, x)
-                assert np.max(np.abs(projected.reshape(-1) - dense @ x.reshape(-1))) < 1e-13
-            for x in mats:
-                assert np.max(np.abs(bases._deck_average(left, right, x) - x)) < 1e-12
+            gather, phase = bases._deck_action(group, j)
+            mats = [f.coefficient_vector() for f in build(j)]
+            probes = rng.standard_normal((3, dim * dim)) + 1j * rng.standard_normal((3, dim * dim))
+            for k, x in enumerate(mats + list(probes)):
+                index = np.flatnonzero(x)
+                moved, values = bases._average(gather, phase, index, x[index])
+                projected = np.zeros(dim * dim, dtype=complex)
+                np.add.at(projected, moved.reshape(-1), values.reshape(-1))
+                assert np.max(np.abs(projected - dense @ x)) < 1e-13
+                if k < len(mats):
+                    assert np.max(np.abs(projected - x)) < 1e-12
+            if mats:
+                owner, index, coef = bases._terms(build(j))
+                norm = np.array([f.norm_factor for f in build(j)])[owner]
+                assert bases._fix_error(gather, phase, owner, index, norm * coef) < 1e-12
+
+
+def test_orbit_count_is_every_multiplicity_up_to_degree_200():
+    counts = {}
+    for name, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
+        counts[name] = [len(bases._invariant_orbits(*bases._deck_action(group, j))[2]) for j in range(201)]
+    assert counts["C2"][: len(MULT_C8)] == MULT_C8
+    assert counts["C3"][: len(MULT_Q)] == MULT_Q
+    for j in range(201):
+        assert counts["C2"][j] == bases.multiplicity_c8(j)
+        assert counts["C3"][j] == bases.multiplicity_q(j)
+    # criterion-3 recursion m(j+4) = m(j) + 8j + 20 + 2(-1)^j
+    for j in range(197):
+        assert counts["C2"][j + 4] == counts["C2"][j] + 8 * j + 20 + 2 * (-1) ** j
+
+
+def test_exact_trace_and_homomorphism_of_the_deck_action():
+    for group in (build_cyclic8(), build_quaternion()):
+        table = product_table(group)
+        for j in range(9):
+            gather, phase = bases._deck_action(group, j)
+            assert bases._is_homomorphism(gather, phase, table)
+            # the dense average is an idempotent whose trace is the rank
+            average = dense_action(gather, phase).mean(axis=0)
+            rank = len(bases._invariant_orbits(gather, phase)[2])
+            assert np.max(np.abs(average @ average - average)) < 1e-13
+            assert abs(np.trace(average) - rank) < 1e-12
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_phased_orbit_sums_are_the_closed_form_records(manifold):
+    group = build_cyclic8() if manifold == "C2" else build_quaternion()
+    for j in range(13):
+        rep, orbit_phase, invariant = bases._invariant_orbits(*bases._deck_action(group, j))
+        orbit_vectors = {}
+        for r in invariant:
+            vec = np.where(rep == r, bases._MU8[orbit_phase], 0)
+            orbit_vectors[r] = vec / np.linalg.norm(vec)
+        records = bases.basis_for(manifold, j)
+        hit = set()
+        for f in records:
+            vec = f.coefficient_vector()
+            first = np.flatnonzero(vec)[0]
+            orbit = orbit_vectors[rep[first]]
+            # equal up to a unit factor: |<orbit, vec>| = |vec|
+            assert abs(abs(np.vdot(orbit, vec)) - np.linalg.norm(vec)) < 1e-14
+            hit.add(rep[first])
+        assert len(records) == len(hit) == len(invariant)
+        assert bases._matches_orbits(*bases._terms(records), rep, orbit_phase, invariant)
+    # a record with a flipped relative phase is not an orbit vector
+    rep, orbit_phase, invariant = bases._invariant_orbits(*bases._deck_action(group, 3))
+    records = bases.basis_for(manifold, 3)
+    m1, m2, coef = records[-1].terms[1]
+    flipped = records[:-1] + [replace(records[-1], terms=(records[-1].terms[0], (m1, m2, -coef)))]
+    assert not bases._matches_orbits(*bases._terms(flipped), rep, orbit_phase, invariant)
+    # nor is a record scaled off the unit circle, or one missing an orbit
+    (n1, n2, c), second = records[-1].terms
+    halved = records[:-1] + [replace(records[-1], terms=((n1, n2, c / 2), second))]
+    assert not bases._matches_orbits(*bases._terms(halved), rep, orbit_phase, invariant)
+    assert not bases._matches_orbits(*bases._terms(records[:-1]), rep, orbit_phase, invariant)
 
 
 def test_verify_basis_passes_for_both_manifolds():
@@ -350,8 +450,43 @@ def test_verify_basis_passes_for_both_manifolds():
         assert report["periodicity_max_error"] < 1e-10
         for j, block in report["projector"].items():
             assert block["rank"] == block["expected_rank"]
+            assert isinstance(block["rank"], int)
+            assert abs(block["trace"] - block["rank"]) < 1e-12
             assert block["fix_max_error"] < 1e-10
+            assert block["homomorphism"] is True
+            assert block["closed_form_matches"] is True
+        assert report["multiplicity_routes_agree"] is True
         assert report["count_by_degree"] == report["multiplicity_by_degree"]
+
+
+def test_pairs_against_the_product_table_fail_the_homomorphism_check():
+    # swap the lifts of g1 and g1^2: the same eight operators, so the
+    # average, rank and periodicity are unchanged, but g1 followed by g1
+    # no longer acts as g1^2 does
+    group = build_cyclic8()
+    els = list(group.elements)
+    g1, g2 = group.by_label("g1"), group.by_label("g1^2")
+    els[els.index(g1)], els[els.index(g2)] = replace(g1, pair=g2.pair), replace(g2, pair=g1.pair)
+    swapped = DeckGroup(name=group.name, isomorphism=group.isomorphism, elements=tuple(els))
+    fns = [f for j in range(4) for f in bases.basis_c2(j)]
+    report = bases.verify_basis(fns, swapped, n_points=30)
+    assert report["passed"] is False
+    blocks = report["projector"]
+    assert blocks[0]["homomorphism"] is True
+    assert not any(blocks[j]["homomorphism"] for j in (1, 2, 3))
+    assert all(b["rank"] == b["expected_rank"] and b["fix_max_error"] < 1e-12 for b in blocks.values())
+    assert report["periodicity_max_error"] < 1e-10
+    assert report["multiplicity_routes_agree"] is True
+
+
+def test_disagreeing_multiplicity_route_fails_the_report(monkeypatch):
+    fns = [f for j in range(4) for f in bases.basis_c3(j)]
+    assert bases.verify_basis(fns, build_quaternion(), n_points=30)["passed"] is True
+    off_at_two = lambda j: bases.multiplicity_q_character_sum(j) + (j == 2)
+    monkeypatch.setitem(bases._MULTIPLICITY_ROUTES, "C3", (bases.multiplicity_q, off_at_two))
+    report = bases.verify_basis(fns, build_quaternion(), n_points=30)
+    assert report["multiplicity_routes_agree"] is False
+    assert report["passed"] is False
 
 
 def test_verify_basis_fails_against_wrong_group():

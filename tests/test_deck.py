@@ -271,3 +271,14 @@ def test_json_serialization_round_trips_elements():
             assert blob["epsilon"] == epsilon_string(d.element)
             assert gc.cycles_to_perm(blob["cycles"]) == d.element.perm
             assert blob["action"] == d.element.action_string()
+
+
+def test_product_table_indexes_the_group_law():
+    group = deck.build_cyclic8()
+    table = deck.product_table(group)
+    # elements are g1^1 .. g1^8 in order, so the table adds exponents mod 8
+    for a in range(8):
+        for b in range(8):
+            assert table[a][b] == (a + b + 1) % 8
+    partial = deck.DeckGroup(name="C2", isomorphism="cyclic-8", elements=group.elements[:4])
+    assert deck.product_table(partial)[3][3] is None
