@@ -31,8 +31,6 @@ means over the uniform grids are exact Kronecker deltas modulo the grid
 sizes, and only the Gauss-Legendre sum over beta is numeric, with d^j from
 the stable kernel.  It equals the sum over the product nodes, aliasing of
 a too-coarse rule included, and never evaluates a function at a node.
-Pointwise values (the periodicity check, `evaluate`) are the only users
-of the monomial kernel here.
 """
 
 from __future__ import annotations
@@ -529,14 +527,15 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
     n_alpha, n_beta, n_gamma = rule.shape
-    root_w = np.sqrt(rule.beta_weights / 2.0)[:, None, None]
-    small_d = {j: _wigner_small_d(2 * j, rule.beta) * root_w for j in {f.j for f in functions}}
+    root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
     # channel -> {function index: its weighted beta profile in that channel}
     channels = defaultdict(dict)
-    for i, f in enumerate(functions):
-        for m1, m2, coef in f.terms:
+    for j in sorted({f.j for f in functions}):
+        terms = [(i, f, m1, m2, c) for i, f in enumerate(functions) if f.j == j for m1, m2, c in f.terms]
+        small_d = _wigner_small_d(2 * j, [(2 * t[2], 2 * t[3]) for t in terms], rule.beta) * root_w
+        for (i, f, m1, m2, coef), column in zip(terms, small_d.T):
             profile = channels[(m1 % n_alpha, m2 % n_gamma)].setdefault(i, np.zeros(n_beta, dtype=complex))
-            profile += (f.norm_factor * coef) * small_d[f.j][:, f.j - m1, f.j - m2]
+            profile += (f.norm_factor * coef) * column
     gram = np.zeros((len(functions), len(functions)), dtype=complex)
     for profiles in channels.values():
         index = list(profiles)

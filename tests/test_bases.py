@@ -1,7 +1,9 @@
 """Multiplicity tables, invariance projectors, and the explicit bases."""
 
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +46,43 @@ def test_cyclic_recursion():
         lhs = bases.multiplicity_c8(j + 4)
         rhs = bases.multiplicity_c8(j) + 8 * j + 20 + 2 * (-1) ** j
         assert lhs == rhs
+
+
+def molien_counts(group, top):
+    """Dimensions p_0..p_top of the group's invariant polynomials on R^4,
+    exactly, from the Molien series (1/|H|) sum_h 1/det(I - t h) of the
+    4x4 signed permutation matrices (Ikeda 1980)."""
+
+    def det(rows):
+        n = len(rows)
+        return sum(
+            (-1) ** sum(p[i] > p[k] for i in range(n) for k in range(i + 1, n))
+            * math.prod(int(rows[i][p[i]]) for i in range(n))
+            for p in itertools.permutations(range(n))
+        )
+
+    total = [Fraction(0)] * (top + 1)
+    for el in group.elements:
+        m = el.element.matrix()
+        # det(I - t M) = sum_k (-t)^k e_k, e_k the sum of principal k-minors
+        char = [(-1) ** k * sum(det(m[np.ix_(s, s)]) for s in itertools.combinations(range(4), k))
+                for k in range(5)]
+        series = [Fraction(1)]
+        for n in range(1, top + 1):
+            series.append(-sum(char[k] * series[n - k] for k in range(1, min(n, 4) + 1)))
+        total = [t + c / len(group.elements) for t, c in zip(total, series)]
+    assert all(c.denominator == 1 for c in total)
+    return [int(c) for c in total]
+
+
+def test_molien_series_gives_every_multiplicity():
+    # degree-j harmonics are the harmonic polynomials of degree 2j, and
+    # invariant polynomials of degree n split as harmonics plus |x|^2 times
+    # those of degree n - 2, so m(j) = p_{2j} - p_{2j-2}; this reads neither
+    # characters nor closed forms
+    for group, multiplicity in ((build_cyclic8(), bases.multiplicity_c8), (build_quaternion(), bases.multiplicity_q)):
+        p = molien_counts(group, 120)
+        assert [p[0]] + [p[2 * j] - p[2 * j - 2] for j in range(1, 61)] == [multiplicity(j) for j in range(61)]
 
 
 def test_half_integer_degrees_have_no_periodic_harmonics():
@@ -457,6 +496,15 @@ def test_verify_basis_passes_for_both_manifolds():
             assert block["closed_form_matches"] is True
         assert report["multiplicity_routes_agree"] is True
         assert report["count_by_degree"] == report["multiplicity_by_degree"]
+
+
+def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
+    # the monomial kernel left 1.36e-11 of periodicity error at jmax 20
+    for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
+        fns = [f for j in range(21) for f in bases.basis_for(manifold, j)]
+        report = bases.verify_basis(fns, group, tol=1e-12)
+        assert report["periodicity_max_error"] < 1e-12
+        assert report["passed"] is True
 
 
 def test_pairs_against_the_product_table_fail_the_homomorphism_check():

@@ -2,6 +2,9 @@
 
 The coupling coefficients get an independent oracle: a ladder-operator
 construction that never touches the factorial sum used in the library.
+The Wigner kernel, which works from the J_y eigenbasis, gets two: the
+monomial factorial sum in floating point, and the same sum in exact
+rational arithmetic at Pythagorean points.
 """
 
 import cmath
@@ -11,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from s3harm import groupcore as gc
-from s3harm import su2
+from s3harm import bases, su2, wigner
 from s3harm.deck import build_cyclic8, build_quaternion
 from s3harm.wigner import (
     EulerAngles,
@@ -38,6 +40,29 @@ def random_su2(rng):
 def mrange(j):
     two_j = int(round(2 * j))
     return [(two_j - 2 * k) / 2 for k in range(two_j + 1)]
+
+
+def all_pairs(two_j):
+    """Every (2 m1, 2 m2) of degree j, row-major in the descending layout."""
+    ms = range(two_j, -two_j - 1, -2)
+    return [(tm1, tm2) for tm1 in ms for tm2 in ms]
+
+
+def monomial_wigner(two_j, a, b, c, d):
+    """Full D^j at the entries (a, b, c, d), batch shape first, from the
+    monomial factorial sum over the exact coefficients of
+    wigner._entry_terms: the floating-point oracle of the kernel."""
+    pairs = all_pairs(two_j)
+    out = np.zeros(np.shape(a) + (len(pairs),), dtype=complex)
+    for col, (tm1, tm2) in enumerate(pairs):
+        for coef, ka, kb, kc, kd in wigner._entry_terms(two_j, tm1, tm2):
+            out[..., col] += coef * a**ka * b**kb * c**kc * d**kd
+    return out.reshape(np.shape(a) + (two_j + 1, two_j + 1))
+
+
+def small_d(two_j, beta):
+    """Full d^j(beta) from the kernel, shape beta.shape + (2j+1, 2j+1)."""
+    return _wigner_small_d(two_j, all_pairs(two_j), beta).reshape(np.shape(beta) + (two_j + 1,) * 2)
 
 
 # ---------------------------------------------------------------- rotations
@@ -110,16 +135,17 @@ def test_euler_factorization_of_matrix_entries():
 
 
 def test_monomial_kernel_factorises_at_euler_angles():
-    # the separable Gram sum relies on D(a, b, g) = e^{i m1 a} d(b) e^{i m2 g};
-    # checked here on the monomial kernel, which does not assume it
+    # the separable Gram sum and the pointwise kernel rely on
+    # D(a, b, g) = e^{i m1 a} d(b) e^{i m2 g}; checked here on the monomial
+    # oracle, which does not assume it
     rng = np.random.default_rng(2015)
     for two_j in range(13):
-        j = two_j / 2
-        ms = np.array(mrange(j))
+        ms = np.array(mrange(two_j / 2))
         for al, b, ga in rng.uniform([0, 0, 0], [2 * np.pi, np.pi, 2 * np.pi], size=(4, 3)):
-            small = wigner_d(j, EulerAngles(0.0, b, 0.0))
+            small = monomial_wigner(two_j, *EulerAngles(0.0, b, 0.0).matrix_entries())
             want = np.exp(1j * ms * al)[:, None] * small * np.exp(1j * ms * ga)[None, :]
-            assert np.max(np.abs(wigner_d(j, EulerAngles(al, b, ga)) - want)) < 1e-13
+            got = monomial_wigner(two_j, *EulerAngles(al, b, ga).matrix_entries())
+            assert np.max(np.abs(got - want)) < 1e-13
 
 
 # ------------------------------------------------- stable d^j(beta) kernel
@@ -129,32 +155,60 @@ def test_monomial_kernel_factorises_at_euler_angles():
 PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
 
 
-def exact_small_d(two_j, cos_half, sin_half):
-    """d^j at u = [[C, S], [-S, C]] from the monomial formula in exact
-    rationals: each entry is sqrt(N) times a rational sum, so one square
-    root and one rounding are its only errors."""
-    out = np.zeros((two_j + 1, two_j + 1))
+def exact_wigner(two_j, a, b, denom):
+    """D^j at u = [[a, b], [-conj(b), conj(a)]] from the monomial formula in
+    exact arithmetic, for a and b Gaussian integers (re, im) over the common
+    integer denom: each part of an entry is sqrt(N) times a rational sum, so
+    one square root and one rounding are its only errors."""
+
+    def mul(z, w):
+        return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+    def powers(z):
+        out = [(1, 0)]
+        for _ in range(two_j):
+            out.append(mul(out[-1], z))
+        return out
+
+    pa, pb, pc, pd = (powers(z) for z in (a, b, (-b[0], b[1]), (a[0], -a[1])))
+    out = np.zeros((two_j + 1, two_j + 1), dtype=complex)
     for r in range(two_j + 1):
         for c in range(two_j + 1):
             jm1, jm2 = two_j - r, two_j - c
             m1m2 = jm1 + jm2 - two_j
-            total = Fraction(0)
+            re = im = Fraction(0)
             for k in range(max(0, m1m2), min(jm1, jm2) + 1):
                 den = (math.factorial(k) * math.factorial(jm2 - k)
                        * math.factorial(jm1 - k) * math.factorial(k - m1m2))
-                total += (-1) ** (jm2 - k) * cos_half ** (2 * k - m1m2) * sin_half ** (jm1 + jm2 - 2 * k) / den
-            norm = math.factorial(jm1) * math.factorial(r) * math.factorial(jm2) * math.factorial(c)
-            out[r, c] = math.copysign(math.sqrt(float(total * total * norm)), total)
+                # every monomial has degree 2j: denom^(2j) is divided out below
+                term = mul(mul(pa[k], pb[jm1 - k]), mul(pc[jm2 - k], pd[k - m1m2]))
+                re += Fraction(term[0], den)
+                im += Fraction(term[1], den)
+            norm = Fraction(math.factorial(jm1) * math.factorial(r) * math.factorial(jm2) * math.factorial(c),
+                            denom ** (2 * two_j))
+            out[r, c] = complex(*(math.copysign(math.sqrt(float(x * x * norm)), x) for x in (re, im)))
     return out
 
 
 def test_stable_small_d_matches_exact_rational_values():
     for p, q, r in PYTHAGOREAN:
-        for cos_half, sin_half in ((Fraction(p, r), Fraction(q, r)), (Fraction(q, r), Fraction(p, r))):
+        for cos_half, sin_half in ((p, q), (q, p)):
             beta = 2.0 * math.atan2(sin_half, cos_half)
             for two_j in (*range(13), 24):
-                got = _wigner_small_d(two_j, beta)
-                assert np.max(np.abs(got - exact_small_d(two_j, cos_half, sin_half))) < 1e-14, (two_j, beta)
+                want = exact_wigner(two_j, (cos_half, 0), (sin_half, 0), r)
+                assert np.max(np.abs(small_d(two_j, beta) - want)) < 1e-14, (two_j, beta)
+
+
+def test_pointwise_kernel_matches_exact_rational_values():
+    # a = (p/r) zeta and b = (q/r) eta with Pythagorean phases zeta, eta:
+    # every entry of u is a Gaussian rational, so D^j(u) is known exactly
+    for i, (p, q, r) in enumerate(PYTHAGOREAN):
+        (zp, zq, zr), (ep, eq, er) = PYTHAGOREAN[(i + 1) % 4], PYTHAGOREAN[(i + 2) % 4]
+        a, b, denom = (p * zp * er, p * zq * er), (-q * eq * zr, q * ep * zr), r * zr * er
+        fa, fb = complex(*(Fraction(v, denom) for v in a)), complex(*(Fraction(v, denom) for v in b))
+        u = np.array([[fa, fb], [-fb.conjugate(), fa.conjugate()]])
+        for two_j in (*range(13), 24):
+            assert np.max(np.abs(wigner_d(two_j / 2, u) - exact_wigner(two_j, a, b, denom))) < 1e-14, (i, two_j)
 
 
 def test_stable_small_d_matches_monomial_kernel():
@@ -162,19 +216,79 @@ def test_stable_small_d_matches_monomial_kernel():
     # the exact values above), hence 2e-13 rather than the kernel's accuracy
     betas = np.concatenate([[0.0, np.pi], np.random.default_rng(43).uniform(0, np.pi, 14)])
     for two_j in range(25):
-        small = _wigner_small_d(two_j, betas)
-        assert small.shape == (betas.size, two_j + 1, two_j + 1)
-        for b, got in zip(betas, small):
-            want = wigner_d(two_j / 2, EulerAngles(0.0, b, 0.0))
-            assert np.max(np.abs(got - want)) < 2e-13, (two_j, b)
+        small = _wigner_small_d(two_j, all_pairs(two_j), betas)
+        assert small.shape == (betas.size, (two_j + 1) ** 2)
+        want = monomial_wigner(two_j, *EulerAngles(0.0, betas, 0.0).matrix_entries())
+        assert np.max(np.abs(small.reshape(want.shape) - want)) < 2e-13, two_j
+
+
+def test_pointwise_kernel_matches_monomial_oracle():
+    # seeded points, then the degenerate ones: a = 0, b = 0, +-I and every
+    # exact deck lift, where a unit phase of the kernel is taken as 1
+    x = np.random.default_rng(2024).normal(size=(6, 4))
+    points = [su2.matrix_from_point(v / np.linalg.norm(v)) for v in x]
+    t = np.exp(0.7j)
+    points += [np.array([[0, t], [-t.conjugate(), 0]]), np.diag([t, t.conjugate()]), np.eye(2), -np.eye(2)]
+    for group in (build_cyclic8(), build_quaternion()):
+        points += [lift.to_complex() for el in group.elements for lift in (el.pair.left, el.pair.right)]
+    points = np.stack(points)
+    for two_j in range(25):
+        want = monomial_wigner(two_j, *(points[:, r, c] for r in (0, 1) for c in (0, 1)))
+        got = np.stack([wigner_d(two_j / 2, u) for u in points])
+        # the oracle's own drift again sets the bound (1e-13 at 2j = 24)
+        assert np.max(np.abs(got - want)) < 2e-13, two_j
 
 
 def test_stable_small_d_stays_unitary_at_high_degree():
     # the monomial kernel is off by about 1e-5 at j = 40
     betas = np.random.default_rng(44).uniform(0, np.pi, 8)
-    small = _wigner_small_d(80, betas)
+    small = small_d(80, betas)
     assert small.dtype == float
     assert np.max(np.abs(small @ small.swapaxes(-1, -2) - np.eye(81))) < 1e-13
+
+
+@pytest.mark.parametrize("j", [30, 40])
+def test_wigner_d_unitary_and_multiplicative_at_high_degree(j):
+    # the monomial sum gave 4.6e-8 (j = 30) and 4.4e-5 (j = 40) here
+    rng = np.random.default_rng(3040)
+    for _ in range(3):
+        u, v = random_su2(rng), random_su2(rng)
+        du, dv = wigner_d(j, u), wigner_d(j, v)
+        assert np.max(np.abs(du @ du.conj().T - np.eye(2 * j + 1))) < 1e-12
+        assert np.max(np.abs(wigner_d(j, u @ v) - du @ dv)) < 1e-12
+
+
+def test_every_evaluator_refuses_a_point_off_su2():
+    # unitary with determinant i, scalar multiples of the identity, NaN
+    for call in (
+        lambda: wigner_d(1, np.diag([1, 1j])),
+        lambda: wigner_entry(1, 1, 0, 2, 0, 0, 3),
+        lambda: wigner_entry(1, 0, 0, 1, 0, 0, 1j),
+        lambda: wigner_d(1, np.full((2, 2), np.nan)),
+        lambda: conjugation_harmonic(3, 1, 0, 2 * np.eye(2)),
+        lambda: bases.basis_c2(2)[0].evaluate(2 * np.eye(2)),
+        lambda: bases.basis_c2(2)[0].evaluate(np.stack([np.eye(2), np.diag([1j, 1j])])),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    nearly = np.array([[1.0, 1e-4], [-1e-4, 1.0]])
+    with pytest.raises(ValueError):
+        wigner_d(1, nearly)
+    assert wigner_d(1, nearly, unitary_tol=1e-6).shape == (3, 3)
+
+
+def test_runtime_paths_never_reach_the_monomial_sum():
+    wigner._entry_terms.cache_clear()
+    u = random_su2(np.random.default_rng(6))
+    report = bases.verify_basis(bases.basis_c3(3), build_quaternion(), n_points=5)
+    assert report["passed"] is True
+    wigner_d(2, u)
+    wigner_entry(1.5, 0.5, -0.5, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
+    wigner_entry_function(1, 1, 0)(EulerAngles(0.3, 0.2, 0.1))
+    conjugation_harmonic(5, 2, 1, u)
+    bases.basis_c2(3)[1].evaluate(u)
+    info = wigner._entry_terms.cache_info()
+    assert info.hits == info.misses == 0
 
 
 # ------------------------------------------------- deck generators, frozen
