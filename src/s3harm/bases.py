@@ -48,7 +48,7 @@ from .wigner import (
     _point_entries,
     _scalar_or_array,
     _two_j,
-    _wigner_columns,
+    _column_kernel,
     _wigner_small_d,
     character_jj,
     euler_quadrature,
@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
+_CHUNK = 16  # base points per chunk of verify_basis's periodicity check, each with its |H| images
 
 
 def _require_integer_j(j) -> int:
@@ -389,27 +390,60 @@ class BasisFunction:
         }
 
 
+def _degree_index(functions: list[BasisFunction]) -> dict[int, list[int]]:
+    """Positions of the functions of each degree, degrees ascending."""
+    index = defaultdict(list)
+    for i, f in enumerate(functions):
+        index[f.j].append(i)
+    return dict(sorted(index.items()))
+
+
+def _degree_evaluator(functions: list[BasisFunction]):
+    """Evaluator entries -> values of functions that share one degree, one
+    column per function in list order, for the (a, b, c, d) of
+    `_point_entries`.
+
+    The terms, the D^j entries they touch (each evaluated once per call)
+    and the kernel's rows are prepared here, once per degree.  A function's
+    value is the sum of its terms, norm * coef * D_{m1 m2}, added in term
+    order: the k-th terms of all functions are gathered at once, a function
+    with fewer terms padded with weight 0.
+    """
+    j = functions[0].j
+    owner, index, coef = _terms(functions)
+    touched, slot = np.unique(index, return_inverse=True)
+    dim = 2 * j + 1
+    kernel = _column_kernel(2 * j, np.stack([2 * (j - touched // dim), 2 * (j - touched % dim)], axis=-1))
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)  # owner is sorted
+    slots = np.zeros((rank.max(initial=0) + 1, len(functions)), dtype=np.intp)
+    weights = np.zeros(slots.shape, dtype=complex)
+    slots[rank, owner] = slot
+    weights[rank, owner] = np.array([f.norm_factor for f in functions])[owner] * coef
+
+    def evaluate(entries) -> np.ndarray:
+        columns = kernel(entries)
+        out = np.take(columns, slots[0], axis=-1)
+        out *= weights[0]
+        for at, weight in zip(slots[1:], weights[1:]):
+            term = np.take(columns, at, axis=-1)
+            term *= weight
+            out += term
+        return out
+
+    return evaluate
+
+
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
     """Values of every function at u, one column per function in list order.
 
-    The point argument is parsed once.  Per degree, only the D^j entries
-    that some coefficient vector touches are evaluated, once each, and the
-    columns are those entries times the sparse coefficient matrix whose
-    rows are the coefficient vectors.
+    The point argument is parsed once and each degree is evaluated by its
+    `_degree_evaluator`.
     """
     entries = _point_entries(u)
     shape = np.broadcast_shapes(*(np.shape(v) for v in entries))
     out = np.zeros(shape + (len(functions),), dtype=complex)
-    for j in sorted({f.j for f in functions}):
-        index = [i for i, f in enumerate(functions) if f.j == j]
-        coef = np.stack([functions[i].coefficient_vector() for i in index])
-        rows, flat = np.nonzero(coef)
-        touched, slot = np.unique(flat, return_inverse=True)
-        dim = 2 * j + 1
-        pairs = [(2 * (j - k // dim), 2 * (j - k % dim)) for k in touched]
-        entry_values = _wigner_columns(2 * j, pairs, entries)
-        for r, col, k in zip(rows, slot, flat):
-            out[..., index[r]] += coef[r, k] * entry_values[..., col]
+    for index in _degree_index(functions).values():
+        out[..., index] = _degree_evaluator([functions[i] for i in index])(entries)
     return out
 
 
@@ -513,6 +547,31 @@ def basis_for(manifold: str, j) -> list[BasisFunction]:
     return _by_manifold(manifold, basis_c2, basis_c3)(j)
 
 
+def _channel_profiles(functions: list[BasisFunction], rule) -> dict:
+    """The separable Gram sum's data: channel (m1 mod n_alpha, m2 mod
+    n_gamma) -> {function index: its beta profile in that channel}, each
+    profile the sum of its terms' norm * coef * d^j(beta) * sqrt(w_b / 2)
+    over the Gauss-Legendre nodes.  The Gram block of a channel is
+    profiles^H profiles; channels are listed in a fixed order."""
+    n_alpha, n_beta, n_gamma = rule.shape
+    root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
+    channels = defaultdict(dict)
+    for j, index in _degree_index(functions).items():
+        terms = [(i, functions[i], m1, m2, c) for i in index for m1, m2, c in functions[i].terms]
+        small_d = _wigner_small_d(2 * j, [(2 * t[2], 2 * t[3]) for t in terms], rule.beta) * root_w
+        for (i, f, m1, m2, coef), column in zip(terms, small_d.T):
+            profile = channels[(m1 % n_alpha, m2 % n_gamma)].setdefault(i, np.zeros(n_beta, dtype=complex))
+            profile += (f.norm_factor * coef) * column
+    return channels
+
+
+def _channel_block(profiles: dict) -> tuple[list[int], np.ndarray]:
+    """The function indices of one channel and its Gram block (without the
+    measure's mass)."""
+    block = np.stack(list(profiles.values()), axis=1)
+    return list(profiles), block.conj().T @ block
+
+
 def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     """Inner-product matrix under the unnormalized Euler measure.
 
@@ -526,23 +585,53 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
-    n_alpha, n_beta, n_gamma = rule.shape
-    root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
-    # channel -> {function index: its weighted beta profile in that channel}
-    channels = defaultdict(dict)
-    for j in sorted({f.j for f in functions}):
-        terms = [(i, f, m1, m2, c) for i, f in enumerate(functions) if f.j == j for m1, m2, c in f.terms]
-        small_d = _wigner_small_d(2 * j, [(2 * t[2], 2 * t[3]) for t in terms], rule.beta) * root_w
-        for (i, f, m1, m2, coef), column in zip(terms, small_d.T):
-            profile = channels[(m1 % n_alpha, m2 % n_gamma)].setdefault(i, np.zeros(n_beta, dtype=complex))
-            profile += (f.norm_factor * coef) * column
     gram = np.zeros((len(functions), len(functions)), dtype=complex)
-    for profiles in channels.values():
-        index = list(profiles)
-        block = np.stack(list(profiles.values()), axis=1)
-        gram[np.ix_(index, index)] += block.conj().T @ block
+    for profiles in _channel_profiles(functions, rule).values():
+        index, block = _channel_block(profiles)
+        gram[np.ix_(index, index)] += block
     gram *= _MEASURE_MASS
     return gram
+
+
+def _gram_error(functions: list[BasisFunction], rule=None) -> tuple[float, int, int]:
+    """max |G - I| of `gram_matrix(functions, rule)` without the n x n array.
+
+    Channels that share a function are joined (union-find), so a too-coarse
+    rule's aliasing is kept; each joined block is summed on its own, its
+    channels added in the same order as in gram_matrix, so the maximum is
+    bit-identical.  Entries between blocks are zero by construction.
+    Returns (error, number of channels, functions in the largest block).
+    """
+    if rule is None:
+        rule = euler_quadrature(2 * max(f.j for f in functions))
+    channels = _channel_profiles(functions, rule)
+    parent = {c: c for c in channels}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c] = parent[parent[c]]
+        return c
+
+    home = {}  # function index -> the first channel it appears in
+    for c, profiles in channels.items():
+        for i in profiles:
+            parent[root(c)] = root(home.setdefault(i, c))
+    joined = defaultdict(list)
+    for c in channels:
+        joined[root(c)].append(c)
+    # a function with no terms has G_ii = 0
+    err, largest = (0.0 if len(home) == len(functions) else 1.0), 0
+    for members in joined.values():
+        local = {i: k for k, i in enumerate(dict.fromkeys(i for c in members for i in channels[c]))}
+        gram = np.zeros((len(local), len(local)), dtype=complex)
+        for c in members:
+            index, block = _channel_block(channels[c])
+            at = [local[i] for i in index]
+            gram[np.ix_(at, at)] += block
+        gram *= _MEASURE_MASS
+        gram[np.diag_indices_from(gram)] -= 1.0
+        err, largest = max(err, float(np.max(np.abs(gram)))), max(largest, len(local))
+    return err, len(channels), largest
 
 
 def verify_basis(
@@ -554,8 +643,11 @@ def verify_basis(
 ) -> dict:
     """Audit a basis list against a deck group; returns a JSON-able report.
 
-    Covers orthonormality (including cross-degree blocks), pointwise
-    periodicity under every deck element at seeded sample points, and, per
+    Covers orthonormality (including cross-degree blocks), summed block by
+    block (`_gram_error`: `gram_channels` channels, joined into blocks of at
+    most `gram_largest_block` functions; entries across blocks are zero by
+    construction), pointwise periodicity under every deck element at seeded
+    sample points, evaluated per degree in chunks of `_CHUNK` points, and, per
     degree, the exact monomial action of the group on coefficient matrices
     (`_deck_action`): it must compose as the group's product table does
     (`homomorphism`, so its average P is idempotent by construction); its
@@ -567,6 +659,8 @@ def verify_basis(
     (`fix_max_error`).  The rank is compared with
     every independent count of the manifold (`multiplicity_routes_agree`).
     """
+    if n_points < 1:
+        raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
     report: dict = {"manifold": None, "seed": seed, "tol": tol, "n_points": n_points}
     if not functions:
         report.update({"count": 0, "passed": True})
@@ -576,27 +670,28 @@ def verify_basis(
         raise ValueError("basis list mixes manifolds")
     manifold = manifolds.pop()
     report["manifold"] = manifold
-    by_degree = defaultdict(list)
-    for f in functions:
-        by_degree[f.j].append(f)
-    degrees = sorted(by_degree)
+    by_degree = {j: [functions[i] for i in index] for j, index in _degree_index(functions).items()}
+    degrees = list(by_degree)
     report["degrees"] = degrees
     report["count_by_degree"] = {j: len(by_degree[j]) for j in degrees}
     routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
-    gram = gram_matrix(functions)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    gram_err = float(np.max(np.abs(gram)))
-    del gram
+    gram_err, report["gram_channels"], report["gram_largest_block"] = _gram_error(functions)
     report["gram_max_error"] = gram_err
 
-    # the base points and their images under every element, in one call
+    # the base points and their images under every element, parsed once;
+    # each degree is evaluated over chunks of base points and their images
     points = gc.random_sphere_points(n_points, seed=seed)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
-    values = _basis_values(functions, matrix_from_point(moved))
-    period_err = float(np.max(np.abs(values[1:] - values[0])))
+    entries = _point_entries(matrix_from_point(moved))
+    period_err = 0.0
+    for j in degrees:
+        evaluate = _degree_evaluator(by_degree[j])
+        for start in range(0, n_points, _CHUNK):
+            values = evaluate([e[:, start:start + _CHUNK] for e in entries])
+            period_err = max(period_err, float(np.max(np.abs(values[1:] - values[0]))))
     report["periodicity_max_error"] = period_err
 
     table = product_table(group)

@@ -29,7 +29,7 @@ from .deck import build_cyclic8, build_quaternion, deck_group, relations_hold, v
 from .induced import census_sums, irrep_census
 
 SCHEMA = "s3harm/1"
-J_MAX_LIMIT = 20
+J_MAX_LIMIT = 40
 DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "S3HARM_TOL"
 

@@ -231,27 +231,25 @@ class Su2Exact:
         return f"[[{a}, {b}], [{c}, {d}]]"
 
 
+def _half(*coeffs) -> Cyclo8:
+    return Cyclo8(tuple(coeffs), 1)
+
+
+# the exact SU(2) lifts v_0..v_4 of the reflection generators, built once
+_WEYL_LIFTS = dict(enumerate((
+    Su2Exact.identity(),
+    Su2Exact.from_rows((-_I, _ZERO), (_ZERO, _I)),
+    Su2Exact.from_rows((_half(0, 0, -1, 0), _half(1, 0, 0, 0)), (_half(-1, 0, 0, 0), _half(0, 0, 1, 0))),
+    Su2Exact.from_rows((_ZERO, _half(1, 0, -1, 0)), (_half(-1, 0, -1, 0), _ZERO)),
+    Su2Exact.from_rows((_half(-1, 0, 0, 0), _half(0, 0, -1, 0)), (_half(0, 0, -1, 0), _half(-1, 0, 0, 0))),
+)))
+
+
 def weyl_matrix(s: int) -> Su2Exact:
     """SU(2) lift v_s of reflection generator s (0..4), exact entries."""
-    half = lambda *coeffs: Cyclo8(tuple(coeffs), 1)
-    table = {
-        0: Su2Exact.identity(),
-        1: Su2Exact.from_rows((-_I, _ZERO), (_ZERO, _I)),
-        2: Su2Exact.from_rows(
-            (half(0, 0, -1, 0), half(1, 0, 0, 0)),
-            (half(-1, 0, 0, 0), half(0, 0, 1, 0)),
-        ),
-        3: Su2Exact.from_rows(
-            (_ZERO, half(1, 0, -1, 0)), (half(-1, 0, -1, 0), _ZERO)
-        ),
-        4: Su2Exact.from_rows(
-            (half(-1, 0, 0, 0), half(0, 0, -1, 0)),
-            (half(0, 0, -1, 0), half(-1, 0, 0, 0)),
-        ),
-    }
-    if s not in table:
+    if s not in _WEYL_LIFTS:
         raise ValueError(f"unknown generator index {s}; expected 0..4")
-    return table[s]
+    return _WEYL_LIFTS[s]
 
 
 @dataclass(frozen=True)

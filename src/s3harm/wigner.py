@@ -18,7 +18,7 @@ matrices:
   D^j_{m1 m2}(alpha, beta, gamma) = e^{i m1 alpha} d^j_{m1 m2}(beta) e^{i m2 gamma}.
 
 Every pointwise evaluator wraps one private kernel: _point_entries parses a
-point argument, and _wigner_columns evaluates the requested entries of one
+point argument, and _column_kernel evaluates the requested entries of one
 degree from that factorisation, written in u alone.  Its d^j(beta) comes
 from _wigner_small_d, the exact diagonalisation of J_y (Feng, Wang, Yang &
 Jin 2015, Phys. Rev. E 92, 043307), which the separable Gram sum shares.
@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .su2 import IsoPair, _complex_matrices, rotation_angles
 
-_BLOCK = 1 << 15  # entries per block of points in _wigner_columns: bounds its temporaries
+_BLOCK = 1 << 15  # entries per block of points in _column_kernel: bounds its temporaries
 
 __all__ = [
     "EulerAngles",
@@ -132,21 +132,33 @@ def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, vec
 
 
+def _small_d_rows(two_j: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, rows) with d^j_{m1 m2}(beta) for the (2 m1, 2 m2) in pairs
+    equal to [cos(beta lam), sin(beta lam)] @ rows.T: d^j(beta) =
+    exp(+i beta J_y) = V diag(e^{i beta lam}) V^H is real, and rows holds
+    [Re, -Im] of V_{r1} conj(V_{r2}), which depend on no point."""
+    lam, vec = _jy_eigen(two_j)
+    index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
+    outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
+    return lam, np.concatenate([outer.real, -outer.imag], axis=-1)
+
+
+def _small_d_at(lam: np.ndarray, rows: np.ndarray, beta) -> np.ndarray:
+    angle = np.asarray(beta, dtype=float)[..., None] * lam
+    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
+
+
 def _wigner_small_d(two_j: int, pairs, beta) -> np.ndarray:
     """d^j_{m1 m2}(beta) for each (2 m1, 2 m2) in pairs, stacked on the last
-    axis after beta's shape.  d^j(beta) = exp(+i beta J_y) =
-    V diag(e^{i beta lam}) V^H is real, so this is one real matmul of
-    [cos(beta lam), sin(beta lam)] against the rows V_{r1} conj(V_{r2})."""
-    lam, vec = _jy_eigen(two_j)
-    rows = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
-    outer = vec[rows[:, 0]] * vec[rows[:, 1]].conj()
-    angle = np.asarray(beta, dtype=float)[..., None] * lam
-    trig = np.concatenate([np.cos(angle), np.sin(angle)], axis=-1)
-    return trig @ np.concatenate([outer.real, -outer.imag], axis=-1).T
+    axis after beta's shape: one real matmul (see _small_d_rows)."""
+    return _small_d_at(*_small_d_rows(two_j, pairs), beta)
 
 
-def _wigner_columns(two_j: int, pairs, entries, tol: float = 1e-9) -> np.ndarray:
-    """D^j_{m1 m2} for each (2 m1, 2 m2) in pairs, stacked on the last axis.
+def _column_kernel(two_j: int, pairs):
+    """Evaluator entries -> D^j_{m1 m2} for each (2 m1, 2 m2) in pairs,
+    stacked on the last axis.  The work that depends only on the degree
+    and the pairs (the d^j rows, the phase exponents) is done here once, so
+    one kernel serves any number of calls.
 
     entries are the broadcastable (a, b, c, d) of _point_entries, refused
     with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and d = conj(a)
@@ -154,23 +166,31 @@ def _wigner_columns(two_j: int, pairs, entries, tol: float = 1e-9) -> np.ndarray
     beta = 2 atan2(|b|, |a|), a unit taken as 1 where its number is 0; the
     phases are integer powers, not exp(i k arg z), so exact lifts stay exact.
     """
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
-    off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
-    if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
-        raise ValueError("argument matrix is not special unitary")
-    a_b, twice = np.stack([a.reshape(-1), b.reshape(-1)]), np.asarray(pairs, dtype=int).reshape(-1, 2)
-    out = np.empty((a.size, len(twice)), dtype=complex)
+    twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    lam, rows = _small_d_rows(two_j, twice)
+    a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
+    b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
     step = max(1, _BLOCK // max(1, len(twice)))
-    for start in range(0, a.size, step):
-        block = slice(start, start + step)
-        modulus = np.abs(a_b[:, block])
-        unit = np.divide(a_b[:, block], modulus, out=np.ones_like(a_b[:, block]), where=modulus > 0)
-        powers = np.stack([unit**k for k in range(two_j + 1)], axis=-1)
-        powers = np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)  # exponents -2j..2j
-        out[block] = _wigner_small_d(two_j, twice, 2.0 * np.arctan2(modulus[1], modulus[0]))
-        out[block] *= powers[0][:, two_j + (twice[:, 0] + twice[:, 1]) // 2]
-        out[block] *= powers[1][:, two_j + (twice[:, 0] - twice[:, 1]) // 2]
-    return out.reshape(a.shape + (len(twice),))
+
+    def columns(entries, tol: float = 1e-9) -> np.ndarray:
+        a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
+        off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
+        if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
+            raise ValueError("argument matrix is not special unitary")
+        a_b = np.stack([a.reshape(-1), b.reshape(-1)])
+        out = np.empty((a.size, len(twice)), dtype=complex)
+        for start in range(0, a.size, step):
+            block = slice(start, start + step)
+            modulus = np.abs(a_b[:, block])
+            unit = np.divide(a_b[:, block], modulus, out=np.ones_like(a_b[:, block]), where=modulus > 0)
+            powers = np.stack([unit**k for k in range(two_j + 1)], axis=-1)
+            powers = np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)  # exponents -2j..2j
+            out[block] = _small_d_at(lam, rows, 2.0 * np.arctan2(modulus[1], modulus[0]))
+            out[block] *= powers[0][:, a_power]
+            out[block] *= powers[1][:, b_power]
+        return out.reshape(a.shape + (len(twice),))
+
+    return columns
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -181,7 +201,7 @@ def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
     pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
-    return _scalar_or_array(_wigner_columns(tj, [pair], (a, b, c, d))[..., 0])
+    return _scalar_or_array(_column_kernel(tj, [pair])((a, b, c, d))[..., 0])
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -196,7 +216,7 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     two_j = _two_j(j)
     ms = range(two_j, -two_j - 1, -2)
     pairs = [(tm1, tm2) for tm1 in ms for tm2 in ms]
-    return _wigner_columns(two_j, pairs, entries, unitary_tol).reshape(two_j + 1, two_j + 1)
+    return _column_kernel(two_j, pairs)(entries, unitary_tol).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -302,7 +322,7 @@ def wigner_entry_function(j, m1, m2):
     pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
 
     def evaluate(angles: EulerAngles):
-        return _scalar_or_array(_wigner_columns(tj, [pair], _point_entries(angles))[..., 0])
+        return _scalar_or_array(_column_kernel(tj, [pair])(_point_entries(angles))[..., 0])
 
     return evaluate
 
@@ -423,7 +443,7 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    values = _wigner_columns(two_j, [(tm1, tm2) for tm1, tm2, _ in column], _point_entries(u))
+    values = _column_kernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(_point_entries(u))
     return _scalar_or_array(values @ np.array([coef for _, _, coef in column], dtype=complex))
 
 

@@ -12,6 +12,7 @@ import pytest
 from s3harm import bases
 from s3harm import groupcore as gc
 from s3harm import su2
+from s3harm.cli import J_MAX_LIMIT
 from s3harm.deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from s3harm.wigner import (
     EulerAngles,
@@ -339,6 +340,27 @@ def test_too_coarse_rule_aliases_alike_in_both_routes():
                 assert abs(np.max(np.abs(gram - np.eye(len(fns)))) - 0.703) < 1e-3
 
 
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_blockwise_gram_error_is_the_dense_one_bit_for_bit(manifold):
+    for j_max in (4, 8):
+        fns = [f for j in range(j_max + 1) for f in bases.basis_for(manifold, j)]
+        eye = np.eye(len(fns))
+        for rule in (None, euler_quadrature(6)):
+            err, channels, largest = bases._gram_error(fns, rule)
+            assert err == np.max(np.abs(bases.gram_matrix(fns, rule) - eye))
+            assert 0 < largest < len(fns) < channels * largest
+    # on the 7-node grids m and m + 7 alias, which joins channels into
+    # larger blocks and leaves a large error in both routes alike
+    aliased, exact = bases._gram_error(fns, euler_quadrature(6)), bases._gram_error(fns)
+    assert aliased[0] > 0.1 and aliased[2] > exact[2]
+
+
+def test_gram_error_counts_a_function_without_terms():
+    fns = bases.basis_c2(2)
+    empty = replace(fns[0], terms=())
+    assert bases._gram_error(fns + [empty])[0] == 1.0
+
+
 def dense_action(gather, phase):
     """Test helper: each element's exact action as a dense (2j+1)^2 matrix."""
     size = gather.shape[1]
@@ -501,10 +523,39 @@ def test_verify_basis_passes_for_both_manifolds():
 def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
     # the monomial kernel left 1.36e-11 of periodicity error at jmax 20
     for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
-        fns = [f for j in range(21) for f in bases.basis_for(manifold, j)]
+        fns = [f for j in range(J_MAX_LIMIT + 1) for f in bases.basis_for(manifold, j)]
         report = bases.verify_basis(fns, group, tol=1e-12)
+        assert report["gram_max_error"] < 1e-12
         assert report["periodicity_max_error"] < 1e-12
         assert report["passed"] is True
+        assert report["gram_largest_block"] < len(fns)
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_chunked_periodicity_is_the_dense_route(manifold):
+    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    fns = [f for j in range(7) for f in bases.basis_for(manifold, j)]
+    n_points = 2 * bases._CHUNK + 5
+    report = bases.verify_basis(fns, group, seed=3, n_points=n_points)
+    points = gc.random_sphere_points(n_points, seed=3)
+    moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
+    values = bases._basis_values(fns, su2.matrix_from_point(moved))
+    assert report["periodicity_max_error"] == np.max(np.abs(values[1:] - values[0]))
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_a_phase_flip_at_the_top_degree_fails_verification(manifold):
+    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
+    k = next(i for i, f in enumerate(fns) if f.j == 8 and len(f.terms) == 2)
+    (first, (m1, m2, coef)) = fns[k].terms
+    fns[k] = replace(fns[k], terms=(first, (m1, m2, -coef)))
+    report = bases.verify_basis(fns, group, n_points=bases._CHUNK + 1)
+    assert report["passed"] is False
+    assert report["periodicity_max_error"] > 1e-3
+    assert report["projector"][8]["closed_form_matches"] is False
+    assert report["projector"][8]["fix_max_error"] > 1e-3
 
 
 def test_pairs_against_the_product_table_fail_the_homomorphism_check():
@@ -558,6 +609,9 @@ def test_verify_basis_rejects_mixed_manifolds():
     fns = bases.basis_c2(0) + bases.basis_c3(2)
     with pytest.raises(ValueError):
         bases.verify_basis(fns, build_cyclic8())
+    # no sample point would make the periodicity check pass vacuously
+    with pytest.raises(ValueError):
+        bases.verify_basis(bases.basis_c2(2), build_cyclic8(), n_points=0)
 
 
 def test_periodicity_under_every_deck_element():

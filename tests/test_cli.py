@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from s3harm import cli
+from s3harm import bases, cli
 
 
 def run(capsys, argv):
@@ -172,14 +172,21 @@ def test_basis_row_measures_the_projector_errors(capsys, monkeypatch):
 
 def test_jmax_guard_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["multiplicity", "--manifold", "C2", "--jmax", "25"])
+        cli.main(["multiplicity", "--manifold", "C2", "--jmax", str(cli.J_MAX_LIMIT + 1)])
     assert exc.value.code == 2
+    code, out = run(capsys, ["multiplicity", "--manifold", "C2", "--jmax", str(cli.J_MAX_LIMIT),
+                             "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == cli.J_MAX_LIMIT + 1
 
 
 def test_basis_degree_guard(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["basis", "--manifold", "C2", "--j", "21"])
+        cli.main(["basis", "--manifold", "C2", "--j", str(cli.J_MAX_LIMIT + 1)])
     assert exc.value.code == 2
+    code, out = run(capsys, ["basis", "--manifold", "C2", "--j", str(cli.J_MAX_LIMIT), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["count"] == bases.multiplicity_c8(cli.J_MAX_LIMIT)
 
 
 def test_unknown_subcommand_exits_two(capsys):

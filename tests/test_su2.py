@@ -75,6 +75,10 @@ def test_weyl_lift_matrices_are_special_unitary():
         assert v.det() == ONE
         num = v.to_complex()
         assert np.allclose(num.conj().T @ num, np.eye(2), atol=1e-14)
+    assert su2.weyl_matrix(3) is su2.weyl_matrix(3)  # built once, not per call
+    for bad in (-1, 5):
+        with pytest.raises(ValueError):
+            su2.weyl_matrix(bad)
 
 
 def test_even_word_lift_reproduces_point_action():
