@@ -31,6 +31,8 @@ means over the uniform grids are exact Kronecker deltas modulo the grid
 sizes, and only the Gauss-Legendre sum over beta is numeric, with d^j from
 the stable kernel.  It equals the sum over the product nodes, aliasing of
 a too-coarse rule included, and never evaluates a function at a node.
+`_gram_blocks` is the one place it is summed: `gram_matrix` scatters its
+blocks into the dense matrix and `verify_basis` reduces them one at a time.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
-_CHUNK = 16  # base points per chunk of verify_basis's periodicity check, each with its |H| images
+_CHUNK = 16  # base points, each with its |H| images, per kernel pass of the periodicity check
 
 
 def _require_integer_j(j) -> int:
@@ -565,11 +567,36 @@ def _channel_profiles(functions: list[BasisFunction], rule) -> dict:
     return channels
 
 
-def _channel_block(profiles: dict) -> tuple[list[int], np.ndarray]:
-    """The function indices of one channel and its Gram block (without the
-    measure's mass)."""
-    block = np.stack(list(profiles.values()), axis=1)
-    return list(profiles), block.conj().T @ block
+def _gram_blocks(channels: dict):
+    """The Gram matrix of `_channel_profiles` channels block by block: yields
+    (function indices, block times the measure's mass).  Channels that share
+    a function are joined (union-find), so a too-coarse rule's aliasing is
+    kept; a block adds its channels' profiles^H profiles in channel order.
+    Entries between blocks are zero, and a function without terms is in none.
+    """
+    parent = {c: c for c in channels}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c] = parent[parent[c]]
+        return c
+
+    home = {}  # function index -> the first channel it appears in
+    for c, profiles in channels.items():
+        for i in profiles:
+            parent[root(c)] = root(home.setdefault(i, c))
+    joined = defaultdict(list)
+    for c in channels:
+        joined[root(c)].append(c)
+    for members in joined.values():
+        local = {i: k for k, i in enumerate(dict.fromkeys(i for c in members for i in channels[c]))}
+        gram = np.zeros((len(local), len(local)), dtype=complex)
+        for c in members:
+            profiles = np.stack(list(channels[c].values()), axis=1)
+            at = [local[i] for i in channels[c]]
+            gram[np.ix_(at, at)] += profiles.conj().T @ profiles
+        gram *= _MEASURE_MASS
+        yield list(local), gram
 
 
 def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
@@ -586,51 +613,25 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
     gram = np.zeros((len(functions), len(functions)), dtype=complex)
-    for profiles in _channel_profiles(functions, rule).values():
-        index, block = _channel_block(profiles)
-        gram[np.ix_(index, index)] += block
-    gram *= _MEASURE_MASS
+    for index, block in _gram_blocks(_channel_profiles(functions, rule)):
+        gram[np.ix_(index, index)] = block
     return gram
 
 
 def _gram_error(functions: list[BasisFunction], rule=None) -> tuple[float, int, int]:
-    """max |G - I| of `gram_matrix(functions, rule)` without the n x n array.
-
-    Channels that share a function are joined (union-find), so a too-coarse
-    rule's aliasing is kept; each joined block is summed on its own, its
-    channels added in the same order as in gram_matrix, so the maximum is
-    bit-identical.  Entries between blocks are zero by construction.
-    Returns (error, number of channels, functions in the largest block).
+    """max |G - I| of `gram_matrix(functions, rule)` without the n x n array:
+    the same `_gram_blocks`, reduced one at a time, so the maximum is
+    bit-identical.  Returns (error, number of channels, functions in the
+    largest block).
     """
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
     channels = _channel_profiles(functions, rule)
-    parent = {c: c for c in channels}
-
-    def root(c):
-        while parent[c] != c:
-            c = parent[c] = parent[parent[c]]
-        return c
-
-    home = {}  # function index -> the first channel it appears in
-    for c, profiles in channels.items():
-        for i in profiles:
-            parent[root(c)] = root(home.setdefault(i, c))
-    joined = defaultdict(list)
-    for c in channels:
-        joined[root(c)].append(c)
     # a function with no terms has G_ii = 0
-    err, largest = (0.0 if len(home) == len(functions) else 1.0), 0
-    for members in joined.values():
-        local = {i: k for k, i in enumerate(dict.fromkeys(i for c in members for i in channels[c]))}
-        gram = np.zeros((len(local), len(local)), dtype=complex)
-        for c in members:
-            index, block = _channel_block(channels[c])
-            at = [local[i] for i in index]
-            gram[np.ix_(at, at)] += block
-        gram *= _MEASURE_MASS
+    err, largest = (0.0 if len(set().union(*channels.values())) == len(functions) else 1.0), 0
+    for index, gram in _gram_blocks(channels):
         gram[np.diag_indices_from(gram)] -= 1.0
-        err, largest = max(err, float(np.max(np.abs(gram)))), max(largest, len(local))
+        err, largest = max(err, float(np.max(np.abs(gram)))), max(largest, len(index))
     return err, len(channels), largest
 
 

@@ -57,6 +57,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed, the only kind numpy's default_rng takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_tol(parser: argparse.ArgumentParser, flag: float | None) -> float:
     if flag is not None:
         return flag
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", default=None, help="write to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=42)
+    common.add_argument("--seed", type=_seed, default=42)
     common.add_argument(
         "--tol",
         type=_tolerance,

@@ -9,10 +9,12 @@ S({0,1}) x S({2,3}) for 2.  Characters come from the induction formula
 
     chi(eps, p) = sum_j [c_j^-1 p c_j in K] * D^mu(c_j^-1 eps c_j) * chi^f(c_j^-1 p c_j)
 
-over a fixed left transversal {c_j} of K, with D^mu(eps) the product of
-the eps components at the minus positions of mu.  Symmetric-group
-characters are generated by the Murnaghan-Nakayama rule and orthogonality
-checked before use, rather than transcribed.
+over a left transversal {c_j} of K, the smallest element of each coset,
+with D^mu(eps) the product of the eps components at the minus positions
+of mu.  Each little co-group is kept as the coordinate blocks it
+permutes, and chi^f is a product of symmetric-group characters, generated
+by the Murnaghan-Nakayama rule and orthogonality checked before use,
+rather than transcribed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion
@@ -151,19 +153,10 @@ MU_REPRESENTATIVES = {
     4: (-1, -1, -1, -1),
 }
 
-# Left transversals of the little co-groups in S(4), one-line form.
-_TRANSVERSALS = {
-    "s4": ((0, 1, 2, 3),),
-    "s3xs1": ((0, 1, 2, 3), (3, 1, 2, 0), (0, 3, 2, 1), (0, 1, 3, 2)),
-    "s2xs2": (
-        (0, 1, 2, 3),
-        (0, 2, 1, 3),
-        (0, 3, 1, 2),
-        (1, 2, 0, 3),
-        (1, 3, 0, 2),
-        (2, 3, 0, 1),
-    ),
-}
+# Little co-groups as the coordinate blocks they keep: K is the product of
+# the symmetric groups of its blocks, and an irrep f of K one partition per
+# block (a bare partition for the single block of S(4)).
+_LITTLE_BLOCKS = {"s4": ((0, 1, 2, 3),), "s3xs1": ((0, 1, 2), (3,)), "s2xs2": ((0, 1), (2, 3))}
 
 
 def little_cogroup(mu: tuple[int, ...]) -> str:
@@ -172,44 +165,40 @@ def little_cogroup(mu: tuple[int, ...]) -> str:
     return _LITTLE_BY_MINUS[sum(1 for s in mu if s == -1)]
 
 
-def coset_generators(little: str) -> tuple[tuple[int, ...], ...]:
-    """Left transversal of the little co-group in S(4), one-line perms."""
-    if little not in _TRANSVERSALS:
-        raise ValueError(f"unknown little co-group {little!r}")
-    return _TRANSVERSALS[little]
+def _block_partitions(little: str, f) -> tuple[tuple[int, ...], ...]:
+    return (tuple(f),) if len(_LITTLE_BLOCKS[little]) == 1 else tuple(tuple(part) for part in f)
 
 
 def in_little_cogroup(little: str, perm: tuple[int, ...]) -> bool:
-    if little == "s4":
-        return True
-    if little == "s3xs1":
-        return perm[3] == 3
-    if little == "s2xs2":
-        return set(perm[k] for k in (0, 1)) == {0, 1}
-    raise ValueError(f"unknown little co-group {little!r}")
+    if little not in _LITTLE_BLOCKS:
+        raise ValueError(f"unknown little co-group {little!r}")
+    return all({perm[k] for k in block} == set(block) for block in _LITTLE_BLOCKS[little])
+
+
+def coset_generators(little: str) -> tuple[tuple[int, ...], ...]:
+    """Left transversal of the little co-group in S(4), one-line perms: the
+    smallest element of each left coset c K, in lexicographic order."""
+    cogroup = [k for k in permutations(range(4)) if in_little_cogroup(little, k)]
+    out, covered = [], set()
+    for c in permutations(range(4)):
+        if c not in covered:
+            out.append(c)
+            covered.update(tuple(c[k[i]] for i in range(4)) for k in cogroup)
+    return tuple(out)
+
+
+_TRANSVERSALS = {little: coset_generators(little) for little in _LITTLE_BLOCKS}
 
 
 def _little_class_character(little: str, f, perm: tuple[int, ...]) -> int:
-    """Character of the little co-group irrep f on an element of K."""
-    if little == "s4":
-        return sn_character_table(4)[(tuple(f), _cycle_type(perm, (0, 1, 2, 3)))]
-    if little == "s3xs1":
-        f1, f2 = f
-        value = sn_character_table(3)[(tuple(f1), _cycle_type(perm, (0, 1, 2)))]
-        return value * sn_character_table(1)[(tuple(f2), (1,))]
-    if little == "s2xs2":
-        f1, f2 = f
-        t2 = sn_character_table(2)
-        return t2[(tuple(f1), _cycle_type(perm, (0, 1)))] * t2[
-            (tuple(f2), _cycle_type(perm, (2, 3)))
-        ]
-    raise ValueError(f"unknown little co-group {little!r}")
+    """Character of the little co-group irrep f on an element of K: the
+    product over the blocks of S(n) characters."""
+    blocks = zip(_LITTLE_BLOCKS[little], _block_partitions(little, f))
+    return prod(sn_character_table(len(block))[(part, _cycle_type(perm, block))] for block, part in blocks)
 
 
 def _dimension(little: str, f) -> int:
-    identity = (0, 1, 2, 3)
-    index = len(_TRANSVERSALS[little])
-    return index * _little_class_character(little, f, identity)
+    return len(_TRANSVERSALS[little]) * _little_class_character(little, f, (0, 1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -227,12 +216,8 @@ class InducedIrrep:
 
     @property
     def f_string(self) -> str:
-        if self.little == "s4":
-            return "[" + "".join(str(p) for p in self.f) + "]"
-        f1, f2 = self.f
-        return (
-            "[" + "".join(str(p) for p in f1) + "]x[" + "".join(str(p) for p in f2) + "]"
-        )
+        parts = _block_partitions(self.little, self.f)
+        return "x".join("[" + "".join(map(str, part)) + "]" for part in parts)
 
 
 def make_irrep(mu: tuple[int, ...], f) -> InducedIrrep:
@@ -254,7 +239,7 @@ def induced_character(rep: InducedIrrep, g: HyperoctElement) -> int:
     """Character of (mu, f)^ on a group element, by the induction sum."""
     eps, perm = g.signs, g.perm
     total = 0
-    for c in coset_generators(rep.little):
+    for c in _TRANSVERSALS[rep.little]:
         cinv = _perm_inverse(c)
         conj = tuple(cinv[perm[c[i]]] for i in range(4))
         if not in_little_cogroup(rep.little, conj):
@@ -337,15 +322,7 @@ def census_sums(rows: list[dict]) -> dict:
 
 
 def transversal_is_left(little: str) -> bool:
-    """Check the stored transversal really tiles S(4) by left cosets."""
-    cosets = []
-    for c in coset_generators(little):
-        coset = frozenset(
-            tuple(c[k_perm[i]] for i in range(4))
-            for k_perm in permutations(range(4))
-            if in_little_cogroup(little, k_perm)
-        )
-        cosets.append(coset)
-    union = set().union(*cosets)
-    disjoint = sum(len(s) for s in cosets) == len(union)
-    return disjoint and len(union) == 24
+    """Check the transversal really tiles S(4) by left cosets c K."""
+    cogroup = [k for k in permutations(range(4)) if in_little_cogroup(little, k)]
+    cosets = [{tuple(c[k[i]] for i in range(4)) for k in cogroup} for c in coset_generators(little)]
+    return sum(map(len, cosets)) == len(set().union(*cosets)) == 24

@@ -359,6 +359,8 @@ def test_gram_error_counts_a_function_without_terms():
     fns = bases.basis_c2(2)
     empty = replace(fns[0], terms=())
     assert bases._gram_error(fns + [empty])[0] == 1.0
+    # no block covers that function, so its diagonal entry stays 0
+    assert bases.gram_matrix(fns + [empty])[-1, -1] == 0.0
 
 
 def dense_action(gather, phase):

@@ -264,6 +264,15 @@ def test_bad_tol_flag_is_usage_error(capsys, value):
     assert_usage_error(capsys, ["verify", "--suite", "group", "--tol", value])
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
+def test_bad_seed_is_usage_error(capsys, monkeypatch, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before --seed was checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", must_not_run)
+    assert_usage_error(capsys, ["verify", "--suite", "basis", "--seed", value])
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "is-a-directory"])
 def test_unwritable_output_is_refused_before_any_suite(capsys, monkeypatch, tmp_path, where):
     target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
