@@ -31,8 +31,9 @@ means over the uniform grids are exact Kronecker deltas modulo the grid
 sizes, and only the Gauss-Legendre sum over beta is numeric, with d^j from
 the stable kernel.  It equals the sum over the product nodes, aliasing of
 a too-coarse rule included, and never evaluates a function at a node.
-`_gram_blocks` is the one place it is summed: `gram_matrix` scatters its
-blocks into the dense matrix and `verify_basis` reduces them one at a time.
+`_gram_entries` is the one place it is summed, into the list of nonzero
+entries (two functions meet only in a shared channel): `gram_matrix`
+scatters them into the dense matrix and `verify_basis` reduces them.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ def _average(gather: np.ndarray, phase: np.ndarray, index: np.ndarray, value: np
 
 
 def _terms(functions: list[BasisFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of functions of one degree as arrays (owner, index, coef):
-    the function's position in the list, the flat index of (m1, m2) in its
-    coefficient vector, and the closed-form coefficient (norm not applied)."""
+    """The terms of functions as arrays (owner, index, coef): the function's
+    position in the list, the flat index of (m1, m2) in its coefficient
+    vector, and the closed-form coefficient (norm not applied)."""
     owner = [n for n, f in enumerate(functions) for _ in f.terms]
     index = [(f.j - m1) * (2 * f.j + 1) + (f.j - m2) for f in functions for m1, m2, _ in f.terms]
     coef = [c for f in functions for _, _, c in f.terms]
@@ -549,54 +550,55 @@ def basis_for(manifold: str, j) -> list[BasisFunction]:
     return _by_manifold(manifold, basis_c2, basis_c3)(j)
 
 
-def _channel_profiles(functions: list[BasisFunction], rule) -> dict:
-    """The separable Gram sum's data: channel (m1 mod n_alpha, m2 mod
-    n_gamma) -> {function index: its beta profile in that channel}, each
-    profile the sum of its terms' norm * coef * d^j(beta) * sqrt(w_b / 2)
-    over the Gauss-Legendre nodes.  The Gram block of a channel is
-    profiles^H profiles; channels are listed in a fixed order."""
+def _channel_profiles(functions: list[BasisFunction], rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The separable Gram sum's data as (profiles, channel, owner), one row
+    per (channel, function) pair sorted by channel, then function: the
+    channel (m1 mod n_alpha) * n_gamma + (m2 mod n_gamma), the function's
+    position in the list, and its beta profile there, the sum of its terms'
+    norm * coef * d^j(beta) * sqrt(w_b / 2), added in term order."""
     n_alpha, n_beta, n_gamma = rule.shape
+    owner, index, coef = _terms(functions)
+    j = np.array([f.j for f in functions], dtype=np.intp)[owner]
+    m1, m2 = j - index // (2 * j + 1), j - index % (2 * j + 1)
+    key = ((m1 % n_alpha) * n_gamma + m2 % n_gamma) * len(functions) + owner
+    keys, row = np.unique(key, return_inverse=True)
+    weight = np.array([f.norm_factor for f in functions])[owner] * coef
+    profiles = np.zeros((len(keys), n_beta), dtype=complex)
     root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
-    channels = defaultdict(dict)
-    for j, index in _degree_index(functions).items():
-        terms = [(i, functions[i], m1, m2, c) for i in index for m1, m2, c in functions[i].terms]
-        small_d = _wigner_small_d(2 * j, [(2 * t[2], 2 * t[3]) for t in terms], rule.beta) * root_w
-        for (i, f, m1, m2, coef), column in zip(terms, small_d.T):
-            profile = channels[(m1 % n_alpha, m2 % n_gamma)].setdefault(i, np.zeros(n_beta, dtype=complex))
-            profile += (f.norm_factor * coef) * column
-    return channels
+    for degree in np.unique(j):  # d^j one degree at a time
+        at = j == degree
+        small_d = _wigner_small_d(2 * int(degree), np.stack([2 * m1[at], 2 * m2[at]], axis=-1), rule.beta)
+        np.add.at(profiles, row[at], (small_d * root_w * weight[at]).T)
+    return profiles, keys // len(functions), keys % len(functions)
 
 
-def _gram_blocks(channels: dict):
-    """The Gram matrix of `_channel_profiles` channels block by block: yields
-    (function indices, block times the measure's mass).  Channels that share
-    a function are joined (union-find), so a too-coarse rule's aliasing is
-    kept; a block adds its channels' profiles^H profiles in channel order.
-    Entries between blocks are zero, and a function without terms is in none.
+def _gram_entries(functions: list[BasisFunction], rule=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero entries of the Gram matrix, times the measure's mass, by
+    default under the Euler rule exact at twice the largest degree.
+
+    G[f, g] is nonzero only where f and g share a channel, so each channel
+    of `_channel_profiles` adds its profiles^H profiles at the keys f n + g,
+    and the entries that two channels reach are added up.  Returns (sorted
+    keys, values, number of channels); a function without terms has none.
     """
-    parent = {c: c for c in channels}
-
-    def root(c):
-        while parent[c] != c:
-            c = parent[c] = parent[parent[c]]
-        return c
-
-    home = {}  # function index -> the first channel it appears in
-    for c, profiles in channels.items():
-        for i in profiles:
-            parent[root(c)] = root(home.setdefault(i, c))
-    joined = defaultdict(list)
-    for c in channels:
-        joined[root(c)].append(c)
-    for members in joined.values():
-        local = {i: k for k, i in enumerate(dict.fromkeys(i for c in members for i in channels[c]))}
-        gram = np.zeros((len(local), len(local)), dtype=complex)
-        for c in members:
-            profiles = np.stack(list(channels[c].values()), axis=1)
-            at = [local[i] for i in channels[c]]
-            gram[np.ix_(at, at)] += profiles.conj().T @ profiles
-        gram *= _MEASURE_MASS
-        yield list(local), gram
+    if rule is None:
+        rule = euler_quadrature(2 * max(f.j for f in functions))
+    profiles, channel, owner = _channel_profiles(functions, rule)
+    starts = np.flatnonzero(np.diff(channel, prepend=-1))
+    bounds = np.append(starts, len(channel))
+    keys = np.empty(np.sum(np.diff(bounds) ** 2), dtype=np.intp)
+    values = np.empty(len(keys), dtype=complex)
+    at = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        size = (hi - lo) ** 2
+        keys[at:at + size] = np.add.outer(owner[lo:hi] * len(functions), owner[lo:hi]).reshape(-1)
+        values[at:at + size] = (profiles[lo:hi].conj() @ profiles[lo:hi].T).reshape(-1)
+        at += size
+    del profiles
+    keys, where = np.unique(keys, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=complex)
+    np.add.at(summed, where, values)
+    return keys, summed * _MEASURE_MASS, len(starts)
 
 
 def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
@@ -608,31 +610,23 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     channel (m1 mod n_alpha, m2 mod n_gamma); within a channel the sum over
     beta runs over the Gauss-Legendre nodes with weight w_b / 2.
     """
-    if not functions:
-        return np.zeros((0, 0), dtype=complex)
-    if rule is None:
-        rule = euler_quadrature(2 * max(f.j for f in functions))
     gram = np.zeros((len(functions), len(functions)), dtype=complex)
-    for index, block in _gram_blocks(_channel_profiles(functions, rule)):
-        gram[np.ix_(index, index)] = block
+    if functions:
+        keys, values, _ = _gram_entries(functions, rule)
+        gram.reshape(-1)[keys] = values
     return gram
 
 
 def _gram_error(functions: list[BasisFunction], rule=None) -> tuple[float, int, int]:
-    """max |G - I| of `gram_matrix(functions, rule)` without the n x n array:
-    the same `_gram_blocks`, reduced one at a time, so the maximum is
-    bit-identical.  Returns (error, number of channels, functions in the
-    largest block).
-    """
-    if rule is None:
-        rule = euler_quadrature(2 * max(f.j for f in functions))
-    channels = _channel_profiles(functions, rule)
-    # a function with no terms has G_ii = 0
-    err, largest = (0.0 if len(set().union(*channels.values())) == len(functions) else 1.0), 0
-    for index, gram in _gram_blocks(channels):
-        gram[np.diag_indices_from(gram)] -= 1.0
-        err, largest = max(err, float(np.max(np.abs(gram)))), max(largest, len(index))
-    return err, len(channels), largest
+    """max |G - I| of `gram_matrix(functions, rule)` from the same entries,
+    without the n x n array, so it is bit-identical and keeps a NaN.
+    Returns (error, number of channels, number of entries)."""
+    keys, values, channels = _gram_entries(functions, rule)
+    diagonal = keys % (len(functions) + 1) == 0  # f n + f
+    values[diagonal] -= 1.0
+    # a function without terms has no entry: G_ii = 0, an error of 1
+    missing = np.count_nonzero(diagonal) < len(functions)
+    return float(np.max(np.abs(values), initial=float(missing))), channels, len(keys)
 
 
 def verify_basis(
@@ -644,9 +638,9 @@ def verify_basis(
 ) -> dict:
     """Audit a basis list against a deck group; returns a JSON-able report.
 
-    Covers orthonormality (including cross-degree blocks), summed block by
-    block (`_gram_error`: `gram_channels` channels, joined into blocks of at
-    most `gram_largest_block` functions; entries across blocks are zero by
+    Covers orthonormality (including cross-degree entries), from the
+    nonzero Gram entries alone (`_gram_error`: `gram_entries` entries summed
+    over `gram_channels` channels; every other entry is zero by
     construction), pointwise periodicity under every deck element at seeded
     sample points, evaluated per degree in chunks of `_CHUNK` points, and, per
     degree, the exact monomial action of the group on coefficient matrices
@@ -679,7 +673,7 @@ def verify_basis(
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
-    gram_err, report["gram_channels"], report["gram_largest_block"] = _gram_error(functions)
+    gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(functions)
     report["gram_max_error"] = gram_err
 
     # the base points and their images under every element, parsed once;
@@ -687,13 +681,14 @@ def verify_basis(
     points = gc.random_sphere_points(n_points, seed=seed)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
     entries = _point_entries(matrix_from_point(moved))
-    period_err = 0.0
+    period_errs = []
     for j in degrees:
         evaluate = _degree_evaluator(by_degree[j])
         for start in range(0, n_points, _CHUNK):
             values = evaluate([e[:, start:start + _CHUNK] for e in entries])
-            period_err = max(period_err, float(np.max(np.abs(values[1:] - values[0]))))
-    report["periodicity_max_error"] = period_err
+            period_errs.append(np.max(np.abs(values[1:] - values[0])))
+    # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
+    period_err = report["periodicity_max_error"] = float(np.max(period_errs))
 
     table = product_table(group)
     blocks = report["projector"] = {}
@@ -712,7 +707,7 @@ def verify_basis(
             "closed_form_matches": _matches_orbits(owner, index, coef, rep, orbit_phase, invariant),
         }
     exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())
-    fix_err = max(b["fix_max_error"] for b in blocks.values())
+    fix_err = float(np.max([b["fix_max_error"] for b in blocks.values()]))
     report["multiplicity_routes_agree"] = all(
         count == blocks[j]["rank"] for j, counts in routes.items() for count in counts
     )

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +31,6 @@ SCHEMA = "s3harm/1"
 J_MAX_LIMIT = 40
 DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "S3HARM_TOL"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    manifold: str | None
-    j: int | None
-    j_max: int | None
-    seed: int
-    tol: float
-    fmt: str
-    output: str | None
 
 
 def _tolerance(text: str) -> float:
@@ -92,15 +79,15 @@ def _check_j(parser: argparse.ArgumentParser, value: int, name: str) -> int:
     return value
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = _to_csv(payload)
     else:
         text = _to_text(payload)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -153,10 +140,11 @@ def _to_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_group(cfg: RunConfig, which: str, count_only: bool) -> tuple[dict, int]:
+def cmd_group(args: argparse.Namespace) -> tuple[dict, int]:
+    which = args.which
     if which == "G":
         elements = gc.closure(list(gc.WEYL_GENERATORS.values()))
-        if count_only:
+        if args.count_only:
             return {"schema": SCHEMA, "which": which, "count": len(elements)}, 0
         rows = [
             {
@@ -170,7 +158,7 @@ def cmd_group(cfg: RunConfig, which: str, count_only: bool) -> tuple[dict, int]:
         ]
         return {"schema": SCHEMA, "which": which, "count": len(elements), "rows": rows}, 0
     group = deck_group(which)
-    if count_only:
+    if args.count_only:
         return {"schema": SCHEMA, "which": which, "count": group.order}, 0
     rows = []
     for el in group.elements:
@@ -187,31 +175,31 @@ def cmd_group(cfg: RunConfig, which: str, count_only: bool) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_multiplicity(args: argparse.Namespace) -> tuple[dict, int]:
     rows = [
-        {"j": j, "m": multiplicity_for(cfg.manifold, j)} for j in range(cfg.j_max + 1)
+        {"j": j, "m": multiplicity_for(args.manifold, j)} for j in range(args.jmax + 1)
     ]
-    return {"schema": SCHEMA, "manifold": cfg.manifold, "rows": rows}, 0
+    return {"schema": SCHEMA, "manifold": args.manifold, "rows": rows}, 0
 
 
-def cmd_basis(cfg: RunConfig) -> tuple[dict, int]:
-    functions = basis_for(cfg.manifold, cfg.j)
+def cmd_basis(args: argparse.Namespace) -> tuple[dict, int]:
+    functions = basis_for(args.manifold, args.j)
     rows = [f.to_json_dict() for f in functions]
     return {
         "schema": SCHEMA,
-        "manifold": cfg.manifold,
-        "j": cfg.j,
+        "manifold": args.manifold,
+        "j": args.j,
         "count": len(rows),
         "rows": rows,
     }, 0
 
 
-def cmd_induced(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_induced(args: argparse.Namespace) -> tuple[dict, int]:
     rows = irrep_census()
     return {"schema": SCHEMA, **census_sums(rows), "rows": rows}, 0
 
 
-def _verify_group_suite(cfg: RunConfig) -> list[dict]:
+def _verify_group_suite(args: argparse.Namespace) -> list[dict]:
     checks = []
     full = gc.closure(list(gc.WEYL_GENERATORS.values()))
     checks.append(
@@ -225,7 +213,7 @@ def _verify_group_suite(cfg: RunConfig) -> list[dict]:
         ("deck-c2-structure", build_cyclic8(), "c2-generator-fourth-power-is-inversion"),
         ("deck-c3-structure", build_quaternion(), "c3-quaternion-relations"),
     ):
-        quality = verify_deck_group(group, seed=cfg.seed, tol=cfg.tol)
+        quality = verify_deck_group(group, seed=args.seed, tol=args.tol)
         checks.append(
             {
                 "name": name,
@@ -244,15 +232,13 @@ def _largest_error(report: dict) -> float:
     return float(np.max([0.0] + [v for b in blocks for k, v in b.items() if k.endswith("_error")]))
 
 
-def _verify_basis_suite(cfg: RunConfig) -> list[dict]:
+def _verify_basis_suite(args: argparse.Namespace) -> list[dict]:
     checks = []
     for manifold, builder in (("C2", build_cyclic8), ("C3", build_quaternion)):
-        if cfg.manifold and cfg.manifold != manifold:
+        if args.manifold and args.manifold != manifold:
             continue
-        functions = [f for j in range(cfg.j_max + 1) for f in basis_for(manifold, j)]
-        report = verify_basis(
-            functions, builder(), seed=cfg.seed, tol=cfg.tol
-        )
+        functions = [f for j in range(args.jmax + 1) for f in basis_for(manifold, j)]
+        report = verify_basis(functions, builder(), seed=args.seed, tol=args.tol)
         checks.append(
             {
                 "name": f"basis-{manifold.lower()}-orthonormal-periodic",
@@ -264,7 +250,7 @@ def _verify_basis_suite(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _verify_induced_suite(cfg: RunConfig) -> list[dict]:
+def _verify_induced_suite(args: argparse.Namespace) -> list[dict]:
     try:
         rows = irrep_census()
     except RuntimeError as exc:
@@ -281,21 +267,22 @@ def _verify_induced_suite(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> tuple[dict, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    suite = args.suite
     checks = []
     if suite in ("group", "all"):
-        checks.extend(_verify_group_suite(cfg))
+        checks.extend(_verify_group_suite(args))
     if suite in ("basis", "all"):
-        checks.extend(_verify_basis_suite(cfg))
+        checks.extend(_verify_basis_suite(args))
     if suite in ("induced", "all"):
-        checks.extend(_verify_induced_suite(cfg))
+        checks.extend(_verify_induced_suite(args))
     passed = all(c["passed"] for c in checks)
     payload = {
         "schema": SCHEMA,
         "suite": suite,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
-        "jmax": cfg.j_max,
+        "seed": args.seed,
+        "tol": args.tol,
+        "jmax": args.jmax,
         "passed": passed,
         "rows": [
             {
@@ -333,64 +320,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_group.add_argument("--which", choices=("G", "C2", "C3"), required=True)
     p_group.add_argument("--count-only", action="store_true")
+    p_group.set_defaults(run=cmd_group)
 
     p_mult = sub.add_parser(
         "multiplicity", parents=[common], help="periodic-harmonic counts per degree"
     )
     p_mult.add_argument("--manifold", choices=("C2", "C3"), required=True)
     p_mult.add_argument("--jmax", type=int, default=8)
+    p_mult.set_defaults(run=cmd_multiplicity)
 
     p_basis = sub.add_parser(
         "basis", parents=[common], help="symbolic orthonormal basis records"
     )
     p_basis.add_argument("--manifold", choices=("C2", "C3"), required=True)
     p_basis.add_argument("--j", type=int, required=True)
+    p_basis.set_defaults(run=cmd_basis)
 
-    sub.add_parser(
+    p_induced = sub.add_parser(
         "induced", parents=[common], help="census of induced irreps with deck multiplicities"
     )
+    p_induced.set_defaults(run=cmd_induced)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", choices=("group", "basis", "induced", "all"), default="all")
     p_verify.add_argument("--manifold", choices=("C2", "C3"), default=None)
     p_verify.add_argument("--jmax", type=int, default=4)
+    p_verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    j = getattr(args, "j", None)
-    j_max = getattr(args, "jmax", None)
-    if j is not None:
-        _check_j(parser, j, "--j")
-    if j_max is not None:
-        _check_j(parser, j_max, "--jmax")
+    for name in ("j", "jmax"):
+        if getattr(args, name, None) is not None:
+            _check_j(parser, getattr(args, name), f"--{name}")
     _check_output(parser, args.output)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        manifold=getattr(args, "manifold", None),
-        j=j,
-        j_max=j_max,
-        seed=args.seed,
-        tol=_resolve_tol(parser, args.tol),
-        fmt=args.format,
-        output=args.output,
-    )
+    args.tol = _resolve_tol(parser, args.tol)
     try:
-        if cfg.subcommand == "group":
-            payload, code = cmd_group(cfg, args.which, args.count_only)
-        elif cfg.subcommand == "multiplicity":
-            payload, code = cmd_multiplicity(cfg)
-        elif cfg.subcommand == "basis":
-            payload, code = cmd_basis(cfg)
-        elif cfg.subcommand == "induced":
-            payload, code = cmd_induced(cfg)
-        elif cfg.subcommand == "verify":
-            payload, code = cmd_verify(cfg, args.suite)
-        else:  # pragma: no cover - argparse enforces choices
-            parser.error(f"unknown subcommand {cfg.subcommand}")
-        _emit(payload, cfg)
+        payload, code = args.run(args)
+        _emit(payload, args)
     except Exception as exc:
         message = " ".join(str(exc).split())
         sys.stderr.write(f"s3harm: internal error: {type(exc).__name__}: {message}\n")

@@ -346,11 +346,11 @@ def test_blockwise_gram_error_is_the_dense_one_bit_for_bit(manifold):
         fns = [f for j in range(j_max + 1) for f in bases.basis_for(manifold, j)]
         eye = np.eye(len(fns))
         for rule in (None, euler_quadrature(6)):
-            err, channels, largest = bases._gram_error(fns, rule)
+            err, channels, entries = bases._gram_error(fns, rule)
             assert err == np.max(np.abs(bases.gram_matrix(fns, rule) - eye))
-            assert 0 < largest < len(fns) < channels * largest
-    # on the 7-node grids m and m + 7 alias, which joins channels into
-    # larger blocks and leaves a large error in both routes alike
+            assert 0 < channels and len(fns) <= entries < len(fns) ** 2
+    # on the 7-node grids m and m + 7 alias, which puts more functions into
+    # one channel, adds entries and leaves a large error in both routes alike
     aliased, exact = bases._gram_error(fns, euler_quadrature(6)), bases._gram_error(fns)
     assert aliased[0] > 0.1 and aliased[2] > exact[2]
 
@@ -359,8 +359,17 @@ def test_gram_error_counts_a_function_without_terms():
     fns = bases.basis_c2(2)
     empty = replace(fns[0], terms=())
     assert bases._gram_error(fns + [empty])[0] == 1.0
-    # no block covers that function, so its diagonal entry stays 0
+    # that function has no entry, so its diagonal stays 0
     assert bases.gram_matrix(fns + [empty])[-1, -1] == 0.0
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+@pytest.mark.parametrize("rule", [None, euler_quadrature(6)], ids=["default", "aliased"])
+def test_gram_of_a_shuffled_list_is_the_permuted_gram(manifold, rule):
+    fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
+    perm = np.random.default_rng(7).permutation(len(fns))
+    shuffled = bases.gram_matrix([fns[i] for i in perm], rule)
+    assert np.max(np.abs(shuffled - bases.gram_matrix(fns, rule)[perm][:, perm])) <= 1e-15
 
 
 def dense_action(gather, phase):
@@ -530,7 +539,7 @@ def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
         assert report["gram_max_error"] < 1e-12
         assert report["periodicity_max_error"] < 1e-12
         assert report["passed"] is True
-        assert report["gram_largest_block"] < len(fns)
+        assert report["gram_entries"] < len(fns) ** 2
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
@@ -627,3 +636,35 @@ def test_periodicity_under_every_deck_element():
                 v = su2.matrix_from_point(gc.apply(el.element, x))
                 for f in fns[:: max(1, len(fns) // 7)]:
                     assert abs(f.evaluate(u) - f.evaluate(v)) < 1e-10
+
+
+@pytest.mark.parametrize("check", ["gram", "periodicity", "fix"])
+def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
+    fns = [f for j in range(5) for f in bases.basis_c2(j)]
+    if check == "gram":
+        real_small_d = bases._wigner_small_d
+
+        def poisoned_small_d(two_j, pairs, beta):
+            out = real_small_d(two_j, pairs, beta)
+            return out * np.nan if two_j == 6 else out
+
+        monkeypatch.setattr(bases, "_wigner_small_d", poisoned_small_d)
+    elif check == "periodicity":
+        real_evaluator = bases._degree_evaluator
+
+        def poisoned_evaluator(functions):
+            evaluate = real_evaluator(functions)
+            return (lambda entries: evaluate(entries) * np.nan) if functions[0].j == 3 else evaluate
+
+        monkeypatch.setattr(bases, "_degree_evaluator", poisoned_evaluator)
+    else:
+        real_fix = bases._fix_error
+
+        def poisoned_fix(gather, phase, *terms):
+            return math.nan if gather.shape[1] == 7**2 else real_fix(gather, phase, *terms)
+
+        monkeypatch.setattr(bases, "_fix_error", poisoned_fix)
+    report = bases.verify_basis(fns, build_cyclic8())
+    measured = {"gram": "gram_max_error", "periodicity": "periodicity_max_error", "fix": None}[check]
+    assert math.isnan(report[measured] if measured else report["projector"][3]["fix_max_error"])
+    assert report["passed"] is False
