@@ -565,7 +565,7 @@ def _channel_profiles(functions: list[BasisFunction], rule) -> tuple[np.ndarray,
     weight = np.array([f.norm_factor for f in functions])[owner] * coef
     profiles = np.zeros((len(keys), n_beta), dtype=complex)
     root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
-    for degree in np.unique(j):  # d^j one degree at a time
+    for degree in np.flatnonzero(np.bincount(j)):  # d^j one degree at a time
         at = j == degree
         small_d = _wigner_small_d(2 * int(degree), np.stack([2 * m1[at], 2 * m2[at]], axis=-1), rule.beta)
         np.add.at(profiles, row[at], (small_d * root_w * weight[at]).T)

@@ -45,7 +45,8 @@ def _tolerance(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """A non-negative integer seed, the only kind numpy's default_rng takes."""
+    """A non-negative integer seed for the random points that the deck and
+    periodicity checks sample on S^3."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
     return int(text)

@@ -21,6 +21,8 @@ stacks of them; `apply` keeps integer inputs exact.
 from __future__ import annotations
 
 import json
+import operator
+import random
 from dataclasses import dataclass
 from functools import reduce
 from math import sqrt
@@ -316,7 +318,17 @@ def element_from_json(text: str) -> HyperoctElement:
 
 
 def random_sphere_points(n: int, seed: int = 42) -> np.ndarray:
-    """n quasi-uniform points on S^3, Gaussian direction method, fixed seed."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, 4))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    """n points drawn uniformly from S^3, as an (n, 4) array.
+
+    Shoemake's Hopf-coordinate sampler (Graphics Gems III, 1992): three
+    uniforms u0, u1, u2 per point give (sqrt(u0) e^{2 pi i u1},
+    sqrt(1 - u0) e^{2 pi i u2}) in C^2 = E^4, which is exactly uniform and
+    already of unit length.  The uniforms are the `random()` stream of
+    `random.Random(seed)`, which Python keeps fixed across versions for an
+    integer seed; a numpy integer is taken as the same int.
+    """
+    rng = random.Random(operator.index(seed))
+    u0, u1, u2 = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3).T
+    r1, r2 = np.sqrt(u0), np.sqrt(1.0 - u0)
+    a1, a2 = 2.0 * np.pi * u1, 2.0 * np.pi * u2
+    return np.stack([r1 * np.cos(a1), r1 * np.sin(a1), r2 * np.cos(a2), r2 * np.sin(a2)], axis=1)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +286,18 @@ def test_unwritable_output_is_refused_before_any_suite(capsys, monkeypatch, tmp_
 
     monkeypatch.setattr(cli, "cmd_verify", must_not_run)
     assert_usage_error(capsys, ["verify", "--suite", "group", "--output", str(target)])
+
+
+def test_verify_loads_no_numpy_random_ma_or_polynomial():
+    # verify draws its points from the stdlib's random and builds its
+    # Gauss-Legendre rule in-house, so a fresh process needs none of these.
+    script = (
+        "import sys\n"
+        "from s3harm import cli\n"
+        "code = cli.main(['verify', '--suite', 'all', '--jmax', '2'])\n"
+        "print(code, *(m for m in ('numpy.random', 'numpy.ma', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0"

@@ -165,3 +165,30 @@ def test_action_string_reads_back_correctly():
 def test_closure_bound_raises_when_too_small():
     with pytest.raises(ValueError):
         gc.closure(list(gc.WEYL_GENERATORS.values()), bound=10)
+
+
+def test_sphere_points_repeat_for_a_seed_and_differ_between_seeds():
+    first = gc.random_sphere_points(50, seed=5)
+    assert first.shape == (50, 4)
+    assert np.array_equal(first, gc.random_sphere_points(50, seed=5))
+    assert np.array_equal(first, gc.random_sphere_points(50, seed=np.int64(5)))
+    assert not np.any(np.all(first == gc.random_sphere_points(50, seed=6), axis=1))
+
+
+def test_sphere_points_are_unit_vectors():
+    pts = gc.random_sphere_points(1000, seed=1)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-15
+
+
+def test_sphere_points_have_the_uniform_moments():
+    # Uniform on S^3: E[x_i] = 0 and E[x_i^2] = 1/4 for every coordinate.
+    pts = gc.random_sphere_points(20_000, seed=0)
+    assert np.all(np.abs(pts.mean(axis=0)) < 0.01)
+    assert np.all(np.abs((pts**2).mean(axis=0) - 0.25) < 0.01)
+
+
+def test_sphere_points_follow_the_documented_stream():
+    # random.Random(42) gives u = (0.6394..., 0.0250..., 0.2750...) on every
+    # Python, so the first point of seed 42 is frozen.
+    frozen = [0.7897882977934517, 0.12514488853487296, -0.09404462518310398, 0.5930672896192183]
+    assert np.max(np.abs(gc.random_sphere_points(1, seed=42)[0] - frozen)) < 1e-15

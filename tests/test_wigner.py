@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from s3harm import bases, su2, wigner
 from s3harm.deck import build_cyclic8, build_quaternion
 from s3harm.wigner import (
     EulerAngles,
+    _gauss_legendre,
     _wigner_small_d,
     clebsch_gordan,
     character_jj,
@@ -535,6 +537,51 @@ def test_rule_keeps_its_factors():
     weights = rule.weights.reshape(rule.shape)
     assert np.array_equal(weights[2, :, 3], rule.beta_weights / (2.0 * 6 * 5))
     assert abs(rule.weights.sum() - 1.0) < 1e-14
+
+
+def test_gauss_legendre_integrates_monomials_to_their_exact_values():
+    # int_{-1}^{1} t^k dt = 2/(k+1) for even k and 0 for odd k; errors are
+    # relative to int |t|^k = 2/(k+1).  Rounding the nodes to double alone
+    # costs about k * 1.1e-16, hence k <= 80.
+    worst = 0.0
+    for n in range(2, 203):
+        t, w = _gauss_legendre(n)
+        for k in range(min(2 * n - 1, 80) + 1):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+            got = Fraction(float(np.sum(w * t**k)))
+            worst = max(worst, float(abs(got - exact) * Fraction(k + 1, 2)))
+    assert worst < 5e-14
+
+
+def test_gauss_legendre_beats_leggauss_on_the_peaked_integrand():
+    # sum_b w_b ((1 + t_b)/2)^{2j} = 2/(2j + 1), the mass of |d^j_{jj}|^2,
+    # at the Gram's rule size n = 2j + 2.
+    def worst_error(rule):
+        errors = []
+        for j in range(101):
+            t, w = rule(2 * j + 2)
+            exact = 2.0 / (2 * j + 1)
+            errors.append(abs(np.sum(w * ((1.0 + t) / 2.0) ** (2 * j)) - exact) / exact)
+        return max(errors)
+
+    ours = worst_error(_gauss_legendre)
+    assert ours < 5e-14
+    assert worst_error(leggauss) > 20 * ours
+
+
+def test_gauss_legendre_is_symmetric_positive_and_sums_to_two():
+    for n in range(1, 203):
+        t, w = _gauss_legendre(n)
+        assert t.shape == w.shape == (n,)
+        assert np.all(np.diff(t) > 0) and -1 < t[0] and t[-1] < 1
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(w > 0) and abs(np.sum(w) - 2.0) < 2e-15
+
+
+def test_gauss_legendre_raises_when_newton_does_not_settle(monkeypatch):
+    monkeypatch.setattr(wigner, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError):
+        _gauss_legendre(40)
 
 
 def test_oversampled_rule_still_exact():
