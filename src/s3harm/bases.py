@@ -39,19 +39,22 @@ scatters them into the dense matrix and `verify_basis` reduces them.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
-from .su2 import Cyclo8, Su2Exact, matrix_from_point
+from .su2 import Cyclo8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
+    _column_kernel,
     _point_entries,
     _scalar_or_array,
+    _su2_points,
     _two_j,
-    _column_kernel,
     _wigner_small_d,
     character_jj,
     euler_quadrature,
@@ -72,7 +75,7 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
-_CHUNK = 16  # base points, each with its |H| images, per kernel pass of the periodicity check
+_ENTRY_BUDGET = 2**14  # terms times points per pass of the pointwise kernel in `_degree_values`
 
 
 def _require_integer_j(j) -> int:
@@ -179,6 +182,12 @@ def _monomial_rows(form: tuple[bool, int, int], j: int) -> tuple[np.ndarray, np.
     return cols, ((j + m1) * e1 + (j - m1) * e2) % 8
 
 
+@lru_cache(maxsize=None)
+def _pair_forms(pair: IsoPair) -> tuple[tuple[bool, int, int], tuple[bool, int, int]]:
+    """`_monomial_form` of wl^-1 and of wr for the pair (wl, wr)."""
+    return _monomial_form(pair.left.inverse()), _monomial_form(pair.right)
+
+
 def _deck_action(group: DeckGroup, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact action X -> A_h X B_h^T of every deck element h on the
     flattened degree-j coefficient matrices, A_h = D(wl^-1)^T, B_h = D(wr).
@@ -196,9 +205,7 @@ def _deck_action(group: DeckGroup, j: int) -> tuple[np.ndarray, np.ndarray]:
         # entry (p, q) of A_h X B_h^T reads X at the row whose nonzero in
         # D(wl^-1) lies in column p, and at the column of the nonzero in
         # row q of D(wr)
-        (lcols, lexp), (rcols, rexp) = (
-            _monomial_rows(_monomial_form(m), j) for m in (el.pair.left.inverse(), el.pair.right)
-        )
+        (lcols, lexp), (rcols, rexp) = (_monomial_rows(form, j) for form in _pair_forms(el.pair))
         rows = np.argsort(lcols)
         np.add.outer(rows * dim, rcols, out=gather[h].reshape(dim, dim))
         np.add.outer(lexp[rows].astype(np.int8), rexp.astype(np.int8), out=phase[h].reshape(dim, dim))
@@ -253,19 +260,48 @@ def _average(gather: np.ndarray, phase: np.ndarray, index: np.ndarray, value: np
     return moved, _MU8[np.take_along_axis(phase, moved, axis=1)] * value / len(gather)
 
 
-def _terms(functions: list[BasisFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of functions as arrays (owner, index, coef): the function's
-    position in the list, the flat index of (m1, m2) in its coefficient
-    vector, and the closed-form coefficient (norm not applied)."""
-    owner = [n for n, f in enumerate(functions) for _ in f.terms]
+class _Terms(NamedTuple):
+    """Every term of a list of functions, one entry each, sorted by degree
+    and, within a degree, in list order: the owner's position in the list,
+    its degree, the flat index of (m1, m2) in its coefficient vector, the
+    closed-form coefficient and the owner's norm factor."""
+
+    owner: np.ndarray
+    j: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
+    norm: np.ndarray
+
+    def degree(self, j) -> _Terms:
+        """The terms of degree j, one slice of the table."""
+        lo, hi = np.searchsorted(self.j, [j, j + 1])
+        return _Terms(*(v[lo:hi] for v in self))
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, row) of a table in which each function's terms are
+        contiguous: the position of each function's first term, and for
+        each term the number of its function among them."""
+        starts = np.ones(len(self.owner), dtype=bool)
+        np.not_equal(self.owner[1:], self.owner[:-1], out=starts[1:])
+        return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
+def _terms(functions: list[BasisFunction]) -> _Terms:
+    """The one walk over the terms of functions, as a `_Terms` table."""
+    owner = np.array([n for n, f in enumerate(functions) for _ in f.terms], dtype=np.intp)
     index = [(f.j - m1) * (2 * f.j + 1) + (f.j - m2) for f in functions for m1, m2, _ in f.terms]
     coef = [c for f in functions for _, _, c in f.terms]
-    return np.array(owner, dtype=np.intp), np.array(index, dtype=np.intp), np.array(coef, dtype=complex)
+    j = np.array([f.j for f in functions], dtype=np.intp)[owner]
+    norm = np.array([f.norm_factor for f in functions], dtype=float)[owner]
+    order = np.argsort(j, kind="stable")
+    return _Terms(owner[order], j[order], np.array(index, dtype=np.intp)[order],
+                  np.array(coef, dtype=complex)[order], norm[order])
 
 
-def _fix_error(gather: np.ndarray, phase: np.ndarray, owner, index, value) -> float:
-    """Largest entry of P(X) - X over sparse coefficient vectors X, the
-    entries X_owner.flat[index] = value."""
+def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
+    """Largest entry of P(X) - X over the sparse coefficient vectors X of
+    the functions of one degree, given by their terms."""
+    owner, index, value = terms.owner, terms.index, terms.norm * terms.coef
     size = gather.shape[1]
     moved, averaged = _average(gather, phase, index, value)
     keys = np.concatenate([(owner * size + moved).reshape(-1), owner * size + index])
@@ -275,13 +311,14 @@ def _fix_error(gather: np.ndarray, phase: np.ndarray, owner, index, value) -> fl
     return float(np.max(np.abs(residual)))
 
 
-def _matches_orbits(owner, index, coef, rep, orbit_phase, invariant) -> bool:
-    """Whether the functions, given by their terms (see `_terms`), are
+def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
+    """Whether the functions of one degree, given by their terms, are
     exactly the invariant orbit vectors up to normalisation: one function
     per invariant orbit, its terms on the whole orbit, their coefficients
     eighth roots of unity with the orbit's phases up to one common factor."""
+    index, coef = terms.index, terms.coef
     exps = np.rint(np.angle(coef) * 4.0 / np.pi).astype(int) & 7
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    first, owner = terms.runs()
     orbit = rep[index[first]]
     shift = (exps - orbit_phase[index]) & 7
     return bool(
@@ -393,61 +430,56 @@ class BasisFunction:
         }
 
 
-def _degree_index(functions: list[BasisFunction]) -> dict[int, list[int]]:
-    """Positions of the functions of each degree, degrees ascending."""
-    index = defaultdict(list)
-    for i, f in enumerate(functions):
-        index[f.j].append(i)
-    return dict(sorted(index.items()))
+def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, group: int = 1):
+    """Values of the functions that own terms, all of one degree, at the
+    points (unit, beta) of `_su2_points`, chunk by chunk: yields (at,
+    values), the slice of points a chunk covers and their values, a row per
+    function (in list order) and a column per point.
 
-
-def _degree_evaluator(functions: list[BasisFunction]):
-    """Evaluator entries -> values of functions that share one degree, one
-    column per function in list order, for the (a, b, c, d) of
-    `_point_entries`.
-
-    The terms, the D^j entries they touch (each evaluated once per call)
-    and the kernel's rows are prepared here, once per degree.  A function's
-    value is the sum of its terms, norm * coef * D_{m1 m2}, added in term
-    order: the k-th terms of all functions are gathered at once, a function
-    with fewer terms padded with weight 0.
+    A chunk holds whole groups of `group` consecutive points, as many as
+    keep terms times points within _ENTRY_BUDGET, and one group at least.
+    A function's value is the sum of its terms, norm * coef * D_{m1 m2},
+    added in term order: the k-th terms of all functions are one row
+    gather, a function with fewer terms padded with weight 0.
     """
-    j = functions[0].j
-    owner, index, coef = _terms(functions)
-    touched, slot = np.unique(index, return_inverse=True)
-    dim = 2 * j + 1
-    kernel = _column_kernel(2 * j, np.stack([2 * (j - touched // dim), 2 * (j - touched % dim)], axis=-1))
-    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)  # owner is sorted
-    slots = np.zeros((rank.max(initial=0) + 1, len(functions)), dtype=np.intp)
+    j = int(terms.j[0])
+    m1_m2 = j - np.array(np.divmod(terms.index, 2 * j + 1))
+    kernel = _column_kernel(2 * j, (2 * m1_m2).T)  # a kernel row per term
+    first, row = terms.runs()
+    rank = np.arange(len(row)) - first[row]
+    slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
     weights = np.zeros(slots.shape, dtype=complex)
-    slots[rank, owner] = slot
-    weights[rank, owner] = np.array([f.norm_factor for f in functions])[owner] * coef
-
-    def evaluate(entries) -> np.ndarray:
-        columns = kernel(entries)
-        out = np.take(columns, slots[0], axis=-1)
-        out *= weights[0]
-        for at, weight in zip(slots[1:], weights[1:]):
-            term = np.take(columns, at, axis=-1)
+    slots[rank, row] = np.arange(len(row))
+    weights[rank, row] = terms.norm * terms.coef
+    weights = weights[..., None]
+    step = group * max(1, _ENTRY_BUDGET // (len(row) * group))
+    for start in range(0, len(beta), step):
+        at = slice(start, start + step)
+        columns = kernel(unit[:, at], beta[at])
+        values = columns[slots[0]]
+        values *= weights[0]
+        for more, weight in zip(slots[1:], weights[1:]):
+            term = columns[more]
             term *= weight
-            out += term
-        return out
-
-    return evaluate
+            values += term
+        yield at, values
 
 
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
     """Values of every function at u, one column per function in list order.
 
-    The point argument is parsed once and each degree is evaluated by its
-    `_degree_evaluator`.
+    The point argument is parsed once and each degree is evaluated by
+    `_degree_values`.
     """
-    entries = _point_entries(u)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in entries))
-    out = np.zeros(shape + (len(functions),), dtype=complex)
-    for index in _degree_index(functions).values():
-        out[..., index] = _degree_evaluator([functions[i] for i in index])(entries)
-    return out
+    shape, unit, beta = _su2_points(_point_entries(u))
+    terms = _terms(functions)
+    out = np.zeros((len(functions), len(beta)), dtype=complex)
+    for j in np.flatnonzero(np.bincount(terms.j)):
+        degree = terms.degree(j)
+        rows = degree.owner[degree.runs()[0]]
+        for at, values in _degree_values(degree, unit, beta):
+            out[rows, at] = values
+    return out.T.reshape(shape + (len(functions),))
 
 
 def _single_norm(j: int) -> float:
@@ -550,31 +582,34 @@ def basis_for(manifold: str, j) -> list[BasisFunction]:
     return _by_manifold(manifold, basis_c2, basis_c3)(j)
 
 
-def _channel_profiles(functions: list[BasisFunction], rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The separable Gram sum's data as (profiles, channel, owner), one row
-    per (channel, function) pair sorted by channel, then function: the
-    channel (m1 mod n_alpha) * n_gamma + (m2 mod n_gamma), the function's
-    position in the list, and its beta profile there, the sum of its terms'
+def _channel_profiles(terms: _Terms, count: int, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The separable Gram sum's data for the terms of a list of count
+    functions, as (profiles, channel, owner), one row per (channel,
+    function) pair sorted by channel, then function: the channel
+    (m1 mod n_alpha) * n_gamma + (m2 mod n_gamma), the function's position
+    in the list, and its beta profile there, the sum of its terms'
     norm * coef * d^j(beta) * sqrt(w_b / 2), added in term order."""
     n_alpha, n_beta, n_gamma = rule.shape
-    owner, index, coef = _terms(functions)
-    j = np.array([f.j for f in functions], dtype=np.intp)[owner]
+    owner, j, index = terms.owner, terms.j, terms.index
     m1, m2 = j - index // (2 * j + 1), j - index % (2 * j + 1)
-    key = ((m1 % n_alpha) * n_gamma + m2 % n_gamma) * len(functions) + owner
+    key = ((m1 % n_alpha) * n_gamma + m2 % n_gamma) * count + owner
     keys, row = np.unique(key, return_inverse=True)
-    weight = np.array([f.norm_factor for f in functions])[owner] * coef
+    weight = terms.norm * terms.coef
     profiles = np.zeros((len(keys), n_beta), dtype=complex)
     root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
     for degree in np.flatnonzero(np.bincount(j)):  # d^j one degree at a time
         at = j == degree
         small_d = _wigner_small_d(2 * int(degree), np.stack([2 * m1[at], 2 * m2[at]], axis=-1), rule.beta)
         np.add.at(profiles, row[at], (small_d * root_w * weight[at]).T)
-    return profiles, keys // len(functions), keys % len(functions)
+    return profiles, keys // count, keys % count
 
 
-def _gram_entries(functions: list[BasisFunction], rule=None) -> tuple[np.ndarray, np.ndarray, int]:
+def _gram_entries(
+    functions: list[BasisFunction], rule=None, terms: _Terms | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The nonzero entries of the Gram matrix, times the measure's mass, by
-    default under the Euler rule exact at twice the largest degree.
+    default under the Euler rule exact at twice the largest degree; terms
+    is the functions' `_terms` table, if the caller holds it.
 
     G[f, g] is nonzero only where f and g share a channel, so each channel
     of `_channel_profiles` adds its profiles^H profiles at the keys f n + g,
@@ -583,7 +618,9 @@ def _gram_entries(functions: list[BasisFunction], rule=None) -> tuple[np.ndarray
     """
     if rule is None:
         rule = euler_quadrature(2 * max(f.j for f in functions))
-    profiles, channel, owner = _channel_profiles(functions, rule)
+    if terms is None:
+        terms = _terms(functions)
+    profiles, channel, owner = _channel_profiles(terms, len(functions), rule)
     starts = np.flatnonzero(np.diff(channel, prepend=-1))
     bounds = np.append(starts, len(channel))
     keys = np.empty(np.sum(np.diff(bounds) ** 2), dtype=np.intp)
@@ -617,11 +654,11 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     return gram
 
 
-def _gram_error(functions: list[BasisFunction], rule=None) -> tuple[float, int, int]:
+def _gram_error(functions: list[BasisFunction], rule=None, terms: _Terms | None = None) -> tuple[float, int, int]:
     """max |G - I| of `gram_matrix(functions, rule)` from the same entries,
     without the n x n array, so it is bit-identical and keeps a NaN.
     Returns (error, number of channels, number of entries)."""
-    keys, values, channels = _gram_entries(functions, rule)
+    keys, values, channels = _gram_entries(functions, rule, terms)
     diagonal = keys % (len(functions) + 1) == 0  # f n + f
     values[diagonal] -= 1.0
     # a function without terms has no entry: G_ii = 0, an error of 1
@@ -642,17 +679,21 @@ def verify_basis(
     nonzero Gram entries alone (`_gram_error`: `gram_entries` entries summed
     over `gram_channels` channels; every other entry is zero by
     construction), pointwise periodicity under every deck element at seeded
-    sample points, evaluated per degree in chunks of `_CHUNK` points, and, per
-    degree, the exact monomial action of the group on coefficient matrices
-    (`_deck_action`): it must compose as the group's product table does
-    (`homomorphism`, so its average P is idempotent by construction); its
-    rank, the number of orbits of index pairs with trivial stabiliser
-    phase, is an exact integer reported beside trace P; its invariant orbit
-    vectors must be the basis records up to normalisation
-    (`closed_form_matches`); and P, applied to the terms of each basis
-    matrix through the same permutations and phases, must fix it
-    (`fix_max_error`).  The rank is compared with
-    every independent count of the manifold (`multiplicity_routes_agree`).
+    sample points, and, per degree, the exact monomial action of the group
+    on coefficient matrices (`_deck_action`): it must compose as the group's
+    product table does (`homomorphism`, so its average P is idempotent by
+    construction); its rank, the number of orbits of index pairs with
+    trivial stabiliser phase, is an exact integer reported beside trace P;
+    its invariant orbit vectors must be the basis records up to
+    normalisation (`closed_form_matches`); and P, applied to the terms of
+    each basis matrix through the same permutations and phases, must fix it
+    (`fix_max_error`).  The rank is compared with every independent count
+    of the manifold (`multiplicity_routes_agree`).
+
+    The terms are read off the list once (`_terms`), and every check takes
+    its degree's slice of that table.  The n_points base points and their
+    images are parsed onto SU(2) once, each base point beside its images;
+    each degree evaluates them in chunks of whole groups (`_degree_values`).
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
@@ -665,36 +706,34 @@ def verify_basis(
         raise ValueError("basis list mixes manifolds")
     manifold = manifolds.pop()
     report["manifold"] = manifold
-    by_degree = {j: [functions[i] for i in index] for j, index in _degree_index(functions).items()}
-    degrees = list(by_degree)
+    per_degree = Counter(f.j for f in functions)
+    degrees = sorted(per_degree)
     report["degrees"] = degrees
-    report["count_by_degree"] = {j: len(by_degree[j]) for j in degrees}
+    report["count_by_degree"] = {j: per_degree[j] for j in degrees}
     routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
-    gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(functions)
+    terms = _terms(functions)
+    gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(functions, terms=terms)
     report["gram_max_error"] = gram_err
 
-    # the base points and their images under every element, parsed once;
-    # each degree is evaluated over chunks of base points and their images
     points = gc.random_sphere_points(n_points, seed=seed)
-    moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
-    entries = _point_entries(matrix_from_point(moved))
+    moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements], axis=1)
+    _, unit, beta = _su2_points(_point_entries(matrix_from_point(moved)))
+    images = moved.shape[1]
     period_errs = []
-    for j in degrees:
-        evaluate = _degree_evaluator(by_degree[j])
-        for start in range(0, n_points, _CHUNK):
-            values = evaluate([e[:, start:start + _CHUNK] for e in entries])
-            period_errs.append(np.max(np.abs(values[1:] - values[0])))
+    for j in np.flatnonzero(np.bincount(terms.j)):
+        for _, values in _degree_values(terms.degree(j), unit, beta, images):
+            values = values.reshape(len(values), -1, images)
+            period_errs.append(np.max(np.abs(values[..., 1:] - values[..., :1])))
     # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
-    period_err = report["periodicity_max_error"] = float(np.max(period_errs))
+    period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
 
     table = product_table(group)
     blocks = report["projector"] = {}
     for j in degrees:
-        owner, index, coef = _terms(by_degree[j])
-        norm = np.array([f.norm_factor for f in by_degree[j]])[owner]
+        degree = terms.degree(j)
         gather, phase = _deck_action(group, j)
         rep, orbit_phase, invariant = _invariant_orbits(gather, phase)
         fixed = gather == np.arange(gather.shape[1])
@@ -702,9 +741,9 @@ def verify_basis(
             "rank": len(invariant),
             "expected_rank": report["multiplicity_by_degree"][j],
             "trace": float(np.sum(_MU8[phase[fixed]]).real) / len(gather),
-            "fix_max_error": _fix_error(gather, phase, owner, index, norm * coef),
+            "fix_max_error": _fix_error(gather, phase, degree),
             "homomorphism": _is_homomorphism(gather, phase, table),
-            "closed_form_matches": _matches_orbits(owner, index, coef, rep, orbit_phase, invariant),
+            "closed_form_matches": _matches_orbits(degree, rep, orbit_phase, invariant),
         }
     exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())
     fix_err = float(np.max([b["fix_max_error"] for b in blocks.values()]))

@@ -15,6 +15,7 @@ in reading order, and each central inversion letter flips the sign of wr.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import acos, pi
 
 import numpy as np
@@ -354,8 +355,11 @@ def _angle(trace_value: complex) -> float:
     return 2.0 * acos(min(1.0, max(-1.0, tr / 2.0)))
 
 
+@lru_cache(maxsize=None)
 def rotation_angles(pair: IsoPair) -> tuple[float, float]:
-    """Rotation angles (phi_left, phi_right) in [0, 2*pi] from the traces."""
+    """Rotation angles (phi_left, phi_right) in [0, 2*pi] from the traces,
+    computed once per pair value (the character averages ask at every
+    degree)."""
     return (
         _angle(pair.left.trace().to_complex()),
         _angle(pair.right.trace().to_complex()),

@@ -17,12 +17,16 @@ matrices:
 * At Euler angles every entry factorises as
   D^j_{m1 m2}(alpha, beta, gamma) = e^{i m1 alpha} d^j_{m1 m2}(beta) e^{i m2 gamma}.
 
-Every pointwise evaluator wraps one private kernel: _point_entries parses a
-point argument, and _column_kernel evaluates the requested entries of one
-degree from that factorisation, written in u alone, over the whole stack of
-points in one pass (callers bound the stack).  Its d^j(beta) comes
-from _wigner_small_d, the exact diagonalisation of J_y (Feng, Wang, Yang &
-Jin 2015, Phys. Rev. E 92, 043307), which the separable Gram sum shares.
+Every pointwise evaluator wraps one private kernel.  _point_entries reads
+a point argument's entries and _su2_points parses them once: the SU(2)
+check, the unit phases and beta, over the flattened stack of points.
+_column_kernel then evaluates the requested entries of one degree from that
+factorisation, written in u alone, with one row per (m1, m2) and one column
+per point, so that its phase lookups, and the callers' sums over terms,
+gather whole rows.  It takes whatever points it is given in one pass; the
+callers bound them.  Its d^j(beta) comes from _small_d_rows, the exact
+diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92,
+043307), which the separable Gram sum shares through _wigner_small_d.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -115,6 +119,24 @@ def _point_entries(u):
     return arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
 
 
+def _su2_points(entries, tol: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(shape, unit, beta) of the broadcastable (a, b, c, d) of
+    _point_entries, the points flattened in C order: unit[0] = a/|a| and
+    unit[1] = b/|b| (1 where the modulus is 0), beta = 2 atan2(|b|, |a|).
+
+    Refused with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and
+    d = conj(a) within tol.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
+    off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
+    if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
+        raise ValueError("argument matrix is not special unitary")
+    a_b = np.stack([a.reshape(-1), b.reshape(-1)])
+    modulus = np.abs(a_b)
+    unit = np.divide(a_b, modulus, out=np.ones_like(a_b), where=modulus > 0)
+    return a.shape, unit, 2.0 * np.arctan2(modulus[1], modulus[0])
+
+
 @lru_cache(maxsize=None)
 def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues and orthonormal eigenvectors of J_y at degree j,
@@ -154,35 +176,29 @@ def _wigner_small_d(two_j: int, pairs, beta) -> np.ndarray:
 
 
 def _column_kernel(two_j: int, pairs):
-    """Evaluator entries -> D^j_{m1 m2} for each (2 m1, 2 m2) in pairs,
-    stacked on the last axis.  The work that depends only on the degree
-    and the pairs (the d^j rows, the phase exponents) is done here once, so
-    one kernel serves any number of calls.
+    """Evaluator (unit, beta) of _su2_points -> D^j_{m1 m2} for each
+    (2 m1, 2 m2) in pairs, a row per pair and a column per point.  The work
+    that depends only on the degree and the pairs (the d^j rows, the phase
+    exponents) is done here once, so one kernel serves any number of calls.
 
-    entries are the broadcastable (a, b, c, d) of _point_entries, refused
-    with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and d = conj(a)
-    within tol.  An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta),
-    beta = 2 atan2(|b|, |a|), a unit taken as 1 where its number is 0; the
-    phases are integer powers, not exp(i k arg z), so exact lifts stay exact.
+    An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
+    are integer powers, not exp(i k arg z), so exact lifts stay exact, and
+    each is a row of a table of powers, so the lookups are row gathers.
+    d^j is taken points by pairs and read transposed: in that orientation
+    BLAS gives each entry the same bits however many points a call holds.
     """
     twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
     lam, rows = _small_d_rows(two_j, twice)
     a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
     b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
+    exponent = np.arange(two_j + 1)[:, None]
 
-    def columns(entries, tol: float = 1e-9) -> np.ndarray:
-        a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
-        off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
-        if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
-            raise ValueError("argument matrix is not special unitary")
-        a_b = np.stack([a.reshape(-1), b.reshape(-1)])
-        modulus = np.abs(a_b)
-        unit = np.divide(a_b, modulus, out=np.ones_like(a_b), where=modulus > 0)
-        powers = np.stack([unit**k for k in range(two_j + 1)], axis=-1)
-        powers = np.concatenate([powers[..., :0:-1].conj(), powers], axis=-1)  # exponents -2j..2j
-        out = _small_d_at(lam, rows, 2.0 * np.arctan2(modulus[1], modulus[0])) * powers[0][:, a_power]
-        out *= powers[1][:, b_power]
-        return out.reshape(a.shape + (len(twice),))
+    def columns(unit: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        powers = np.power(unit[:, None, :], exponent)
+        powers = np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)  # exponents -2j..2j
+        out = np.multiply(_small_d_at(lam, rows, beta).T, powers[0][a_power], order="C")
+        out *= powers[1][b_power]
+        return out
 
     return columns
 
@@ -195,7 +211,8 @@ def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
     pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
-    return _scalar_or_array(_column_kernel(tj, [pair])((a, b, c, d))[..., 0])
+    shape, unit, beta = _su2_points((a, b, c, d))
+    return _scalar_or_array(_column_kernel(tj, [pair])(unit, beta)[0].reshape(shape))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -210,7 +227,8 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     two_j = _two_j(j)
     ms = range(two_j, -two_j - 1, -2)
     pairs = [(tm1, tm2) for tm1 in ms for tm2 in ms]
-    return _column_kernel(two_j, pairs)(entries, unitary_tol).reshape(two_j + 1, two_j + 1)
+    _, unit, beta = _su2_points(entries, unitary_tol)
+    return _column_kernel(two_j, pairs)(unit, beta).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -316,7 +334,8 @@ def wigner_entry_function(j, m1, m2):
     pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
 
     def evaluate(angles: EulerAngles):
-        return _scalar_or_array(_column_kernel(tj, [pair])(_point_entries(angles))[..., 0])
+        shape, unit, beta = _su2_points(_point_entries(angles))
+        return _scalar_or_array(_column_kernel(tj, [pair])(unit, beta)[0].reshape(shape))
 
     return evaluate
 
@@ -474,8 +493,9 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    values = _column_kernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(_point_entries(u))
-    return _scalar_or_array(values @ np.array([coef for _, _, coef in column], dtype=complex))
+    shape, unit, beta = _su2_points(_point_entries(u))
+    values = _column_kernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(unit, beta)
+    return _scalar_or_array((np.array([coef for _, _, coef in column], dtype=complex) @ values).reshape(shape))
 
 
 def wigner_from_harmonics(beta_label: int, m1, m2, u):

@@ -405,6 +405,16 @@ def test_batched_deck_operators_match_per_element_wigner_d():
                 assert np.max(np.abs(pair_action - np.kron(factors[0].T, factors[1]))) < 1e-15
 
 
+def test_each_lift_is_read_once_for_every_degree():
+    # the exact action itself is checked against wigner_d above
+    group = build_cyclic8()
+    bases._pair_forms.cache_clear()
+    for j in range(6):
+        bases._deck_action(group, j)
+    info = bases._pair_forms.cache_info()
+    assert (info.misses, info.hits) == (len(group.elements), 5 * len(group.elements))
+
+
 def test_deck_operators_refuse_a_non_unitary_lift():
     def group_of(right):
         pair = su2.IsoPair(su2.Su2Exact.identity(), right)
@@ -447,9 +457,7 @@ def test_projector_fixes_coefficient_vectors():
                 if k < len(mats):
                     assert np.max(np.abs(projected - x)) < 1e-12
             if mats:
-                owner, index, coef = bases._terms(build(j))
-                norm = np.array([f.norm_factor for f in build(j)])[owner]
-                assert bases._fix_error(gather, phase, owner, index, norm * coef) < 1e-12
+                assert bases._fix_error(gather, phase, bases._terms(build(j))) < 1e-12
 
 
 def test_orbit_count_is_every_multiplicity_up_to_degree_200():
@@ -498,18 +506,18 @@ def test_phased_orbit_sums_are_the_closed_form_records(manifold):
             assert abs(abs(np.vdot(orbit, vec)) - np.linalg.norm(vec)) < 1e-14
             hit.add(rep[first])
         assert len(records) == len(hit) == len(invariant)
-        assert bases._matches_orbits(*bases._terms(records), rep, orbit_phase, invariant)
+        assert bases._matches_orbits(bases._terms(records), rep, orbit_phase, invariant)
     # a record with a flipped relative phase is not an orbit vector
     rep, orbit_phase, invariant = bases._invariant_orbits(*bases._deck_action(group, 3))
     records = bases.basis_for(manifold, 3)
     m1, m2, coef = records[-1].terms[1]
     flipped = records[:-1] + [replace(records[-1], terms=(records[-1].terms[0], (m1, m2, -coef)))]
-    assert not bases._matches_orbits(*bases._terms(flipped), rep, orbit_phase, invariant)
+    assert not bases._matches_orbits(bases._terms(flipped), rep, orbit_phase, invariant)
     # nor is a record scaled off the unit circle, or one missing an orbit
     (n1, n2, c), second = records[-1].terms
     halved = records[:-1] + [replace(records[-1], terms=((n1, n2, c / 2), second))]
-    assert not bases._matches_orbits(*bases._terms(halved), rep, orbit_phase, invariant)
-    assert not bases._matches_orbits(*bases._terms(records[:-1]), rep, orbit_phase, invariant)
+    assert not bases._matches_orbits(bases._terms(halved), rep, orbit_phase, invariant)
+    assert not bases._matches_orbits(bases._terms(records[:-1]), rep, orbit_phase, invariant)
 
 
 def test_verify_basis_passes_for_both_manifolds():
@@ -543,16 +551,32 @@ def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
-def test_chunked_periodicity_is_the_dense_route(manifold):
+def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
     group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
     fns = [f for j in range(7) for f in bases.basis_for(manifold, j)]
-    n_points = 2 * bases._CHUNK + 5
+    n_points = 37
+    # a few base points and their images per kernel pass in verify_basis,
+    # then every point in one pass of the dense route
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**10)
     report = bases.verify_basis(fns, group, seed=3, n_points=n_points)
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
     points = gc.random_sphere_points(n_points, seed=3)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
     values = bases._basis_values(fns, su2.matrix_from_point(moved))
     assert report["periodicity_max_error"] == np.max(np.abs(values[1:] - values[0]))
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, monkeypatch):
+    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    fns = [f for j in range(13) for f in bases.basis_for(manifold, j)]
+    default = bases.verify_basis(fns, group)
+    # one base point and its images per kernel pass, whatever the degree
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 1)
+    smallest = bases.verify_basis(fns, group)
+    assert smallest["periodicity_max_error"] == default["periodicity_max_error"]
+    assert 0.0 < default["periodicity_max_error"] < 1e-13
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
@@ -562,7 +586,7 @@ def test_a_phase_flip_at_the_top_degree_fails_verification(manifold):
     k = next(i for i, f in enumerate(fns) if f.j == 8 and len(f.terms) == 2)
     (first, (m1, m2, coef)) = fns[k].terms
     fns[k] = replace(fns[k], terms=(first, (m1, m2, -coef)))
-    report = bases.verify_basis(fns, group, n_points=bases._CHUNK + 1)
+    report = bases.verify_basis(fns, group, n_points=17)
     assert report["passed"] is False
     assert report["periodicity_max_error"] > 1e-3
     assert report["projector"][8]["closed_form_matches"] is False
@@ -650,13 +674,13 @@ def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
 
         monkeypatch.setattr(bases, "_wigner_small_d", poisoned_small_d)
     elif check == "periodicity":
-        real_evaluator = bases._degree_evaluator
+        real_values = bases._degree_values
 
-        def poisoned_evaluator(functions):
-            evaluate = real_evaluator(functions)
-            return (lambda entries: evaluate(entries) * np.nan) if functions[0].j == 3 else evaluate
+        def poisoned_values(terms, *points):
+            for at, values in real_values(terms, *points):
+                yield at, values * np.nan if terms.j[0] == 3 else values
 
-        monkeypatch.setattr(bases, "_degree_evaluator", poisoned_evaluator)
+        monkeypatch.setattr(bases, "_degree_values", poisoned_values)
     else:
         real_fix = bases._fix_error
 

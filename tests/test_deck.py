@@ -282,3 +282,20 @@ def test_product_table_indexes_the_group_law():
             assert table[a][b] == (a + b + 1) % 8
     partial = deck.DeckGroup(name="C2", isomorphism="cyclic-8", elements=group.elements[:4])
     assert deck.product_table(partial)[3][3] is None
+
+
+def test_the_exact_checks_run_once_per_group_value():
+    group = deck.build_quaternion()
+    deck._exact_checks.cache_clear()
+    first = deck.verify_deck_group(group, seed=1)
+    second = deck.verify_deck_group(deck.DeckGroup(group.name, group.isomorphism, tuple(group.elements)), seed=2)
+    info = deck._exact_checks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    seeded = ("pair_action_max_error", "seed")
+    assert first["seed"] == 1 and second["seed"] == 2
+    assert {k: v for k, v in first.items() if k not in seeded} == {k: v for k, v in second.items() if k not in seeded}
+    # a group that differs in one stored order is another key, audited afresh
+    els = list(group.elements)
+    els[1] = deck.DeckElement(els[1].label, els[1].element, els[1].pair, 2)
+    assert deck.verify_deck_group(deck.DeckGroup(group.name, group.isomorphism, tuple(els)))["orders_match"] is False
+    assert deck._exact_checks.cache_info().misses == 2

@@ -106,12 +106,13 @@ def test_entry_broadcasting_matches_scalar_loop():
     vec = wigner_entry(2, 1, -1, a, b, c, d)
     for k in range(6):
         assert abs(vec[k] - wigner_d(2, us[k])[1, 3]) < 1e-13
-    # one stack of 40 x 1681 entries, well past 2^15, in one pass of the kernel
+    # one stack of 1681 x 40 entries, well past 2^15, in one pass of the kernel
     us = np.stack([random_su2(rng) for _ in range(40)])
-    batched = wigner._column_kernel(40, all_pairs(40))(wigner._point_entries(us))
-    assert batched.shape == (40, 41 * 41)
+    _, unit, beta = wigner._su2_points(wigner._point_entries(us))
+    batched = wigner._column_kernel(40, all_pairs(40))(unit, beta)
+    assert batched.shape == (41 * 41, 40)
     for k in range(40):
-        assert np.max(np.abs(batched[k].reshape(41, 41) - wigner_d(20, us[k]))) < 1e-14
+        assert np.max(np.abs(batched[:, k].reshape(41, 41) - wigner_d(20, us[k]))) < 1e-14
 
 
 def test_euler_angle_chart():
