@@ -32,8 +32,9 @@ sizes, and only the Gauss-Legendre sum over beta is numeric, with d^j from
 the stable kernel.  It equals the sum over the product nodes, aliasing of
 a too-coarse rule included, and never evaluates a function at a node.
 `_gram_entries` is the one place it is summed, into the list of nonzero
-entries (two functions meet only in a shared channel): `gram_matrix`
-scatters them into the dense matrix and `verify_basis` reduces them.
+entries (two functions meet only in a shared channel), with the channels
+of one size multiplied as one stack: `gram_matrix` scatters them into the
+dense matrix and `verify_basis` reduces them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from .su2 import Cyclo8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
-    _column_kernel,
+    _ColumnKernel,
     _point_entries,
     _scalar_or_array,
     _su2_points,
@@ -75,7 +76,9 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
-_ENTRY_BUDGET = 2**14  # terms times points per pass of the pointwise kernel in `_degree_values`
+# entries per pass of a stacked kernel: terms times points in `_degree_values`,
+# functions times beta nodes in `_gram_entries`
+_ENTRY_BUDGET = 2**14
 
 
 def _require_integer_j(j) -> int:
@@ -300,7 +303,7 @@ def _terms(functions: list[BasisFunction]) -> _Terms:
 
 def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
     """Largest entry of P(X) - X over the sparse coefficient vectors X of
-    the functions of one degree, given by their terms."""
+    the functions of one degree, given by their terms; 0 without terms."""
     owner, index, value = terms.owner, terms.index, terms.norm * terms.coef
     size = gather.shape[1]
     moved, averaged = _average(gather, phase, index, value)
@@ -308,7 +311,7 @@ def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
     slots, where = np.unique(keys, return_inverse=True)
     residual = np.zeros(len(slots), dtype=complex)
     np.add.at(residual, where, np.concatenate([averaged.reshape(-1), -value]))
-    return float(np.max(np.abs(residual)))
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
@@ -430,11 +433,16 @@ class BasisFunction:
         }
 
 
-def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, group: int = 1):
+def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where=None, group: int = 1):
     """Values of the functions that own terms, all of one degree, at the
     points (unit, beta) of `_su2_points`, chunk by chunk: yields (at,
     values), the slice of points a chunk covers and their values, a row per
     function (in list order) and a column per point.
+
+    With where, beta holds the distinct beta values of the points, point k
+    at beta[where[k]]: d^j is evaluated over them once and each chunk
+    gathers its rows.  Without it, beta is per point and each chunk takes
+    its own d^j.
 
     A chunk holds whole groups of `group` consecutive points, as many as
     keep terms times points within _ENTRY_BUDGET, and one group at least.
@@ -444,7 +452,15 @@ def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, group: int
     """
     j = int(terms.j[0])
     m1_m2 = j - np.array(np.divmod(terms.index, 2 * j + 1))
-    kernel = _column_kernel(2 * j, (2 * m1_m2).T)  # a kernel row per term
+    kernel = _ColumnKernel(2 * j, (2 * m1_m2).T)  # a kernel row per term
+    if where is None:
+        def small_d(at):
+            return kernel.small_d(beta[at])
+    else:
+        distinct_d = kernel.small_d(beta)
+
+        def small_d(at):
+            return distinct_d[where[at]]
     first, row = terms.runs()
     rank = np.arange(len(row)) - first[row]
     slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
@@ -453,16 +469,21 @@ def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, group: int
     weights[rank, row] = terms.norm * terms.coef
     weights = weights[..., None]
     step = group * max(1, _ENTRY_BUDGET // (len(row) * group))
-    for start in range(0, len(beta), step):
+    for start in range(0, unit.shape[1], step):
         at = slice(start, start + step)
-        columns = kernel(unit[:, at], beta[at])
-        values = columns[slots[0]]
-        values *= weights[0]
-        for more, weight in zip(slots[1:], weights[1:]):
-            term = columns[more]
-            term *= weight
-            values += term
-        yield at, values
+        # nothing of a chunk stays bound here, so it is freed before the next
+        yield at, _term_sums(kernel.columns(unit[:, at], small_d(at)), slots, weights)
+
+
+def _term_sums(columns: np.ndarray, slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows sum_k weights[k] * columns[slots[k]], added in order of k."""
+    values = columns[slots[0]]
+    values *= weights[0]
+    for more, weight in zip(slots[1:], weights[1:]):
+        term = columns[more]
+        term *= weight
+        values += term
+    return values
 
 
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
@@ -613,7 +634,9 @@ def _gram_entries(
 
     G[f, g] is nonzero only where f and g share a channel, so each channel
     of `_channel_profiles` adds its profiles^H profiles at the keys f n + g,
-    and the entries that two channels reach are added up.  Returns (sorted
+    and the entries that two channels reach are added up, in channel order.
+    The channels of one size are multiplied as stacks of profiles within
+    _ENTRY_BUDGET, one channel at least.  Returns (sorted
     keys, values, number of channels); a function without terms has none.
     """
     if rule is None:
@@ -622,15 +645,19 @@ def _gram_entries(
         terms = _terms(functions)
     profiles, channel, owner = _channel_profiles(terms, len(functions), rule)
     starts = np.flatnonzero(np.diff(channel, prepend=-1))
-    bounds = np.append(starts, len(channel))
-    keys = np.empty(np.sum(np.diff(bounds) ** 2), dtype=np.intp)
+    sizes = np.diff(np.append(starts, len(channel)))
+    offsets = np.cumsum(sizes**2) - sizes**2  # each channel's first entry, in channel order
+    keys = np.empty(np.sum(sizes**2), dtype=np.intp)
     values = np.empty(len(keys), dtype=complex)
-    at = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        size = (hi - lo) ** 2
-        keys[at:at + size] = np.add.outer(owner[lo:hi] * len(functions), owner[lo:hi]).reshape(-1)
-        values[at:at + size] = (profiles[lo:hi].conj() @ profiles[lo:hi].T).reshape(-1)
-        at += size
+    for size in np.flatnonzero(np.bincount(sizes)):
+        first, at = starts[sizes == size], offsets[sizes == size]
+        batch = max(1, _ENTRY_BUDGET // (size * profiles.shape[1]))  # channels per stack
+        for lo in range(0, len(first), batch):
+            rows = first[lo:lo + batch, None] + np.arange(size)
+            block, who = profiles[rows], owner[rows]
+            slots = at[lo:lo + batch, None] + np.arange(size * size)
+            keys[slots] = (who[:, :, None] * len(functions) + who[:, None, :]).reshape(len(rows), -1)
+            values[slots] = (block.conj() @ block.transpose(0, 2, 1)).reshape(len(rows), -1)
     del profiles
     keys, where = np.unique(keys, return_inverse=True)
     summed = np.zeros(len(keys), dtype=complex)
@@ -679,7 +706,9 @@ def verify_basis(
     nonzero Gram entries alone (`_gram_error`: `gram_entries` entries summed
     over `gram_channels` channels; every other entry is zero by
     construction), pointwise periodicity under every deck element at seeded
-    sample points, and, per degree, the exact monomial action of the group
+    sample points, and, at every degree from the smallest to the largest in
+    the list (a degree left out counts 0 functions, and passes only where
+    every count and the rank are 0), the exact monomial action of the group
     on coefficient matrices (`_deck_action`): it must compose as the group's
     product table does (`homomorphism`, so its average P is idempotent by
     construction); its rank, the number of orbits of index pairs with
@@ -692,8 +721,10 @@ def verify_basis(
 
     The terms are read off the list once (`_terms`), and every check takes
     its degree's slice of that table.  The n_points base points and their
-    images are parsed onto SU(2) once, each base point beside its images;
-    each degree evaluates them in chunks of whole groups (`_degree_values`).
+    images are parsed onto SU(2) once, each base point beside its images,
+    and their distinct beta values are found once; each degree takes d^j
+    over those values in one call and evaluates the points in chunks of
+    whole groups (`_degree_values`).
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
@@ -707,7 +738,7 @@ def verify_basis(
     manifold = manifolds.pop()
     report["manifold"] = manifold
     per_degree = Counter(f.j for f in functions)
-    degrees = sorted(per_degree)
+    degrees = list(range(min(per_degree), max(per_degree) + 1))  # a degree left out counts 0
     report["degrees"] = degrees
     report["count_by_degree"] = {j: per_degree[j] for j in degrees}
     routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
@@ -721,10 +752,12 @@ def verify_basis(
     points = gc.random_sphere_points(n_points, seed=seed)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements], axis=1)
     _, unit, beta = _su2_points(_point_entries(matrix_from_point(moved)))
+    # a signed permutation at most swaps |a| and |b|: a point's images share two beta values
+    beta, where = np.unique(beta, return_inverse=True)
     images = moved.shape[1]
     period_errs = []
     for j in np.flatnonzero(np.bincount(terms.j)):
-        for _, values in _degree_values(terms.degree(j), unit, beta, images):
+        for _, values in _degree_values(terms.degree(j), unit, beta, where, images):
             values = values.reshape(len(values), -1, images)
             period_errs.append(np.max(np.abs(values[..., 1:] - values[..., :1])))
     # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance

@@ -205,17 +205,24 @@ WEYL_GENERATORS = {
 J4 = "J4"
 
 
+def _element(signs: tuple[int, ...], perm: tuple[int, ...]) -> HyperoctElement:
+    # an element built from valid ones, so the constructor's checks are skipped
+    out = object.__new__(HyperoctElement)
+    object.__setattr__(out, "signs", signs)
+    object.__setattr__(out, "perm", perm)
+    return out
+
+
 def multiply(g: HyperoctElement, h: HyperoctElement) -> HyperoctElement:
     """Product g*h in right-to-left convention: h acts first."""
     pinv = _perm_inverse(g.perm)
     signs = tuple(g.signs[i] * h.signs[pinv[i]] for i in range(4))
     perm = tuple(g.perm[h.perm[k]] for k in range(4))
-    return HyperoctElement(signs, perm)
+    return _element(signs, perm)
 
 
 def inverse(g: HyperoctElement) -> HyperoctElement:
-    signs = tuple(g.signs[g.perm[i]] for i in range(4))
-    return HyperoctElement(signs, _perm_inverse(g.perm))
+    return _element(tuple(g.signs[g.perm[i]] for i in range(4)), _perm_inverse(g.perm))
 
 
 def compose_in_order(elements) -> HyperoctElement:

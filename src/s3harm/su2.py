@@ -10,6 +10,11 @@ and an even isometry acts as u -> wl^{-1} u wr for a pair (wl, wr) that is
 well defined up to a simultaneous sign flip.  Pairs of consecutive letters
 (s, s') in a glue word contribute wl *= v_s v_{s'}^{-1} and wr *= v_s^{-1} v_{s'}
 in reading order, and each central inversion letter flips the sign of wr.
+
+Ring elements are validated once, where they enter through the Cyclo8
+constructor; sums, differences, products, negations and conjugates of
+valid elements are formed in straight-line integer code and normalised
+once each, by `_normalised`, which the constructor runs as well.
 """
 
 from __future__ import annotations
@@ -38,20 +43,27 @@ _A_NUM = complex(2**-0.5, 2**-0.5)
 _A_POWERS = tuple(_A_NUM**k for k in range(4))
 
 
-def _mul_coeffs(c, d):
-    # convolution in Z[a]/(a^4 + 1)
-    out = [0, 0, 0, 0]
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for j, dj in enumerate(d):
-            if dj == 0:
-                continue
-            k = i + j
-            if k < 4:
-                out[k] += ci * dj
-            else:
-                out[k - 4] -= ci * dj
+def _times_root2(c):
+    # multiply (c0, c1, c2, c3) by sqrt(2) = a - a^3 in Z[a]/(a^4 + 1)
+    c0, c1, c2, c3 = c
+    return (c1 - c3, c0 + c2, c1 + c3, c2 - c0)
+
+
+def _normalised(c: tuple[int, int, int, int], k: int) -> "Cyclo8":
+    """The Cyclo8 of value c / sqrt(2)^k, k >= 0, with the fewest half
+    powers, built without the constructor's checks: the one place a value
+    is normalised, run by the constructor and by every ring operation."""
+    if c == (0, 0, 0, 0):
+        k = 0
+    while k > 0:
+        d = _times_root2(c)
+        if d[0] % 2 or d[1] % 2 or d[2] % 2 or d[3] % 2:
+            break
+        c = (d[0] // 2, d[1] // 2, d[2] // 2, d[3] // 2)
+        k -= 1
+    out = object.__new__(Cyclo8)
+    object.__setattr__(out, "coeffs", c)
+    object.__setattr__(out, "half_powers", k)
     return out
 
 
@@ -60,58 +72,66 @@ class Cyclo8:
     """Element (c0 + c1*a + c2*a^2 + c3*a^3) / sqrt(2)^half_powers, a = exp(i*pi/4).
 
     Instances normalise on construction so that half_powers is minimal;
-    equality and hashing are therefore exact value comparisons.
+    equality and hashing are therefore exact value comparisons.  The
+    constructor checks its input; the ring operations (+, -, *, negation,
+    conjugation) combine valid values in straight-line integer code and
+    normalise each result once, by the same `_normalised`.
     """
 
     coeffs: tuple[int, int, int, int]
     half_powers: int = 0
 
     def __post_init__(self):
-        c = [int(v) for v in self.coeffs]
+        c = tuple(int(v) for v in self.coeffs)
         if len(c) != 4:
             raise ValueError("need exactly four coefficients")
         k = int(self.half_powers)
         if k < 0:
             raise ValueError("half_powers must be nonnegative")
-        if all(v == 0 for v in c):
-            k = 0
-        while k > 0:
-            d = _mul_coeffs(c, (0, 1, 0, -1))  # multiply by sqrt(2)
-            if any(v % 2 for v in d):
-                break
-            c = [v // 2 for v in d]
-            k -= 1
-        object.__setattr__(self, "coeffs", tuple(c))
-        object.__setattr__(self, "half_powers", k)
+        value = _normalised(c, k)
+        object.__setattr__(self, "coeffs", value.coeffs)
+        object.__setattr__(self, "half_powers", value.half_powers)
 
     @classmethod
     def from_int(cls, n: int) -> "Cyclo8":
         return cls((n, 0, 0, 0))
 
-    def _lifted(self, k: int):
+    def _lifted(self, k: int) -> tuple[int, int, int, int]:
         # coefficients after multiplying value by sqrt(2)^(k - half_powers)
-        c = list(self.coeffs)
+        c = self.coeffs
         for _ in range(k - self.half_powers):
-            c = _mul_coeffs(c, (0, 1, 0, -1))
+            c = _times_root2(c)
         return c
 
     def __add__(self, other: "Cyclo8") -> "Cyclo8":
         k = max(self.half_powers, other.half_powers)
-        a = self._lifted(k)
-        b = other._lifted(k)
-        return Cyclo8(tuple(x + y for x, y in zip(a, b)), k)
+        a0, a1, a2, a3 = self._lifted(k)
+        b0, b1, b2, b3 = other._lifted(k)
+        return _normalised((a0 + b0, a1 + b1, a2 + b2, a3 + b3), k)
 
     def __sub__(self, other: "Cyclo8") -> "Cyclo8":
-        return self + (-other)
+        k = max(self.half_powers, other.half_powers)
+        a0, a1, a2, a3 = self._lifted(k)
+        b0, b1, b2, b3 = other._lifted(k)
+        return _normalised((a0 - b0, a1 - b1, a2 - b2, a3 - b3), k)
 
     def __neg__(self) -> "Cyclo8":
-        return Cyclo8(tuple(-v for v in self.coeffs), self.half_powers)
+        c0, c1, c2, c3 = self.coeffs
+        return _normalised((-c0, -c1, -c2, -c3), self.half_powers)
 
     def __mul__(self, other: "Cyclo8") -> "Cyclo8":
         if isinstance(other, int):
             other = Cyclo8.from_int(other)
-        return Cyclo8(
-            tuple(_mul_coeffs(self.coeffs, other.coeffs)),
+        c0, c1, c2, c3 = self.coeffs
+        d0, d1, d2, d3 = other.coeffs
+        # convolution in Z[a]/(a^4 + 1): a^4 = -1 folds the high powers back
+        return _normalised(
+            (
+                c0 * d0 - c1 * d3 - c2 * d2 - c3 * d1,
+                c0 * d1 + c1 * d0 - c2 * d3 - c3 * d2,
+                c0 * d2 + c1 * d1 + c2 * d0 - c3 * d3,
+                c0 * d3 + c1 * d2 + c2 * d1 + c3 * d0,
+            ),
             self.half_powers + other.half_powers,
         )
 
@@ -119,7 +139,7 @@ class Cyclo8:
 
     def conjugate(self) -> "Cyclo8":
         c0, c1, c2, c3 = self.coeffs
-        return Cyclo8((c0, -c3, -c2, -c1), self.half_powers)
+        return _normalised((c0, -c3, -c2, -c1), self.half_powers)
 
     def is_zero(self) -> bool:
         return self.coeffs == (0, 0, 0, 0)

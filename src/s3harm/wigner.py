@@ -20,13 +20,16 @@ matrices:
 Every pointwise evaluator wraps one private kernel.  _point_entries reads
 a point argument's entries and _su2_points parses them once: the SU(2)
 check, the unit phases and beta, over the flattened stack of points.
-_column_kernel then evaluates the requested entries of one degree from that
+_ColumnKernel then evaluates the requested entries of one degree from that
 factorisation, written in u alone, with one row per (m1, m2) and one column
 per point, so that its phase lookups, and the callers' sums over terms,
 gather whole rows.  It takes whatever points it is given in one pass; the
-callers bound them.  Its d^j(beta) comes from _small_d_rows, the exact
-diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92,
-043307), which the separable Gram sum shares through _wigner_small_d.
+callers bound them.  Its d^j factor and its phase factor are separate
+steps, so a caller can take d^j once per distinct beta; wigner_d keeps the
+kernel of a full matrix for the last degree it was asked for (_full_kernel).  Its
+d^j(beta) comes from _small_d_rows, the exact diagonalisation of J_y
+(Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307), which the
+separable Gram sum shares through _wigner_small_d.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -38,6 +41,7 @@ computed here, by Newton steps on the three-term Legendre recurrence.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -175,7 +179,7 @@ def _wigner_small_d(two_j: int, pairs, beta) -> np.ndarray:
     return _small_d_at(*_small_d_rows(two_j, pairs), beta)
 
 
-def _column_kernel(two_j: int, pairs):
+class _ColumnKernel:
     """Evaluator (unit, beta) of _su2_points -> D^j_{m1 m2} for each
     (2 m1, 2 m2) in pairs, a row per pair and a column per point.  The work
     that depends only on the degree and the pairs (the d^j rows, the phase
@@ -184,23 +188,55 @@ def _column_kernel(two_j: int, pairs):
     An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
     are integer powers, not exp(i k arg z), so exact lifts stay exact, and
     each is a row of a table of powers, so the lookups are row gathers.
-    d^j is taken points by pairs and read transposed: in that orientation
-    BLAS gives each entry the same bits however many points a call holds.
+    The two factors are split: `small_d(beta)` takes d^j points by pairs,
+    and `columns(unit, small_d)` multiplies its transpose by the phases, so
+    a caller whose points share few beta values evaluates d^j once per
+    distinct beta and gathers its rows.  In that orientation BLAS gives each
+    entry of d^j the same bits however many points (more than a handful) a
+    call holds.
     """
-    twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    lam, rows = _small_d_rows(two_j, twice)
-    a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
-    b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
-    exponent = np.arange(two_j + 1)[:, None]
 
-    def columns(unit: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        powers = np.power(unit[:, None, :], exponent)
+    def __init__(self, two_j: int, pairs):
+        twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        self.lam, self.rows = _small_d_rows(two_j, twice)
+        self.a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
+        self.b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
+        self.exponent = np.arange(two_j + 1)[:, None]
+
+    def small_d(self, beta: np.ndarray) -> np.ndarray:
+        return _small_d_at(self.lam, self.rows, beta)
+
+    def columns(self, unit: np.ndarray, small_d: np.ndarray) -> np.ndarray:
+        powers = np.power(unit[:, None, :], self.exponent)
         powers = np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)  # exponents -2j..2j
-        out = np.multiply(_small_d_at(lam, rows, beta).T, powers[0][a_power], order="C")
-        out *= powers[1][b_power]
+        out = powers[0][self.a_power]
+        out *= small_d.T
+        del small_d  # the caller passes its only reference
+        out *= powers[1][self.b_power]
         return out
 
-    return columns
+    def __call__(self, unit: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return self.columns(unit, self.small_d(beta))
+
+
+@lru_cache(maxsize=1)
+def _full_kernel(two_j: int) -> _ColumnKernel:
+    """The kernel of every (m1, m2) of degree j, rows m1-major with both
+    descending, as `wigner_d` reads it, kept for the last degree asked for.
+
+    Its d^j rows, 2 (2j+1)^3 floats, are moved into their own anonymous
+    memory mapping, returned to the system when the kernel is dropped: left
+    in the malloc heap among the dense projectors' large temporaries, they
+    kept about 2.5 MB more resident at the peak of a j = 16, 18, 20
+    projector run than their own 0.8 MB.
+    """
+    ms = range(two_j, -two_j - 1, -2)
+    kernel = _ColumnKernel(two_j, [(tm1, tm2) for tm1 in ms for tm2 in ms])
+    rows = np.frombuffer(mmap.mmap(-1, kernel.rows.nbytes), dtype=float).reshape(kernel.rows.shape)
+    rows[...] = kernel.rows
+    rows.flags.writeable = False
+    kernel.rows = rows
+    return kernel
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -212,7 +248,7 @@ def wigner_entry(j, m1, m2, a, b, c, d):
     tj = _two_j(j)
     pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
     shape, unit, beta = _su2_points((a, b, c, d))
-    return _scalar_or_array(_column_kernel(tj, [pair])(unit, beta)[0].reshape(shape))
+    return _scalar_or_array(_ColumnKernel(tj, [pair])(unit, beta)[0].reshape(shape))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -225,10 +261,8 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     if np.shape(entries[0]) != ():
         raise ValueError(f"expected one 2x2 matrix, got a batch of shape {np.shape(entries[0])}")
     two_j = _two_j(j)
-    ms = range(two_j, -two_j - 1, -2)
-    pairs = [(tm1, tm2) for tm1 in ms for tm2 in ms]
     _, unit, beta = _su2_points(entries, unitary_tol)
-    return _column_kernel(two_j, pairs)(unit, beta).reshape(two_j + 1, two_j + 1)
+    return _full_kernel(two_j)(unit, beta).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -335,7 +369,7 @@ def wigner_entry_function(j, m1, m2):
 
     def evaluate(angles: EulerAngles):
         shape, unit, beta = _su2_points(_point_entries(angles))
-        return _scalar_or_array(_column_kernel(tj, [pair])(unit, beta)[0].reshape(shape))
+        return _scalar_or_array(_ColumnKernel(tj, [pair])(unit, beta)[0].reshape(shape))
 
     return evaluate
 
@@ -494,7 +528,7 @@ def conjugation_harmonic(beta_label: int, l, m, u):
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
     shape, unit, beta = _su2_points(_point_entries(u))
-    values = _column_kernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(unit, beta)
+    values = _ColumnKernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(unit, beta)
     return _scalar_or_array((np.array([coef for _, _, coef in column], dtype=complex) @ values).reshape(shape))
 
 

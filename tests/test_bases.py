@@ -568,6 +568,27 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, monkeypatch):
+    # base points alone share no beta, so every point gathers its own d^j row;
+    # d^j is taken over all points at once in both routes
+    fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
+    points = gc.random_sphere_points(23, seed=11)
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
+    dense = bases._basis_values(fns, su2.matrix_from_point(points))
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**9)  # several chunks per degree
+    _, unit, beta = bases._su2_points(bases._point_entries(su2.matrix_from_point(points)))
+    distinct, where = np.unique(beta, return_inverse=True)
+    assert len(distinct) == len(beta)
+    terms = bases._terms(fns)
+    values = np.full((len(fns), len(beta)), np.nan, dtype=complex)
+    for j in np.flatnonzero(np.bincount(terms.j)):
+        degree = terms.degree(j)
+        for at, chunk in bases._degree_values(degree, unit, distinct, where):
+            values[degree.owner[degree.runs()[0]], at] = chunk
+    assert np.array_equal(values, dense.T)
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, monkeypatch):
     group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
     fns = [f for j in range(13) for f in bases.basis_for(manifold, j)]
@@ -633,6 +654,44 @@ def test_verify_basis_fails_against_wrong_group():
         block["fix_max_error"] > 1e-3 or block["rank"] != block["expected_rank"]
         for block in report["projector"].values()
     )
+
+
+def test_verify_basis_audits_a_degree_left_out_of_the_list():
+    fns = [f for j in range(7) if j != 4 for f in bases.basis_c2(j)]
+    report = bases.verify_basis(fns, build_cyclic8(), n_points=20)
+    assert report["degrees"] == list(range(7))
+    assert report["count_by_degree"][4] == 0
+    assert report["multiplicity_by_degree"][4] == MULT_C8[4]
+    assert report["projector"][4]["rank"] == MULT_C8[4]
+    assert report["projector"][4]["closed_form_matches"] is False
+    assert report["passed"] is False
+
+
+def test_verify_basis_checks_the_rank_of_an_empty_degree(monkeypatch):
+    fns = [f for j in range(4) for f in bases.basis_c3(j)]
+    assert not bases.basis_c3(1)
+    report = bases.verify_basis(fns, build_quaternion(), n_points=20)
+    assert report["degrees"] == [0, 1, 2, 3]
+    assert report["count_by_degree"][1] == report["multiplicity_by_degree"][1] == 0
+    assert report["projector"][1] == {
+        "rank": 0, "expected_rank": 0, "trace": 0.0, "fix_max_error": 0.0,
+        "homomorphism": True, "closed_form_matches": True,
+    }
+    assert report["passed"] is True
+    assert bases._fix_error(*bases._deck_action(build_quaternion(), 1), bases._terms(fns).degree(1)) == 0.0
+    # a route that counts one harmonic at the empty degree fails the report
+    one_at_one = lambda j: bases.multiplicity_q_character_sum(j) + (j == 1)
+    monkeypatch.setitem(bases._MULTIPLICITY_ROUTES, "C3", (bases.multiplicity_q, one_at_one))
+    report = bases.verify_basis(fns, build_quaternion(), n_points=20)
+    assert report["multiplicity_routes_agree"] is False
+    assert report["passed"] is False
+
+
+def test_verify_basis_of_one_degree_audits_that_degree_alone():
+    report = bases.verify_basis(bases.basis_c3(3), build_quaternion(), n_points=20)
+    assert report["degrees"] == [3]
+    assert list(report["projector"]) == [3]
+    assert report["passed"] is True
 
 
 def test_verify_basis_empty_list():

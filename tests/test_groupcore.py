@@ -85,6 +85,28 @@ def test_inverse_and_identity():
         assert gc.multiply(g, gc.IDENTITY) == g
 
 
+def test_products_and_inverses_are_valid_elements():
+    # multiply and inverse skip the constructor's checks; the full closure
+    # must still hold only elements the constructor accepts, equal to its own
+    group = gc.closure(gc.WEYL_GENERATORS.values())
+    assert len(group) == 384
+    for g in group:
+        assert g == gc.HyperoctElement(g.signs, g.perm)
+        assert hash(g) == hash(gc.HyperoctElement(g.signs, g.perm))
+        h = gc.inverse(g)
+        assert h == gc.HyperoctElement(h.signs, h.perm)
+        assert isinstance(g.signs, tuple) and isinstance(g.perm, tuple)
+
+
+def test_constructor_still_refuses_bad_elements():
+    with pytest.raises(ValueError):
+        gc.HyperoctElement((1, 1, 1))
+    with pytest.raises(ValueError):
+        gc.HyperoctElement((1, 2, 1, 1))
+    with pytest.raises(ValueError):
+        gc.HyperoctElement((1, 1, 1, 1), (0, 0, 1, 2))
+
+
 def test_apply_matches_matrix_action():
     rng = np.random.default_rng(RNG_SEED + 3)
     pts = gc.random_sphere_points(10, seed=7)

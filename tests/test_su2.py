@@ -61,6 +61,65 @@ def test_ring_laws_match_complex_arithmetic():
         assert abs(x.conjugate().to_complex() - np.conj(x.to_complex())) < 1e-12
 
 
+def _oracle(coeffs, k):
+    """The validating constructor's value of coeffs / sqrt(2)^k."""
+    return Cyclo8(tuple(coeffs), k)
+
+
+def _lifted(x, k):
+    # coefficients of x times sqrt(2)^(k - half_powers), by plain convolution
+    c = list(x.coeffs)
+    for _ in range(k - x.half_powers):
+        c = [c[1] - c[3], c[0] + c[2], c[1] + c[3], c[2] - c[0]]
+    return c
+
+
+def _convolved(c, d):
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        for k in range(4):
+            sign = 1 if i + k < 4 else -1  # a^4 = -1
+            out[(i + k) % 4] += sign * c[i] * d[k]
+    return out
+
+
+def test_ring_operations_are_the_validating_constructors_values():
+    rng = np.random.default_rng(2024)
+    xs = [random_cyclo(rng) for _ in range(12)] + [Cyclo8.from_int(0), ROOT2, A]
+    for x in xs:
+        assert -x == _oracle([-v for v in x.coeffs], x.half_powers)
+        c0, c1, c2, c3 = x.coeffs
+        assert x.conjugate() == _oracle([c0, -c3, -c2, -c1], x.half_powers)
+        for y in xs:
+            k = max(x.half_powers, y.half_powers)
+            a, b = _lifted(x, k), _lifted(y, k)
+            results = {
+                "+": (x + y, _oracle([u + v for u, v in zip(a, b)], k), x.to_complex() + y.to_complex()),
+                "-": (x - y, _oracle([u - v for u, v in zip(a, b)], k), x.to_complex() - y.to_complex()),
+                "*": (x * y, _oracle(_convolved(x.coeffs, y.coeffs), x.half_powers + y.half_powers),
+                      x.to_complex() * y.to_complex()),
+            }
+            for op, (got, oracle, value) in results.items():
+                assert got == oracle, op
+                assert (got.coeffs, got.half_powers) == (oracle.coeffs, oracle.half_powers)
+                assert all(type(v) is int for v in got.coeffs + (got.half_powers,))
+                assert hash(got) == hash(oracle)
+                assert abs(got.to_complex() - value) < 1e-12
+
+
+def test_constructor_still_refuses_bad_input():
+    with pytest.raises(ValueError):
+        Cyclo8((1, 0, 0))
+    with pytest.raises(ValueError):
+        Cyclo8((1, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        Cyclo8((1, 0, 0, 0), -1)
+    with pytest.raises(ValueError):
+        Cyclo8(("x", 0, 0, 0))
+    # integral floats are taken as ints, and the value is normalised
+    assert Cyclo8((2.0, 0, 0, 0), 2) == ONE
+
+
 def test_conjugation_is_multiplicative():
     rng = np.random.default_rng(100)
     for _ in range(20):

@@ -109,7 +109,7 @@ def test_entry_broadcasting_matches_scalar_loop():
     # one stack of 1681 x 40 entries, well past 2^15, in one pass of the kernel
     us = np.stack([random_su2(rng) for _ in range(40)])
     _, unit, beta = wigner._su2_points(wigner._point_entries(us))
-    batched = wigner._column_kernel(40, all_pairs(40))(unit, beta)
+    batched = wigner._ColumnKernel(40, all_pairs(40))(unit, beta)
     assert batched.shape == (41 * 41, 40)
     for k in range(40):
         assert np.max(np.abs(batched[:, k].reshape(41, 41) - wigner_d(20, us[k]))) < 1e-14
@@ -284,6 +284,23 @@ def test_every_evaluator_refuses_a_point_off_su2():
     with pytest.raises(ValueError):
         wigner_d(1, nearly)
     assert wigner_d(1, nearly, unitary_tol=1e-6).shape == (3, 3)
+
+
+def test_wigner_d_keeps_the_kernel_of_its_last_degree():
+    wigner._full_kernel.cache_clear()
+    u = random_su2(np.random.default_rng(8))
+    first = wigner_d(20, u)
+    assert np.array_equal(wigner_d(20, u), first)
+    info = wigner._full_kernel.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # the cached kernel gives the bits of a kernel built for the call
+    _, unit, beta = wigner._su2_points(wigner._point_entries(u))
+    assert np.array_equal(first, wigner._ColumnKernel(40, all_pairs(40))(unit, beta).reshape(41, 41))
+    assert not wigner._full_kernel(40).rows.flags.writeable
+    # one kernel is kept however many degrees are asked for
+    for j in range(12):
+        wigner_d(j, u)
+    assert wigner._full_kernel.cache_info().currsize == info.maxsize == 1
 
 
 def test_runtime_paths_never_reach_the_monomial_sum():
