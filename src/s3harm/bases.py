@@ -56,7 +56,6 @@ from .wigner import (
     _scalar_or_array,
     _su2_points,
     _two_j,
-    _wigner_small_d,
     character_jj,
     euler_quadrature,
 )
@@ -433,16 +432,15 @@ class BasisFunction:
         }
 
 
-def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where=None, group: int = 1):
+def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where: np.ndarray, group: int = 1):
     """Values of the functions that own terms, all of one degree, at the
     points (unit, beta) of `_su2_points`, chunk by chunk: yields (at,
     values), the slice of points a chunk covers and their values, a row per
     function (in list order) and a column per point.
 
-    With where, beta holds the distinct beta values of the points, point k
-    at beta[where[k]]: d^j is evaluated over them once and each chunk
-    gathers its rows.  Without it, beta is per point and each chunk takes
-    its own d^j.
+    beta holds the distinct beta values of the points, point k at
+    beta[where[k]]: d^j is evaluated over them in one call and each chunk
+    gathers its rows, so no bit of a value depends on the chunking.
 
     A chunk holds whole groups of `group` consecutive points, as many as
     keep terms times points within _ENTRY_BUDGET, and one group at least.
@@ -453,14 +451,7 @@ def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where=None
     j = int(terms.j[0])
     m1_m2 = j - np.array(np.divmod(terms.index, 2 * j + 1))
     kernel = _ColumnKernel(2 * j, (2 * m1_m2).T)  # a kernel row per term
-    if where is None:
-        def small_d(at):
-            return kernel.small_d(beta[at])
-    else:
-        distinct_d = kernel.small_d(beta)
-
-        def small_d(at):
-            return distinct_d[where[at]]
+    small_d = kernel.small_d(beta)
     first, row = terms.runs()
     rank = np.arange(len(row)) - first[row]
     slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
@@ -472,7 +463,7 @@ def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where=None
     for start in range(0, unit.shape[1], step):
         at = slice(start, start + step)
         # nothing of a chunk stays bound here, so it is freed before the next
-        yield at, _term_sums(kernel.columns(unit[:, at], small_d(at)), slots, weights)
+        yield at, _term_sums(kernel.columns(unit[:, at], small_d[where[at]]), slots, weights)
 
 
 def _term_sums(columns: np.ndarray, slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -486,20 +477,32 @@ def _term_sums(columns: np.ndarray, slots: np.ndarray, weights: np.ndarray) -> n
     return values
 
 
-def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
-    """Values of every function at u, one column per function in list order.
+def _stack_values(terms: _Terms, u, group: int = 1):
+    """The one pointwise route for basis functions: u is parsed once
+    (`_su2_points`), the distinct beta values of its points are found once,
+    and each degree of terms is evaluated over them by `_degree_values`.
 
-    The point argument is parsed once and each degree is evaluated by
-    `_degree_values`.
+    Returns (shape, chunks): the batch shape of u, and an iterator of
+    (rows, at, values), the positions in the list of the functions a chunk
+    holds, the slice of the flattened points it covers and their values.
     """
     shape, unit, beta = _su2_points(_point_entries(u))
-    terms = _terms(functions)
-    out = np.zeros((len(functions), len(beta)), dtype=complex)
-    for j in np.flatnonzero(np.bincount(terms.j)):
-        degree = terms.degree(j)
-        rows = degree.owner[degree.runs()[0]]
-        for at, values in _degree_values(degree, unit, beta):
-            out[rows, at] = values
+    beta, where = np.unique(beta, return_inverse=True)
+    chunks = (
+        (degree.owner[degree.runs()[0]], at, values)
+        for degree in map(terms.degree, np.flatnonzero(np.bincount(terms.j)))
+        for at, values in _degree_values(degree, unit, beta, where, group)
+    )
+    return shape, chunks
+
+
+def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
+    """Values of every function at u, one column per function in list
+    order, by `_stack_values`."""
+    shape, chunks = _stack_values(_terms(functions), u)
+    out = np.zeros((len(functions), math.prod(shape)), dtype=complex)
+    for rows, at, values in chunks:
+        out[rows, at] = values
     return out.T.reshape(shape + (len(functions),))
 
 
@@ -620,7 +623,7 @@ def _channel_profiles(terms: _Terms, count: int, rule) -> tuple[np.ndarray, np.n
     root_w = np.sqrt(rule.beta_weights / 2.0)[:, None]
     for degree in np.flatnonzero(np.bincount(j)):  # d^j one degree at a time
         at = j == degree
-        small_d = _wigner_small_d(2 * int(degree), np.stack([2 * m1[at], 2 * m2[at]], axis=-1), rule.beta)
+        small_d = _ColumnKernel(2 * int(degree), np.stack([2 * m1[at], 2 * m2[at]], axis=-1)).small_d(rule.beta)
         np.add.at(profiles, row[at], (small_d * root_w * weight[at]).T)
     return profiles, keys // count, keys % count
 
@@ -751,15 +754,13 @@ def verify_basis(
 
     points = gc.random_sphere_points(n_points, seed=seed)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements], axis=1)
-    _, unit, beta = _su2_points(_point_entries(matrix_from_point(moved)))
-    # a signed permutation at most swaps |a| and |b|: a point's images share two beta values
-    beta, where = np.unique(beta, return_inverse=True)
     images = moved.shape[1]
+    # a signed permutation at most swaps |a| and |b|: a point's images share two beta values
+    _, chunks = _stack_values(terms, matrix_from_point(moved), images)
     period_errs = []
-    for j in np.flatnonzero(np.bincount(terms.j)):
-        for _, values in _degree_values(terms.degree(j), unit, beta, where, images):
-            values = values.reshape(len(values), -1, images)
-            period_errs.append(np.max(np.abs(values[..., 1:] - values[..., :1])))
+    for _, _, values in chunks:
+        values = values.reshape(len(values), -1, images)
+        period_errs.append(np.max(np.abs(values[..., 1:] - values[..., :1])))
     # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
     period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
 

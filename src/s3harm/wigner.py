@@ -25,11 +25,13 @@ factorisation, written in u alone, with one row per (m1, m2) and one column
 per point, so that its phase lookups, and the callers' sums over terms,
 gather whole rows.  It takes whatever points it is given in one pass; the
 callers bound them.  Its d^j factor and its phase factor are separate
-steps, so a caller can take d^j once per distinct beta; wigner_d keeps the
-kernel of a full matrix for the last degree it was asked for (_full_kernel).  Its
-d^j(beta) comes from _small_d_rows, the exact diagonalisation of J_y
-(Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307), which the
-separable Gram sum shares through _wigner_small_d.
+steps, so a caller can take d^j once per distinct beta, and the separable
+Gram sum takes its d^j factor alone.  wigner_entry, wigner_entry_function
+and conjugation_harmonic share one route through it (_entry_values);
+wigner_d keeps the kernel of a full matrix for the last degree it was
+asked for (_full_kernel).  The kernel holds the d^j rows itself, from the
+exact diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys. Rev. E
+92, 043307).
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -157,28 +159,6 @@ def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, vec
 
 
-def _small_d_rows(two_j: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, rows) with d^j_{m1 m2}(beta) for the (2 m1, 2 m2) in pairs
-    equal to [cos(beta lam), sin(beta lam)] @ rows.T: d^j(beta) =
-    exp(+i beta J_y) = V diag(e^{i beta lam}) V^H is real, and rows holds
-    [Re, -Im] of V_{r1} conj(V_{r2}), which depend on no point."""
-    lam, vec = _jy_eigen(two_j)
-    index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
-    outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
-    return lam, np.concatenate([outer.real, -outer.imag], axis=-1)
-
-
-def _small_d_at(lam: np.ndarray, rows: np.ndarray, beta) -> np.ndarray:
-    angle = np.asarray(beta, dtype=float)[..., None] * lam
-    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
-
-
-def _wigner_small_d(two_j: int, pairs, beta) -> np.ndarray:
-    """d^j_{m1 m2}(beta) for each (2 m1, 2 m2) in pairs, stacked on the last
-    axis after beta's shape: one real matmul (see _small_d_rows)."""
-    return _small_d_at(*_small_d_rows(two_j, pairs), beta)
-
-
 class _ColumnKernel:
     """Evaluator (unit, beta) of _su2_points -> D^j_{m1 m2} for each
     (2 m1, 2 m2) in pairs, a row per pair and a column per point.  The work
@@ -188,9 +168,11 @@ class _ColumnKernel:
     An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
     are integer powers, not exp(i k arg z), so exact lifts stay exact, and
     each is a row of a table of powers, so the lookups are row gathers.
-    The two factors are split: `small_d(beta)` takes d^j points by pairs,
-    and `columns(unit, small_d)` multiplies its transpose by the phases, so
-    a caller whose points share few beta values evaluates d^j once per
+    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (_jy_eigen) is
+    real, so `small_d(beta)` is one real matmul, points by pairs:
+    [cos(beta lam), sin(beta lam)] @ rows.T, where rows holds [Re, -Im] of
+    V_{r1} conj(V_{r2}) and depends on no point.  `columns(unit, small_d)`
+    multiplies its transpose by the phases, so a caller takes d^j once per
     distinct beta and gathers its rows.  In that orientation BLAS gives each
     entry of d^j the same bits however many points (more than a handful) a
     call holds.
@@ -198,13 +180,17 @@ class _ColumnKernel:
 
     def __init__(self, two_j: int, pairs):
         twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        self.lam, self.rows = _small_d_rows(two_j, twice)
+        self.lam, vec = _jy_eigen(two_j)
+        index = (two_j - twice) // 2
+        outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
+        self.rows = np.concatenate([outer.real, -outer.imag], axis=-1)
         self.a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
         self.b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
         self.exponent = np.arange(two_j + 1)[:, None]
 
     def small_d(self, beta: np.ndarray) -> np.ndarray:
-        return _small_d_at(self.lam, self.rows, beta)
+        angle = np.asarray(beta, dtype=float)[..., None] * self.lam
+        return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ self.rows.T
 
     def columns(self, unit: np.ndarray, small_d: np.ndarray) -> np.ndarray:
         powers = np.power(unit[:, None, :], self.exponent)
@@ -212,8 +198,10 @@ class _ColumnKernel:
         out = powers[0][self.a_power]
         out *= small_d.T
         del small_d  # the caller passes its only reference
-        out *= powers[1][self.b_power]
-        return out
+        # in place but for one entry (one pair at one point): numpy multiplies a
+        # one-element array into itself with other last bits than its vector
+        # loop gives, so a value would depend on the chunk size
+        return np.multiply(out, powers[1][self.b_power], out=out if out.size > 1 else None)
 
     def __call__(self, unit: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return self.columns(unit, self.small_d(beta))
@@ -243,12 +231,20 @@ def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
 
+def _entry_values(two_j: int, pairs, entries, coefs=None):
+    """D^j at the (2 m1, 2 m2) in pairs, at the points whose (a, b, c, d)
+    are entries, in their shape: the first pair's entry, or with coefs the
+    sum of coefs times the pairs' entries; a complex at a single point."""
+    shape, unit, beta = _su2_points(entries)
+    values = _ColumnKernel(two_j, pairs)(unit, beta)
+    values = values[0] if coefs is None else coefs @ values
+    return _scalar_or_array(values.reshape(shape))
+
+
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
-    pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
-    shape, unit, beta = _su2_points((a, b, c, d))
-    return _scalar_or_array(_ColumnKernel(tj, [pair])(unit, beta)[0].reshape(shape))
+    return _entry_values(tj, [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))], (a, b, c, d))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -365,11 +361,10 @@ class EulerAngles:
 def wigner_entry_function(j, m1, m2):
     """Vectorized callable of EulerAngles returning D^j_{m1,m2}."""
     tj = _two_j(j)
-    pair = (_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))
+    pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
 
     def evaluate(angles: EulerAngles):
-        shape, unit, beta = _su2_points(_point_entries(angles))
-        return _scalar_or_array(_ColumnKernel(tj, [pair])(unit, beta)[0].reshape(shape))
+        return _entry_values(tj, pairs, _point_entries(angles))
 
     return evaluate
 
@@ -527,9 +522,8 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    shape, unit, beta = _su2_points(_point_entries(u))
-    values = _ColumnKernel(two_j, [(tm1, tm2) for tm1, tm2, _ in column])(unit, beta)
-    return _scalar_or_array((np.array([coef for _, _, coef in column], dtype=complex) @ values).reshape(shape))
+    coefs = np.array([coef for _, _, coef in column], dtype=complex)
+    return _entry_values(two_j, [(tm1, tm2) for tm1, tm2, _ in column], _point_entries(u), coefs)
 
 
 def wigner_from_harmonics(beta_label: int, m1, m2, u):

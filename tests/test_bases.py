@@ -11,7 +11,7 @@ import pytest
 
 from s3harm import bases
 from s3harm import groupcore as gc
-from s3harm import su2
+from s3harm import su2, wigner
 from s3harm.cli import J_MAX_LIMIT
 from s3harm.deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from s3harm.wigner import (
@@ -567,25 +567,52 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("budget", [1, 2**9, 2**14, 2**40])
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
-def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, monkeypatch):
-    # base points alone share no beta, so every point gathers its own d^j row;
-    # d^j is taken over all points at once in both routes
+def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget, monkeypatch):
+    # base points alone share no beta, so every point gathers its own row of
+    # one d^j call over all of them; the references take every point in one
+    # chunk, and no bit may depend on the chunking (a function alone has a
+    # kernel of other shape than the list, so its last bits are its own)
     fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
-    points = gc.random_sphere_points(23, seed=11)
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
-    dense = bases._basis_values(fns, su2.matrix_from_point(points))
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**9)  # several chunks per degree
-    _, unit, beta = bases._su2_points(bases._point_entries(su2.matrix_from_point(points)))
+    u = su2.matrix_from_point(gc.random_sphere_points(23, seed=11))
+    _, unit, beta = bases._su2_points(bases._point_entries(u))
     distinct, where = np.unique(beta, return_inverse=True)
     assert len(distinct) == len(beta)
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
     terms = bases._terms(fns)
-    values = np.full((len(fns), len(beta)), np.nan, dtype=complex)
+    dense = np.full((len(fns), len(beta)), np.nan, dtype=complex)
     for j in np.flatnonzero(np.bincount(terms.j)):
         degree = terms.degree(j)
-        for at, chunk in bases._degree_values(degree, unit, distinct, where):
-            values[degree.owner[degree.runs()[0]], at] = chunk
-    assert np.array_equal(values, dense.T)
+        ((at, values),) = bases._degree_values(degree, unit, distinct, where)
+        dense[degree.owner[degree.runs()[0]], at] = values
+    one_by_one = np.stack([f.evaluate(u) for f in fns], axis=-1)
+    monkeypatch.setattr(bases, "_ENTRY_BUDGET", budget)
+    assert np.array_equal(bases._basis_values(fns, u), dense.T)
+    assert np.array_equal(np.stack([f.evaluate(u) for f in fns], axis=-1), one_by_one)
+
+
+def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
+    rule = euler_quadrature(6)
+    fns = [f for j in range(4) for f in bases.basis_c3(j)]
+    _, _, beta = bases._su2_points(bases._point_entries(rule.angles))
+    distinct = np.unique(beta)
+    # each of the 8 nodes comes back from the matrix entries as one value or
+    # a few, an ulp or two apart: |exp(i t)| is not 1.0 at every grid angle
+    assert rule.shape[1] <= len(distinct) <= 4 * rule.shape[1] < rule.node_count
+    assert np.max(np.abs(distinct[:, None] - rule.beta).min(axis=1)) < 1e-15
+    calls = []
+    real_small_d = wigner._ColumnKernel.small_d
+
+    def spy(kernel, beta):
+        calls.append(beta.copy())
+        return real_small_d(kernel, beta)
+
+    monkeypatch.setattr(wigner._ColumnKernel, "small_d", spy)
+    values = bases._basis_values(fns, rule.angles)
+    assert values.shape == (rule.node_count, len(fns))
+    # one call per degree that has functions (C3 has none at degree 1)
+    assert len(calls) == 3 and all(np.array_equal(call, distinct) for call in calls)
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
@@ -725,13 +752,14 @@ def test_periodicity_under_every_deck_element():
 def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
     fns = [f for j in range(5) for f in bases.basis_c2(j)]
     if check == "gram":
-        real_small_d = bases._wigner_small_d
+        real_profiles = bases._channel_profiles
 
-        def poisoned_small_d(two_j, pairs, beta):
-            out = real_small_d(two_j, pairs, beta)
-            return out * np.nan if two_j == 6 else out
+        def poisoned_profiles(*args):
+            profiles, channel, owner = real_profiles(*args)
+            profiles[np.array([f.j for f in fns])[owner] == 3] *= np.nan
+            return profiles, channel, owner
 
-        monkeypatch.setattr(bases, "_wigner_small_d", poisoned_small_d)
+        monkeypatch.setattr(bases, "_channel_profiles", poisoned_profiles)
     elif check == "periodicity":
         real_values = bases._degree_values
 
@@ -750,4 +778,6 @@ def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
     report = bases.verify_basis(fns, build_cyclic8())
     measured = {"gram": "gram_max_error", "periodicity": "periodicity_max_error", "fix": None}[check]
     assert math.isnan(report[measured] if measured else report["projector"][3]["fix_max_error"])
+    if check == "gram":  # the poison reaches the Gram's fold alone
+        assert math.isfinite(report["periodicity_max_error"])
     assert report["passed"] is False

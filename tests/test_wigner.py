@@ -19,8 +19,8 @@ from s3harm import bases, su2, wigner
 from s3harm.deck import build_cyclic8, build_quaternion
 from s3harm.wigner import (
     EulerAngles,
+    _ColumnKernel,
     _gauss_legendre,
-    _wigner_small_d,
     clebsch_gordan,
     character_jj,
     conjugation_harmonic,
@@ -64,7 +64,7 @@ def monomial_wigner(two_j, a, b, c, d):
 
 def small_d(two_j, beta):
     """Full d^j(beta) from the kernel, shape beta.shape + (2j+1, 2j+1)."""
-    return _wigner_small_d(two_j, all_pairs(two_j), beta).reshape(np.shape(beta) + (two_j + 1,) * 2)
+    return _ColumnKernel(two_j, all_pairs(two_j)).small_d(beta).reshape(np.shape(beta) + (two_j + 1,) * 2)
 
 
 # ---------------------------------------------------------------- rotations
@@ -225,7 +225,7 @@ def test_stable_small_d_matches_monomial_kernel():
     # the exact values above), hence 2e-13 rather than the kernel's accuracy
     betas = np.concatenate([[0.0, np.pi], np.random.default_rng(43).uniform(0, np.pi, 14)])
     for two_j in range(25):
-        small = _wigner_small_d(two_j, all_pairs(two_j), betas)
+        small = _ColumnKernel(two_j, all_pairs(two_j)).small_d(betas)
         assert small.shape == (betas.size, (two_j + 1) ** 2)
         want = monomial_wigner(two_j, *EulerAngles(0.0, betas, 0.0).matrix_entries())
         assert np.max(np.abs(small.reshape(want.shape) - want)) < 2e-13, two_j
