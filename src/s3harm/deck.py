@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -131,14 +132,9 @@ class DeckGroup:
 
 
 def _element_order(g: HyperoctElement) -> int:
-    acc = g
-    n = 1
-    while acc != gc.IDENTITY:
-        acc = gc.multiply(acc, g)
-        n += 1
-        if n > 64:
-            raise RuntimeError("element order exceeds any deck group bound")
-    return n
+    """Order of g from its signed cycles: a cycle of length n has order n
+    when the signs around it multiply to +1, and 2n otherwise."""
+    return lcm(*(n if s == 1 else 2 * n for n, s in gc._signed_cycles(g)))
 
 
 def _power_label(t: int) -> str:
@@ -314,6 +310,8 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
     Only the agreement at random points depends on the seed; the rest is
     exact and computed once per group (`_exact_checks`).
     """
+    if n_points < 1:
+        raise ValueError(f"pair agreement needs at least one sample point, got n_points={n_points}")
     checks, orbit_size = _exact_checks(group)
     pts = gc.random_sphere_points(n_points, seed=seed)
     report = {

@@ -24,8 +24,8 @@ import json
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
-from math import sqrt
+from functools import lru_cache, reduce
+from math import prod, sqrt
 
 import numpy as np
 
@@ -88,22 +88,35 @@ def cycles_to_perm(text: str) -> tuple[int, int, int, int]:
 
 def perm_to_cycles(perm) -> str:
     """Inverse of `cycles_to_perm`; fixed points are dropped, identity is "e"."""
-    inv = _perm_inverse(tuple(perm))
-    out = []
-    seen = set()
-    for start in range(4):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = inv[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = inv[nxt]
-        out.append("(" + "".join(str(c) for c in cyc) + ")")
-    return "".join(out) if out else "e"
+    perm = tuple(perm)
+    if sorted(perm) != [0, 1, 2, 3]:
+        raise ValueError(f"perm must be a permutation of 0..3: {perm}")
+    cycles = [c for c in _cycles(_perm_inverse(perm)) if len(c) > 1]
+    return "".join("(" + "".join(map(str, c)) + ")" for c in cycles) or "e"
+
+
+@lru_cache(maxsize=None)
+def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of a one-line permutation, fixed points included: each starts
+    at its smallest index and follows k -> perm[k].  The one cycle walk that
+    every element invariant is read off."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cyc = []
+        k = start
+        while k not in seen:
+            seen.add(k)
+            cyc.append(k)
+            k = perm[k]
+        if cyc:
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def _signed_cycles(g: "HyperoctElement") -> list[tuple[int, int]]:
+    """(length n, sign product s) of each cycle of g.  The matrix of g is
+    block cyclic over its cycles, and each block B has B^n = s."""
+    return [(len(c), prod(g.signs[k] for k in c)) for c in _cycles(g.perm)]
 
 
 @dataclass(frozen=True)
@@ -142,22 +155,7 @@ class HyperoctElement:
         return m
 
     def determinant(self) -> int:
-        det = 1
-        for s in self.signs:
-            det *= s
-        seen = set()
-        for start in range(4):
-            if start in seen:
-                continue
-            length = 0
-            k = start
-            while k not in seen:
-                seen.add(k)
-                k = self.perm[k]
-                length += 1
-            if length % 2 == 0:
-                det = -det
-        return det
+        return prod(s * (-1) ** (n - 1) for n, s in _signed_cycles(self))
 
     def action_string(self) -> str:
         """Render the action on a generic point, e.g. "(x1,-x3,x0,x2)"."""
@@ -284,23 +282,10 @@ def closure(generators, bound: int = 10_000) -> list[HyperoctElement]:
 def has_fixed_point_on_sphere(g: HyperoctElement) -> bool:
     """Exact test for an eigenvalue-1 direction, hence a fixed point on S^3.
 
-    The matrix of g is block cyclic over the cycles of perm; a block has
-    eigenvalue 1 exactly when the product of the signs around its cycle
-    is +1.
+    A cycle block has eigenvalue 1 exactly when the product of the signs
+    around its cycle is +1.
     """
-    seen = set()
-    for start in range(4):
-        if start in seen:
-            continue
-        prod = 1
-        k = start
-        while k not in seen:
-            seen.add(k)
-            prod *= g.signs[k]
-            k = g.perm[k]
-        if prod == 1:
-            return True
-    return False
+    return any(s == 1 for _, s in _signed_cycles(g))
 
 
 def orbit(group, x, tol: float = 1e-9) -> list[np.ndarray]:
@@ -332,8 +317,11 @@ def random_sphere_points(n: int, seed: int = 42) -> np.ndarray:
     sqrt(1 - u0) e^{2 pi i u2}) in C^2 = E^4, which is exactly uniform and
     already of unit length.  The uniforms are the `random()` stream of
     `random.Random(seed)`, which Python keeps fixed across versions for an
-    integer seed; a numpy integer is taken as the same int.
+    integer seed; a numpy integer is taken as the same int.  A negative n
+    raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"cannot sample a negative number of points, got n={n}")
     rng = random.Random(operator.index(seed))
     u0, u1, u2 = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3).T
     r1, r2 = np.sqrt(u0), np.sqrt(1.0 - u0)

@@ -126,20 +126,10 @@ def _class_size(n: int, cycle_type: tuple[int, ...]) -> int:
     return factorial(n) // denom
 
 
-def _cycle_type(perm: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
-    seen = set()
-    lengths = []
-    for start in support:
-        if start in seen:
-            continue
-        length = 0
-        k = start
-        while k not in seen:
-            seen.add(k)
-            k = perm[k]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+@lru_cache(maxsize=None)
+def _cycle_type(perm: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths, longest first, of the cycles of perm that lie in block."""
+    return tuple(sorted((len(c) for c in gc._cycles(perm) if set(c) <= set(block)), reverse=True))
 
 
 # Little co-groups, keyed by the number of minus signs in mu.

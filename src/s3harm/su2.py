@@ -67,6 +67,18 @@ def _normalised(c: tuple[int, int, int, int], k: int) -> "Cyclo8":
     return out
 
 
+def _exact_int(value, what: str) -> int:
+    """value as an int, refused with ValueError unless it equals that int:
+    integral floats and numpy integers pass, 0.5, "3" and infinity do not."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Cyclo8:
     """Element (c0 + c1*a + c2*a^2 + c3*a^3) / sqrt(2)^half_powers, a = exp(i*pi/4).
@@ -82,10 +94,10 @@ class Cyclo8:
     half_powers: int = 0
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+        c = tuple(_exact_int(v, "coefficient") for v in self.coeffs)
         if len(c) != 4:
             raise ValueError("need exactly four coefficients")
-        k = int(self.half_powers)
+        k = _exact_int(self.half_powers, "half_powers")
         if k < 0:
             raise ValueError("half_powers must be nonnegative")
         value = _normalised(c, k)
@@ -168,7 +180,7 @@ class Cyclo8:
         if self.half_powers == 0:
             return body
         twos, root = divmod(self.half_powers, 2)
-        den = ("2" * 0 + str(2**twos) if twos else "") + ("√2" if root else "")
+        den = (str(2**twos) if twos else "") + ("√2" if root else "")
         if len(parts) > 1:
             body = f"({body})"
         return f"{body}/{den}"

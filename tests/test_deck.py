@@ -87,6 +87,21 @@ def test_quaternion_group_structure():
     assert gc.multiply(j4, j4) == e
 
 
+def test_cycle_orders_are_the_powering_orders_on_the_whole_group():
+    # the order read off the signed cycles against the smallest n with g^n = e
+    for g in gc.closure(gc.WEYL_GENERATORS.values()):
+        acc, n = g, 1
+        while acc != gc.IDENTITY:
+            acc, n = gc.multiply(acc, g), n + 1
+        assert deck._element_order(g) == n
+
+
+def test_verify_deck_group_refuses_no_sample_points():
+    for n_points in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            deck.verify_deck_group(deck.build_cyclic8(), n_points=n_points)
+
+
 def test_element_orders():
     c2 = deck.build_cyclic8()
     assert {d.label: d.order for d in c2.elements} == {

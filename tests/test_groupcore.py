@@ -138,6 +138,12 @@ def test_cycle_string_round_trip_on_all_permutations():
         assert gc.cycles_to_perm(text) == p
 
 
+def test_cycle_string_refuses_a_non_permutation():
+    for bad in [(1, 1, 2, 3), (0, 1, 2), (4, 0, 1, 2)]:
+        with pytest.raises(ValueError, match="permutation of 0..3"):
+            gc.perm_to_cycles(bad)
+
+
 def test_cycle_string_parse_is_reversed():
     # "(0132)" means 0 <- 1 <- 3 <- 2 <- 0 in one-line form [2, 0, 3, 1]
     assert gc.cycles_to_perm("(0132)") == (2, 0, 3, 1)
@@ -195,6 +201,12 @@ def test_sphere_points_repeat_for_a_seed_and_differ_between_seeds():
     assert np.array_equal(first, gc.random_sphere_points(50, seed=5))
     assert np.array_equal(first, gc.random_sphere_points(50, seed=np.int64(5)))
     assert not np.any(np.all(first == gc.random_sphere_points(50, seed=6), axis=1))
+
+
+def test_sphere_points_refuse_a_negative_count():
+    assert gc.random_sphere_points(0).shape == (0, 4)
+    with pytest.raises(ValueError):
+        gc.random_sphere_points(-2)
 
 
 def test_sphere_points_are_unit_vectors():

@@ -2,6 +2,8 @@
 little-group induction, and their restriction counts on the deck groups."""
 
 import math
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -94,8 +96,6 @@ def test_coset_generator_counts():
 
 
 def test_transversals_tile_the_permutations():
-    from itertools import permutations
-
     for little in ("s4", "s3xs1", "s2xs2"):
         members = [p for p in permutations(range(4)) if in_little_cogroup(little, p)]
         covered = set()
@@ -105,6 +105,12 @@ def test_transversals_tile_the_permutations():
                 covered.add(tuple(c[k[i]] for i in range(4)))
         assert len(covered) == 24
         assert transversal_is_left(little)
+
+
+def test_cycle_types_of_s4_count_the_class_sizes():
+    counts = Counter(induced._cycle_type(p, (0, 1, 2, 3)) for p in permutations(range(4)))
+    sizes = [induced._class_size(4, c) for c in S4_CLASSES]
+    assert [counts[c] for c in S4_CLASSES] == sizes == [1, 6, 3, 8, 6]
 
 
 def test_membership_samples():

@@ -116,6 +116,20 @@ def test_constructor_still_refuses_bad_input():
         Cyclo8((1, 0, 0, 0), -1)
     with pytest.raises(ValueError):
         Cyclo8(("x", 0, 0, 0))
+    # a value that is not equal to its int is refused, not truncated
+    for coeffs, half_powers in [
+        ((0.5, 0, 0, 0), 0),
+        ((1.9, 0, 0, 0), 0),
+        (("3", 0, 0, 0), 0),
+        ((float("inf"), 0, 0, 0), 0),
+        ((float("nan"), 0, 0, 0), 0),
+        ((1, 0, 0, 0), 1.7),
+        ((1, 0, 0, 0), float("inf")),
+    ]:
+        with pytest.raises(ValueError):
+            Cyclo8(coeffs, half_powers)
+    # numpy integers are taken as ints
+    assert Cyclo8((np.int64(1), 0, 0, 0), np.int32(0)) == ONE
     # integral floats are taken as ints, and the value is normalised
     assert Cyclo8((2.0, 0, 0, 0), 2) == ONE
 
