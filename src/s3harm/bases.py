@@ -7,6 +7,13 @@ the H-invariant subspace is the multiplicity m(j), computed here by
 character averaging, and realized concretely by closed-form combinations
 of one or two matrix elements.
 
+Each basis is a table (`_Basis`): a column per field of its functions and
+the `_Terms` of all their terms.  `_mesh_c2` and `_mesh_c3` build it for a
+range of degrees from the selection rules, as masks over (j, m1, m2)
+meshes; `basis_c2` and `basis_c3` return BasisFunction records as views of
+it, and `_terms` walks any list of records back into one.  Every check
+reads the table, and `verify` audits it without making a record.
+
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
 u -> wl^-1 u wr sends X to A X B^T, A = D(wl^-1)^T and B = D(wr): the map
@@ -40,7 +47,6 @@ dense matrix and `verify_basis` reduces them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -288,16 +294,49 @@ class _Terms(NamedTuple):
         return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
-def _terms(functions: list[BasisFunction]) -> _Terms:
-    """The one walk over the terms of functions, as a `_Terms` table."""
-    owner = np.array([n for n, f in enumerate(functions) for _ in f.terms], dtype=np.intp)
-    index = [(f.j - m1) * (2 * f.j + 1) + (f.j - m2) for f in functions for m1, m2, _ in f.terms]
-    coef = [c for f in functions for _, _, c in f.terms]
-    j = np.array([f.j for f in functions], dtype=np.intp)[owner]
-    norm = np.array([f.norm_factor for f in functions], dtype=float)[owner]
-    order = np.argsort(j, kind="stable")
-    return _Terms(owner[order], j[order], np.array(index, dtype=np.intp)[order],
-                  np.array(coef, dtype=complex)[order], norm[order])
+class _Basis(NamedTuple):
+    """A list of functions as columns: the manifold they share (None if the
+    list is empty or mixes manifolds), each function's j, m1, m2, kind and
+    norm factor in list order, and the `_Terms` of their terms."""
+
+    manifold: str | None
+    j: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    kind: np.ndarray
+    norm: np.ndarray
+    terms: _Terms
+
+
+def _integers(values) -> np.ndarray:
+    """values as an integer array; refuses any that is not an integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError("degrees and (m1, m2) labels must be integers")
+    return arr.astype(np.intp)
+
+
+def _terms(functions: list[BasisFunction]) -> _Basis:
+    """The one walk over a list of functions, into the table the meshes
+    build.  Refuses with ValueError a degree that is not a non-negative
+    integer, and a term whose labels are not integers or whose |m1| or |m2|
+    exceeds its degree: its flat index would land on another entry."""
+    rows = [(f.manifold, f.j, f.m1, f.m2, f.kind, f.norm_factor, len(f.terms)) for f in functions]
+    manifold, j, m1, m2, kind, norm, count = zip(*rows) if rows else ((),) * 7
+    flat = [term for f in functions for term in f.terms]
+    tm1, tm2, coef = zip(*flat) if flat else ((),) * 3
+    j, m1, m2, tm1, tm2 = map(_integers, (j, m1, m2, tm1, tm2))
+    owner = np.repeat(np.arange(len(j)), np.asarray(count, dtype=np.intp))
+    tj = j[owner]
+    if np.any(j < 0) or np.any((np.abs(tm1) > tj) | (np.abs(tm2) > tj)):
+        raise ValueError("degrees must be non-negative, and no |m1| or |m2| of a term may exceed its degree")
+    norm = np.array(norm, dtype=float)
+    columns = (owner, tj, (tj - tm1) * (2 * tj + 1) + (tj - tm2), np.array(coef, dtype=complex), norm[owner])
+    order = np.argsort(tj, kind="stable")
+    terms = _Terms(*(v[order] for v in columns))
+    manifolds = set(manifold)
+    manifold = manifolds.pop() if len(manifolds) == 1 else None
+    return _Basis(manifold, j, m1, m2, np.array(kind, dtype=object), norm, terms)
 
 
 def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
@@ -333,14 +372,16 @@ def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
     )
 
 
-def _span_projector(functions: list[BasisFunction], size: int, place) -> np.ndarray:
-    """Orthogonal projector onto the span of closed-form records: the sum of
-    c c^H / |c|^2 over each record's terms c, at the indices place(m1, m2)."""
+def _span_projector(terms: _Terms, size: int) -> np.ndarray:
+    """Orthogonal projector onto the span of the functions of one degree,
+    given by their terms: the sum of c c^H / |c|^2 over each function's
+    coefficients c, at the terms' indices."""
+    row = terms.runs()[1]
+    left, right = np.nonzero(row[:, None] == row)  # every pair of terms of one function
+    c = terms.coef
+    squared = np.bincount(row, weights=(c.conj() * c).real)
     out = np.zeros((size, size), dtype=complex)
-    for f in functions:
-        index = [place(m1, m2) for m1, m2, _ in f.terms]
-        c = np.array([coef for _, _, coef in f.terms])
-        out[np.ix_(index, index)] += np.outer(c, c.conj()) / np.vdot(c, c).real
+    np.add.at(out, (terms.index[left], terms.index[right]), c[left] * c[right].conj() / squared[row[left]])
     return out
 
 
@@ -351,15 +392,15 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     group average of the representation operators kron(A_h, B_h), scattered
     from the exact monomial action (one entry mu8^k / 8 per row and
     element), the second the projector onto the span of the closed-form
-    basis `basis_c2`.  Agreement of the two is a standing cross-check.
+    basis `basis_c2`, from its table.  Agreement of the two is a standing
+    cross-check.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
     gather, phase = _deck_action(build_cyclic8(), jj)
     averaged = np.zeros((dim * dim, dim * dim), dtype=complex)
     np.add.at(averaged, (np.arange(dim * dim), gather), _MU8[phase] / len(gather))
-    closed = _span_projector(basis_c2(jj), dim * dim, lambda m1, m2: (jj - m1) * dim + (jj - m2))
-    return averaged, closed
+    return averaged, _span_projector(_mesh_c2(range(jj, jj + 1)).terms, dim * dim)
 
 
 def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +412,8 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     operator is the (2j+1) x (2j+1) mean of the A_h, scattered from the
     exact action, and applies identically for every m2.  Returns
     (averaged, closed_form), the second the projector onto the span of the
-    closed-form basis `basis_c3` at any one m2; trace times (2j+1) is the
-    multiplicity.
+    closed-form basis `basis_c3` at m2 = j, from its table's terms there;
+    trace times (2j+1) is the multiplicity.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
@@ -383,9 +424,10 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
     averaged = np.zeros((dim, dim), dtype=complex)
     np.add.at(averaged, (np.arange(dim), gather[..., 0] // dim), _MU8[phase[..., 0]] / len(gather))
-    records = [f for f in basis_c3(jj) if f.m2 == jj]
-    closed = _span_projector(records, dim, lambda m1, m2: jj - m1)
-    return averaged, closed
+    terms = _mesh_c3(range(jj, jj + 1)).terms
+    at_top = terms.index % dim == 0  # m2 = j, where the flat index is (j - m1) dim
+    terms = _Terms(*(v[at_top] for v in terms))
+    return averaged, _span_projector(terms._replace(index=terms.index // dim), dim)
 
 
 @dataclass(frozen=True)
@@ -411,10 +453,9 @@ class BasisFunction:
 
     def coefficient_vector(self) -> np.ndarray:
         """Coefficients on the (2j+1)^2 space, (m1, m2) both descending."""
-        dim = 2 * self.j + 1
-        vec = np.zeros(dim * dim, dtype=complex)
-        for tm1, tm2, coef in self.terms:
-            vec[(self.j - tm1) * dim + (self.j - tm2)] = coef
+        table = _terms([self])
+        vec = np.zeros((2 * int(table.j[0]) + 1) ** 2, dtype=complex)
+        vec[table.terms.index] = table.terms.coef
         return self.norm_factor * vec
 
     def to_json_dict(self) -> dict:
@@ -499,107 +540,104 @@ def _stack_values(terms: _Terms, u, group: int = 1):
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
     """Values of every function at u, one column per function in list
     order, by `_stack_values`."""
-    shape, chunks = _stack_values(_terms(functions), u)
-    out = np.zeros((len(functions), math.prod(shape)), dtype=complex)
+    table = _terms(functions)
+    shape, chunks = _stack_values(table.terms, u)
+    out = np.zeros((len(table.j), math.prod(shape)), dtype=complex)
     for rows, at, values in chunks:
         out[rows, at] = values
-    return out.T.reshape(shape + (len(functions),))
+    return out.T.reshape(shape + (len(table.j),))
 
 
-def _single_norm(j: int) -> float:
-    return math.sqrt(2 * j + 1) / (math.sqrt(8.0) * math.pi)
+# the kinds of function, one shared string each in the tables' kind columns
+_KINDS = np.array(["single-term", "two-term-sum", "two-term-difference"], dtype=object)
 
 
-def _double_norm(j: int) -> float:
-    return math.sqrt(2 * j + 1) / (4.0 * math.pi)
+def _mesh(manifold: str, degrees: range, multiplicity, j, m1, m2, kind, partner, phase) -> _Basis:
+    """The table of the functions (j, m1, m2) that a selection rule keeps,
+    in that order.  A single-term function is D_{m1 m2} alone; any other
+    adds its partner (m1, m2) with the given phase.  The norm factor gives
+    each unit norm under the Euler measure.  Refuses a count that misses
+    the multiplicity at any degree."""
+    for degree, count in zip(degrees, np.bincount(j - degrees.start, minlength=len(degrees)).tolist()):
+        if count != (expected := multiplicity(degree)):
+            raise RuntimeError(f"basis count {count} disagrees with multiplicity {expected} at degree {degree}")
+    paired = kind != "single-term"
+    owner = np.repeat(np.arange(len(j)), 1 + paired)
+    second = np.cumsum(1 + paired)[paired] - 1  # the position of each partner term
+    tm1, tm2, coef = m1[owner], m2[owner], np.ones(len(owner), dtype=complex)
+    tm1[second], tm2[second], coef[second] = partner[0][paired], partner[1][paired], phase[paired]
+    norm = np.sqrt(2 * j + 1) / np.where(paired, 4.0 * math.pi, math.sqrt(8.0) * math.pi)
+    tj = j[owner]
+    terms = _Terms(owner, tj, (tj - tm1) * (2 * tj + 1) + (tj - tm2), coef, norm[owner])
+    return _Basis(manifold, j, m1, m2, kind, norm, terms)
 
 
-def _sorted_checked(out: list[BasisFunction], expected: int, j: int) -> list[BasisFunction]:
-    """Sort by (j, m1, m2) and refuse a count that misses the multiplicity."""
-    out.sort(key=lambda f: (f.j, f.m1, f.m2))
-    if len(out) != expected:
-        raise RuntimeError(f"basis count {len(out)} disagrees with multiplicity {expected} at degree {j}")
-    return out
+def _mesh_c2(degrees: range) -> _Basis:
+    """The table of `basis_c2` at the given integer degrees, its rule a mask
+    over the (j, m1, m2) mesh.  The phases are Python's powers, taken once
+    per distinct m and multiplied in the order i^{m1} (-1)^{j+m2} i^{m2},
+    so their signed zeros are those of that product of Python numbers."""
+    top = max(degrees)
+    grids = np.ix_(np.asarray(degrees), np.arange(-top, top + 1), np.arange(top + 1))
+    j, m1, m2 = grids
+    rule = (np.abs(m1) <= j) & (m2 <= j) & (m1 % 2 == 0) & ((m2 > 0) | ((m1 // 2 + j) % 2 == 0))
+    j, m1, m2 = (np.broadcast_to(grid, rule.shape)[rule] for grid in grids)
+    i_power = np.array([1j**m for m in range(-top, top + 1)])
+    sign = np.array([(-1.0) ** k for k in range(2 * top + 1)])
+    phase = i_power[m1 + top] * sign[j + m2] * i_power[m2 + top]
+    return _mesh("C2", degrees, multiplicity_c8, j, m1, m2, _KINDS[np.where(m2 > 0, 1, 0)], (m1, -m2), phase)
+
+
+def _mesh_c3(degrees: range) -> _Basis:
+    """The table of `basis_c3` at the given integer degrees, its rule a mask
+    over the (j, m1, m2) mesh."""
+    top = max(degrees)
+    grids = np.ix_(np.asarray(degrees), np.arange(0, top + 1, 2), np.arange(-top, top + 1))
+    j, m1, m2 = grids
+    rule = (m1 <= j) & (np.abs(m2) <= j) & ((m1 > 0) | (j % 2 == 0))
+    j, m1, m2 = (np.broadcast_to(grid, rule.shape)[rule] for grid in grids)
+    odd = j % 2 == 1
+    kind = _KINDS[np.where(m1 == 0, 0, np.where(odd, 2, 1))]  # single-term, sum or difference
+    return _mesh("C3", degrees, multiplicity_q, j, m1, m2, kind, (-m1, m2), np.where(odd, -1.0, 1.0))
+
+
+def _views(table: _Basis) -> list[BasisFunction]:
+    """The BasisFunction records of a mesh table, whose functions own
+    consecutive runs of terms in list order.  They hold Python scalars,
+    which json needs."""
+    terms = table.terms
+    dim = 2 * terms.j + 1
+    rows = list(zip((terms.j - terms.index // dim).tolist(), (terms.j - terms.index % dim).tolist(),
+                    terms.coef.tolist()))
+    bounds = np.searchsorted(terms.owner, np.arange(len(table.j) + 1)).tolist()
+    columns = (v.tolist() for v in (table.j, table.m1, table.m2, table.kind, table.norm))
+    return [
+        BasisFunction(table.manifold, j, m1, m2, kind, tuple(rows[lo:hi]), norm)
+        for j, m1, m2, kind, norm, lo, hi in zip(*columns, bounds, bounds[1:])
+    ]
 
 
 def basis_c2(j) -> list[BasisFunction]:
-    """Orthonormal cyclic-8 periodic harmonics of integer degree j.
+    """Orthonormal cyclic-8 periodic harmonics of integer degree j, sorted
+    by (m1, m2), as views of the degree's table (`_mesh_c2`).
 
     Even m1 throughout.  The m2 = 0 element survives alone only when its
     self-pairing phase i^{m1} (-1)^j equals +1; every m2 > 0 pairs with
-    -m2 in a fixed phase combination.
+    -m2 in the phase i^{m1} (-1)^{j+m2} i^{m2}.
     """
     jj = _require_integer_j(j)
-    out = []
-    for m1 in range(-jj, jj + 1):
-        if m1 % 2:
-            continue
-        self_phase = (1j) ** m1 * (-1.0) ** jj
-        if abs(self_phase - 1.0) < 1e-12:
-            out.append(
-                BasisFunction(
-                    manifold="C2",
-                    j=jj,
-                    m1=m1,
-                    m2=0,
-                    kind="single-term",
-                    terms=((m1, 0, 1.0 + 0j),),
-                    norm_factor=_single_norm(jj),
-                )
-            )
-        for m2 in range(1, jj + 1):
-            phase = (1j) ** m1 * (-1.0) ** (jj + m2) * (1j) ** m2
-            out.append(
-                BasisFunction(
-                    manifold="C2",
-                    j=jj,
-                    m1=m1,
-                    m2=m2,
-                    kind="two-term-sum",
-                    terms=((m1, m2, 1.0 + 0j), (m1, -m2, complex(phase))),
-                    norm_factor=_double_norm(jj),
-                )
-            )
-    return _sorted_checked(out, multiplicity_c8(jj), jj)
+    return _views(_mesh_c2(range(jj, jj + 1)))
 
 
 def basis_c3(j) -> list[BasisFunction]:
-    """Orthonormal quaternion-periodic harmonics of integer degree j.
+    """Orthonormal quaternion-periodic harmonics of integer degree j, sorted
+    by (m1, m2), as views of the degree's table (`_mesh_c3`).
 
     Odd degree pairs m1 with -m1 in differences (even m1 > 0); even degree
     keeps the m1 = 0 elements and pairs the rest in sums.  All m2 appear.
     """
     jj = _require_integer_j(j)
-    out = []
-    if jj % 2 == 0:
-        for m2 in range(-jj, jj + 1):
-            out.append(
-                BasisFunction(
-                    manifold="C3",
-                    j=jj,
-                    m1=0,
-                    m2=m2,
-                    kind="single-term",
-                    terms=((0, m2, 1.0 + 0j),),
-                    norm_factor=_single_norm(jj),
-                )
-            )
-    sign = 1.0 if jj % 2 == 0 else -1.0
-    kind = "two-term-sum" if jj % 2 == 0 else "two-term-difference"
-    for m1 in range(2, jj + 1, 2):
-        for m2 in range(-jj, jj + 1):
-            out.append(
-                BasisFunction(
-                    manifold="C3",
-                    j=jj,
-                    m1=m1,
-                    m2=m2,
-                    kind=kind,
-                    terms=((m1, m2, 1.0 + 0j), (-m1, m2, complex(sign))),
-                    norm_factor=_double_norm(jj),
-                )
-            )
-    return _sorted_checked(out, multiplicity_q(jj), jj)
+    return _views(_mesh_c3(range(jj, jj + 1)))
 
 
 def basis_for(manifold: str, j) -> list[BasisFunction]:
@@ -628,12 +666,10 @@ def _channel_profiles(terms: _Terms, count: int, rule) -> tuple[np.ndarray, np.n
     return profiles, keys // count, keys % count
 
 
-def _gram_entries(
-    functions: list[BasisFunction], rule=None, terms: _Terms | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nonzero entries of the Gram matrix, times the measure's mass, by
-    default under the Euler rule exact at twice the largest degree; terms
-    is the functions' `_terms` table, if the caller holds it.
+def _gram_entries(table: _Basis, rule=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nonzero entries of the Gram matrix of a table's functions, times
+    the measure's mass, by default under the Euler rule exact at twice the
+    largest degree.
 
     G[f, g] is nonzero only where f and g share a channel, so each channel
     of `_channel_profiles` adds its profiles^H profiles at the keys f n + g,
@@ -642,11 +678,10 @@ def _gram_entries(
     _ENTRY_BUDGET, one channel at least.  Returns (sorted
     keys, values, number of channels); a function without terms has none.
     """
+    count = len(table.j)
     if rule is None:
-        rule = euler_quadrature(2 * max(f.j for f in functions))
-    if terms is None:
-        terms = _terms(functions)
-    profiles, channel, owner = _channel_profiles(terms, len(functions), rule)
+        rule = euler_quadrature(2 * int(table.j.max()))
+    profiles, channel, owner = _channel_profiles(table.terms, count, rule)
     starts = np.flatnonzero(np.diff(channel, prepend=-1))
     sizes = np.diff(np.append(starts, len(channel)))
     offsets = np.cumsum(sizes**2) - sizes**2  # each channel's first entry, in channel order
@@ -659,7 +694,7 @@ def _gram_entries(
             rows = first[lo:lo + batch, None] + np.arange(size)
             block, who = profiles[rows], owner[rows]
             slots = at[lo:lo + batch, None] + np.arange(size * size)
-            keys[slots] = (who[:, :, None] * len(functions) + who[:, None, :]).reshape(len(rows), -1)
+            keys[slots] = (who[:, :, None] * count + who[:, None, :]).reshape(len(rows), -1)
             values[slots] = (block.conj() @ block.transpose(0, 2, 1)).reshape(len(rows), -1)
     del profiles
     keys, where = np.unique(keys, return_inverse=True)
@@ -677,33 +712,38 @@ def gram_matrix(functions: list[BasisFunction], rule=None) -> np.ndarray:
     channel (m1 mod n_alpha, m2 mod n_gamma); within a channel the sum over
     beta runs over the Gauss-Legendre nodes with weight w_b / 2.
     """
-    gram = np.zeros((len(functions), len(functions)), dtype=complex)
-    if functions:
-        keys, values, _ = _gram_entries(functions, rule)
+    table = _terms(functions)
+    gram = np.zeros((len(table.j), len(table.j)), dtype=complex)
+    if len(table.j):
+        keys, values, _ = _gram_entries(table, rule)
         gram.reshape(-1)[keys] = values
     return gram
 
 
-def _gram_error(functions: list[BasisFunction], rule=None, terms: _Terms | None = None) -> tuple[float, int, int]:
-    """max |G - I| of `gram_matrix(functions, rule)` from the same entries,
-    without the n x n array, so it is bit-identical and keeps a NaN.
-    Returns (error, number of channels, number of entries)."""
-    keys, values, channels = _gram_entries(functions, rule, terms)
-    diagonal = keys % (len(functions) + 1) == 0  # f n + f
+def _gram_error(table: _Basis, rule=None) -> tuple[float, int, int]:
+    """max |G - I| of the Gram matrix of a table's functions from the
+    entries `gram_matrix` scatters, without the n x n array, so it is
+    bit-identical and keeps a NaN.  Returns (error, number of channels,
+    number of entries)."""
+    keys, values, channels = _gram_entries(table, rule)
+    diagonal = keys % (len(table.j) + 1) == 0  # f n + f
     values[diagonal] -= 1.0
     # a function without terms has no entry: G_ii = 0, an error of 1
-    missing = np.count_nonzero(diagonal) < len(functions)
+    missing = np.count_nonzero(diagonal) < len(table.j)
     return float(np.max(np.abs(values), initial=float(missing))), channels, len(keys)
 
 
 def verify_basis(
-    functions: list[BasisFunction],
+    functions: list[BasisFunction] | _Basis,
     group: DeckGroup,
     seed: int = 42,
     tol: float = 1e-10,
     n_points: int = 100,
 ) -> dict:
-    """Audit a basis list against a deck group; returns a JSON-able report.
+    """Audit a basis against a deck group; returns a JSON-able report.
+
+    functions is a list of BasisFunction records, or the table that
+    `_mesh_c2` or `_mesh_c3` builds.
 
     Covers orthonormality (including cross-degree entries), from the
     nonzero Gram entries alone (`_gram_error`: `gram_entries` entries summed
@@ -722,7 +762,7 @@ def verify_basis(
     (`fix_max_error`).  The rank is compared with every independent count
     of the manifold (`multiplicity_routes_agree`).
 
-    The terms are read off the list once (`_terms`), and every check takes
+    A list is walked into a table once (`_terms`), and every check takes
     its degree's slice of that table.  The n_points base points and their
     images are parsed onto SU(2) once, each base point beside its images,
     and their distinct beta values are found once; each degree takes d^j
@@ -731,25 +771,24 @@ def verify_basis(
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
+    table = functions if isinstance(functions, _Basis) else _terms(functions)
     report: dict = {"manifold": None, "seed": seed, "tol": tol, "n_points": n_points}
-    if not functions:
+    if not len(table.j):
         report.update({"count": 0, "passed": True})
         return report
-    manifolds = {f.manifold for f in functions}
-    if len(manifolds) != 1:
+    if table.manifold is None:
         raise ValueError("basis list mixes manifolds")
-    manifold = manifolds.pop()
-    report["manifold"] = manifold
-    per_degree = Counter(f.j for f in functions)
-    degrees = list(range(min(per_degree), max(per_degree) + 1))  # a degree left out counts 0
+    manifold = report["manifold"] = table.manifold
+    per_degree = np.bincount(table.j).tolist()
+    degrees = list(range(int(table.j.min()), len(per_degree)))  # a degree left out counts 0
     report["degrees"] = degrees
     report["count_by_degree"] = {j: per_degree[j] for j in degrees}
     routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
-    terms = _terms(functions)
-    gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(functions, terms=terms)
+    terms = table.terms
+    gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(table)
     report["gram_max_error"] = gram_err
 
     points = gc.random_sphere_points(n_points, seed=seed)
@@ -764,7 +803,7 @@ def verify_basis(
     # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
     period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
 
-    table = product_table(group)
+    products = product_table(group)
     blocks = report["projector"] = {}
     for j in degrees:
         degree = terms.degree(j)
@@ -776,7 +815,7 @@ def verify_basis(
             "expected_rank": report["multiplicity_by_degree"][j],
             "trace": float(np.sum(_MU8[phase[fixed]]).real) / len(gather),
             "fix_max_error": _fix_error(gather, phase, degree),
-            "homomorphism": _is_homomorphism(gather, phase, table),
+            "homomorphism": _is_homomorphism(gather, phase, products),
             "closed_form_matches": _matches_orbits(degree, rep, orbit_phase, invariant),
         }
     exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())

@@ -19,7 +19,8 @@ matrices:
 
 Every pointwise evaluator wraps one private kernel.  _point_entries reads
 a point argument's entries and _su2_points parses them once: the SU(2)
-check, the unit phases and beta, over the flattened stack of points.
+check, the unit phases and beta, over the flattened stack of points
+(EulerAngles give beta and the phases directly, `_euler_points`).
 _ColumnKernel then evaluates the requested entries of one degree from that
 factorisation, written in u alone, with one row per (m1, m2) and one column
 per point, so that its phase lookups, and the callers' sums over terms,
@@ -114,13 +115,14 @@ def _entry_terms(two_j: int, two_m1: int, two_m2: int):
 
 
 def _point_entries(u):
-    """Entries (a, b, c, d) of a point argument, each of the batch shape.
+    """Entries (a, b, c, d) of a point argument, each of the batch shape,
+    or the angles themselves if u is EulerAngles.
 
     u may be EulerAngles, one 2x2 special unitary, a stacked array of them
     with shape (..., 2, 2), or an exact Su2Exact matrix.
     """
     if isinstance(u, EulerAngles):
-        return u.matrix_entries()
+        return u
     arr = _complex_matrices(u)
     return arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
 
@@ -131,8 +133,10 @@ def _su2_points(entries, tol: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray
     unit[1] = b/|b| (1 where the modulus is 0), beta = 2 atan2(|b|, |a|).
 
     Refused with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and
-    d = conj(a) within tol.
+    d = conj(a) within tol.  EulerAngles go by `_euler_points`.
     """
+    if isinstance(entries, EulerAngles):
+        return _euler_points(entries)
     a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
     off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
     if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
@@ -141,6 +145,26 @@ def _su2_points(entries, tol: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray
     modulus = np.abs(a_b)
     unit = np.divide(a_b, modulus, out=np.ones_like(a_b), where=modulus > 0)
     return a.shape, unit, 2.0 * np.arctan2(modulus[1], modulus[0])
+
+
+def _euler_points(angles: EulerAngles) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """`_su2_points` of EulerAngles, read straight off the angles, which
+    give a = e^{i(alpha+gamma)/2} cos(beta/2) and b = e^{i(alpha-gamma)/2}
+    sin(beta/2): the unit phases are those exponentials times the signs of
+    the cosine and the sine (1 where either is 0), and beta in [0, pi] is
+    taken as it is, elsewhere as 2 atan2(|sin(beta/2)|, |cos(beta/2)|).
+    Refuses an angle that is not finite with ValueError."""
+    alpha, beta, gamma = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (angles.alpha, angles.beta, angles.gamma))
+    )
+    if not np.all(np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(gamma)):
+        raise ValueError("Euler angles must be finite")
+    shape = alpha.shape
+    alpha, beta, gamma = (v.reshape(-1) for v in (alpha, beta, gamma))
+    half = np.stack([np.cos(beta / 2.0), np.sin(beta / 2.0)])
+    unit = np.where(half == 0.0, 1.0, np.exp(0.5j * np.stack([alpha + gamma, alpha - gamma])) * np.sign(half))
+    folded = 2.0 * np.arctan2(np.abs(half[1]), np.abs(half[0]))
+    return shape, unit, np.where((beta >= 0.0) & (beta <= np.pi), beta, folded)
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +183,18 @@ def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return exact, vec
 
 
+def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
+    """unit^k for k = -top..top along a new axis 1, the negative powers as
+    conjugates: one running product over [1, u, u, ...], which keeps the
+    powers of i exact and adds about an ulp per step.  numpy's complex
+    power leaves its integer fast path above exponent 100 and was off by
+    4.9e-14 by exponent 160."""
+    steps = np.repeat(unit[:, None, :], top + 1, axis=1)
+    steps[:, 0] = 1.0
+    powers = np.cumprod(steps, axis=1)
+    return np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)
+
+
 class _ColumnKernel:
     """Evaluator (unit, beta) of _su2_points -> D^j_{m1 m2} for each
     (2 m1, 2 m2) in pairs, a row per pair and a column per point.  The work
@@ -167,7 +203,8 @@ class _ColumnKernel:
 
     An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
     are integer powers, not exp(i k arg z), so exact lifts stay exact, and
-    each is a row of a table of powers, so the lookups are row gathers.
+    each is a row of a table of powers (`_unit_powers`), so the lookups are
+    row gathers.
     d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (_jy_eigen) is
     real, so `small_d(beta)` is one real matmul, points by pairs:
     [cos(beta lam), sin(beta lam)] @ rows.T, where rows holds [Re, -Im] of
@@ -186,15 +223,14 @@ class _ColumnKernel:
         self.rows = np.concatenate([outer.real, -outer.imag], axis=-1)
         self.a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
         self.b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
-        self.exponent = np.arange(two_j + 1)[:, None]
+        self.two_j = two_j
 
     def small_d(self, beta: np.ndarray) -> np.ndarray:
         angle = np.asarray(beta, dtype=float)[..., None] * self.lam
         return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ self.rows.T
 
     def columns(self, unit: np.ndarray, small_d: np.ndarray) -> np.ndarray:
-        powers = np.power(unit[:, None, :], self.exponent)
-        powers = np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)  # exponents -2j..2j
+        powers = _unit_powers(unit, self.two_j)
         out = powers[0][self.a_power]
         out *= small_d.T
         del small_d  # the caller passes its only reference
@@ -253,11 +289,10 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     Rows and columns run over m1 and m2 in descending order.  An argument
     not special unitary within unitary_tol is rejected with ValueError.
     """
-    entries = _point_entries(u)
-    if np.shape(entries[0]) != ():
-        raise ValueError(f"expected one 2x2 matrix, got a batch of shape {np.shape(entries[0])}")
     two_j = _two_j(j)
-    _, unit, beta = _su2_points(entries, unitary_tol)
+    shape, unit, beta = _su2_points(_point_entries(u), unitary_tol)
+    if shape != ():
+        raise ValueError(f"expected one 2x2 matrix, got a batch of shape {shape}")
     return _full_kernel(two_j)(unit, beta).reshape(two_j + 1, two_j + 1)
 
 

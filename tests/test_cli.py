@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -78,6 +79,45 @@ def test_basis_counts(capsys):
     code, out = run(capsys, ["basis", "--manifold", "C3", "--j", "1",
                              "--format", "json"])
     assert json.loads(out)["count"] == 0
+
+
+# SHA-256 of `s3harm basis --manifold M --j J --format F` for J = 0..12, the
+# outputs concatenated, as the nested loops over (m1, m2) once printed them
+BASIS_DIGESTS = {
+    ("C2", "json"): "df486cce988e94813149011eb812a58f93b8aa2fbee397d2d9b37541da2b9d3a",
+    ("C2", "csv"): "78d253a578a595b7e57e1734d3bece2f82990c460da06f7f2e04d9d3dce1d21c",
+    ("C2", "text"): "b0040098f6688995ac74c3b609c3a2ae7d13a1fca2a8bf9b2a96b1485c4bbf76",
+    ("C3", "json"): "904838db9bde9b1b040878e53040cdb9f3529dc197f7fb951f663f6e8fadcc45",
+    ("C3", "csv"): "fc504db75e20ca5859a1af32d1adb9e4c569e4f18fefdf6ddd9fd7c70276a637",
+    ("C3", "text"): "64d476379c865a3d0e87b7a4d62c99e058f324895b934d394b482d2bbc62c2a4",
+}
+
+
+@pytest.mark.parametrize("manifold, fmt", sorted(BASIS_DIGESTS))
+def test_basis_output_bytes_are_locked(capsys, manifold, fmt):
+    digest = hashlib.sha256()
+    for j in range(13):
+        code, out = run(capsys, ["basis", "--manifold", manifold, "--j", str(j), "--format", fmt])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == BASIS_DIGESTS[manifold, fmt]
+
+
+def test_verify_builds_no_basis_record(capsys, monkeypatch):
+    # verify audits each manifold's table as the selection rules build it
+    made = []
+    real_init = bases.BasisFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bases.BasisFunction, "__init__", counting_init)
+    code, out = run(capsys, ["verify", "--suite", "basis", "--jmax", "12", "--format", "json"])
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert made == []
+    bases.basis_c2(1)  # the records themselves are counted
+    assert made == [1]
 
 
 def test_induced_summary(capsys):

@@ -122,6 +122,26 @@ def test_euler_angle_chart():
     assert abs(np.linalg.det(u) - 1.0) < 1e-14
 
 
+def test_euler_angles_are_parsed_without_the_matrix():
+    # beta and the phases e^{i(alpha +- gamma)/2} come straight from the
+    # angles, beta in [0, pi] unchanged; outside it they fold as the matrix does
+    rng = np.random.default_rng(77)
+    beta = np.concatenate([rng.uniform(0, np.pi, 40), rng.uniform(-3 * np.pi, 5 * np.pi, 40),
+                           [0.0, np.pi, 2 * np.pi, -np.pi, 3 * np.pi, -2 * np.pi]])
+    angles = EulerAngles(rng.uniform(-7, 7, (len(beta), 1)), beta[:, None], rng.uniform(-7, 7, (len(beta), 2)))
+    shape, unit, direct_beta = wigner._su2_points(wigner._point_entries(angles))
+    matrix_shape, matrix_unit, matrix_beta = wigner._su2_points(angles.matrix_entries())
+    assert shape == matrix_shape == (len(beta), 2)
+    assert np.max(np.abs(unit - matrix_unit)) < 1e-14
+    assert np.max(np.abs(direct_beta - matrix_beta)) < 1e-14
+    inside = np.repeat((beta >= 0) & (beta <= np.pi), 2)
+    assert np.array_equal(direct_beta[inside], np.repeat(beta, 2)[inside])
+    outside = EulerAngles(0.3, 4.0, -1.2)
+    assert np.max(np.abs(wigner_d(3, outside) - wigner_d(3, outside.matrix()))) < 1e-14
+    with pytest.raises(ValueError):
+        wigner_d(1, EulerAngles(0.0, np.nan, 0.0))
+
+
 def test_euler_factorization_of_matrix_entries():
     # D^j(alpha, beta, gamma) = e^{+i m1 alpha} d^j(beta) e^{+i m2 gamma},
     # with d^1(beta) the transpose of the usual table
@@ -254,6 +274,33 @@ def test_stable_small_d_stays_unitary_at_high_degree():
     small = small_d(80, betas)
     assert small.dtype == float
     assert np.max(np.abs(small @ small.swapaxes(-1, -2) - np.eye(81))) < 1e-13
+
+
+def test_phase_tables_hold_at_exponents_above_100():
+    # numpy's complex power leaves its integer fast path above exponent
+    # 100; there it was off by 3.9e-14 at the powers of i, 2.4e-14 at those
+    # of fl(exp(i pi/4)) and 1.8e-14 at those of fl((3 + 4i)/5)
+    top, r = 200, math.sqrt(0.5)
+    eighth = [complex(*z) for z in ((1, 0), (r, r), (0, 1), (-r, r), (-1, 0), (-r, -r), (0, -1), (r, -r))]
+    units = np.array(eighth + [complex(0.6, 0.8)])
+    powers = wigner._unit_powers(np.stack([units, units.conj()]), top)
+    assert powers.shape == (2, 2 * top + 1, len(units))
+    exponents = range(top + 1)
+    for n in range(8):
+        exact = np.array([eighth[n * k % 8] for k in exponents])
+        if n % 2 == 0:  # powers of i stay exact
+            assert np.array_equal(powers[0, top:, n], exact)
+        else:
+            assert np.max(np.abs(powers[0, top:, n] - exact)) < 1e-15
+    # fl((3 + 4i)/5), the double itself, raised in exact rational arithmetic
+    re, im, a, b, exact = Fraction(0.6), Fraction(0.8), Fraction(1), Fraction(0), []
+    for _ in exponents:
+        exact.append(complex(a, b))
+        a, b = a * re - b * im, a * im + b * re
+    assert np.max(np.abs(powers[0, top:, 8] - exact)) < 4e-15
+    # the negative exponents are the conjugates, mirrored
+    assert np.array_equal(powers[:, :top + 1], powers[:, top:][:, ::-1].conj())
+    assert np.array_equal(powers[1], powers[0].conj())
 
 
 @pytest.mark.parametrize("j", [30, 40])
