@@ -26,15 +26,21 @@ factorisation, written in u alone, with one row per (m1, m2) and one column
 per point, so that its phase lookups, and the callers' sums over terms,
 gather whole rows.  It takes whatever points it is given in one pass; the
 callers bound them.  Its d^j factor and its phase factor are separate
-steps, so a caller can take d^j once per distinct beta, and the separable
-Gram sum takes its d^j factor alone.  wigner_entry, wigner_entry_function
-and conjugation_harmonic share one route through it (_entry_values);
+steps, so a caller can take d^j once per distinct beta.  wigner_entry,
+wigner_entry_function and conjugation_harmonic share one route through it
+(_entry_values);
 wigner_d keeps the kernel of a full matrix for the last degree it was
 asked for (_full_kernel).  The kernel holds the d^j rows itself, from the
 exact diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys. Rev. E
 92, 043307).
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
+
+The separable Gram sum takes d^j by a second route, independent of the
+kernel: `_small_d_by_degree` runs the three-term recurrence in j at fixed
+(m1, m2) from an exact seed at the Gauss-Legendre nodes t = cos(beta)
+(`EulerQuadrature.cos_beta`), every degree of a pair in one pass, with no
+eigensolve.
 
 EulerQuadrature keeps the one-dimensional factors of its product rule, so
 sums over it can be taken in separable order.  Its Gauss-Legendre factor is
@@ -263,6 +269,72 @@ def _full_kernel(two_j: int) -> _ColumnKernel:
     return kernel
 
 
+_SEED_MAX_DEGREE = 514  # the largest j0 whose binomial C(2 j0, j0) is a finite float
+
+
+def _small_d_by_degree(m1: np.ndarray, m2: np.ndarray, t: np.ndarray, top: int, scale=1.0):
+    """d^j_{m1 m2}(arccos t) of integer pairs, in `_ColumnKernel`'s sign
+    convention ((-1)^{m1-m2} times the standard d), times scale, at every
+    degree from j0 = max(|m1|, |m2|) to top: the three-term recurrence in j
+    at fixed (m1, m2) (Kostelec & Rockmore 2008, J. Fourier Anal. Appl. 14,
+    145), with no J_y eigenbasis.
+
+    The pairs come in ascending order of j0.  Yields (j, rows) for each j
+    from the first pair's j0 to top: rows[k] holds the values of the k-th
+    pair at the nodes t, for the pairs with j0 <= j.  rows is a view that
+    the next steps overwrite.  Pairs beyond j0 = _SEED_MAX_DEGREE raise
+    ValueError: their seed's binomial overflows a float.
+
+    The seed at j0 is sqrt(C(2 j0, |m1+m2|)) cos(b/2)^{|m1+m2|}
+    sin(b/2)^{|m1-m2|}, written in t alone: an exact integer binomial
+    times integer powers of (1 + t)/2 and (1 - t)/2, with one square root,
+    taken over the binomial times (1 + t)(1 - t)/4 where the exponents are
+    odd.  It is within 1e-14 relative of its exact value at j0 = 80, where
+    a rounded cos(b/2) raised to the power, or a seed through logarithms,
+    is off by 1e-13 to 1e-12.  Each step is
+    d^{j+1} = A (t - B) d^j - C d^{j-1}, with U = ((j+1)^2 - m1^2)((j+1)^2 - m2^2),
+    A = (j+1)(2j+1) / sqrt(U), B = m1 m2 / (j(j+1)) and
+    C = (j+1) sqrt((j^2 - m1^2)(j^2 - m2^2)) / (j sqrt(U)).
+    """
+    m1, m2 = np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64)
+    j0 = np.maximum(np.abs(m1), np.abs(m2))
+    if np.any(np.diff(j0) < 0):
+        raise ValueError("pairs must come in ascending order of max(|m1|, |m2|)")
+    if j0.size and j0[-1] > _SEED_MAX_DEGREE:
+        raise ValueError(
+            f"the recurrence seed at max(|m1|, |m2|) = {j0[-1]} overflows a float "
+            f"(its limit is {_SEED_MAX_DEGREE})"
+        )
+    t = np.asarray(t, dtype=float)
+    plus, minus = (1.0 + t) / 2.0, (1.0 - t) / 2.0
+    cos_power, sin_power = np.abs(m1 + m2), np.abs(m1 - m2)  # they add up to 2 j0
+    binomial = np.array([float(math.comb(2 * k, e)) for k, e in zip(j0.tolist(), cos_power.tolist())])
+    binomial = binomial[:, None]
+    seed = np.sqrt(np.where((cos_power % 2 == 1)[:, None], binomial * (plus * minus), binomial))
+    seed *= plus ** (cos_power // 2)[:, None]
+    seed *= minus ** (sin_power // 2)[:, None]
+    seed *= np.where(m2 > m1, 1 - 2 * ((m2 - m1) % 2), 1)[:, None] * scale
+    previous, current, following = np.zeros((3,) + seed.shape)
+    sq1, sq2, product = m1 * m1, m2 * m2, m1 * m2
+    active = 0
+    for j in range(int(j0[0]), top + 1):
+        if active:  # the step i = j - 1 -> j of the pairs already started
+            k, i = active, j - 1
+            upper = np.sqrt(((j * j - sq1[:k]) * (j * j - sq2[:k])).astype(float))
+            lower = np.sqrt(((i * i - sq1[:k]) * (i * i - sq2[:k])).astype(float))
+            out = following[:k]
+            np.subtract(t, (product[:k] / (i * j or 1))[:, None], out=out)  # B is 0 at i = 0
+            out *= (j * (2 * i + 1) / upper)[:, None]
+            out *= current[:k]
+            previous[:k] *= (j * lower / ((i or 1) * upper))[:, None]  # C is 0 where j0 = i
+            out -= previous[:k]
+            previous, current, following = current, following, previous
+        started = int(np.searchsorted(j0, j, side="right"))
+        current[active:started] = seed[active:started]  # the other buffers hold 0 there
+        active = started
+        yield j, current[:active]
+
+
 def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
@@ -409,20 +481,25 @@ class EulerQuadrature:
     """Product rule for the normalized measure (1/8 pi^2) da sin(b) db dg.
 
     Kept as its one-dimensional factors: uniform grids alpha and gamma, and
-    Gauss-Legendre nodes beta = arccos(t) with their weights in t, which
-    sum to 2.  The product nodes (`angles`, alpha slowest, gamma fastest)
-    and their `weights` are built from the factors on request.
+    Gauss-Legendre nodes t = `cos_beta` with their weights in t, which sum
+    to 2; the nodes in beta are `beta` = arccos(t).  The product nodes
+    (`angles`, alpha slowest, gamma fastest) and their `weights` are built
+    from the factors on request.
     """
 
     alpha: np.ndarray
-    beta: np.ndarray
+    cos_beta: np.ndarray
     beta_weights: np.ndarray
     gamma: np.ndarray
     max_degree: int
 
     @property
+    def beta(self) -> np.ndarray:
+        return np.arccos(self.cos_beta)
+
+    @property
     def shape(self) -> tuple[int, int, int]:
-        return self.alpha.size, self.beta.size, self.gamma.size
+        return self.alpha.size, self.cos_beta.size, self.gamma.size
 
     @property
     def node_count(self) -> int:
@@ -506,7 +583,7 @@ def euler_quadrature(
     t, wt = _gauss_legendre(nb)
     return EulerQuadrature(
         alpha=2.0 * np.pi * np.arange(na) / na,
-        beta=np.arccos(t),
+        cos_beta=t,
         beta_weights=wt,
         gamma=2.0 * np.pi * np.arange(ng) / ng,
         max_degree=max_degree,

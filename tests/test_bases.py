@@ -430,6 +430,45 @@ def test_gram_of_a_shuffled_list_is_the_permuted_gram(manifold, rule):
     assert np.max(np.abs(shuffled - bases.gram_matrix(fns, rule)[perm][:, perm])) <= 1e-15
 
 
+@pytest.mark.parametrize("rule", [None, euler_quadrature(6)], ids=["default", "aliased"])
+def test_the_gram_batches_change_no_bit(rule, monkeypatch):
+    # every channel set in one batch, against one set per batch
+    tables = [mesh(range(9)) for mesh in (bases._mesh_c2, bases._mesh_c3)]
+    routes = (
+        lambda table: bases._gram_error(table, rule),
+        lambda table: bases.gram_matrix(bases._views(table), rule),
+    )
+    default = [route(table) for table in tables for route in routes]
+    monkeypatch.setattr(bases, "_GRAM_BUDGET", 1)
+    smallest = [route(table) for table in tables for route in routes]
+    assert smallest[0] == default[0] and smallest[2] == default[2]
+    assert np.array_equal(smallest[1], default[1]) and np.array_equal(smallest[3], default[3])
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_a_set_whose_channels_hold_other_functions_sums_like_the_grid(manifold):
+    # records that lost their partner term, or hold it twice, leave the two
+    # channels of their set with different functions: their entries meet
+    # in the sorted reduction, which must give the product-grid sum
+    fns = [f for j in range(5) for f in bases.basis_for(manifold, j)]
+    paired = [i for i, f in enumerate(fns) if len(f.terms) == 2]
+    fns[paired[3]] = replace(fns[paired[3]], terms=fns[paired[3]].terms[:1])
+    fns[paired[-1]] = replace(fns[paired[-1]], terms=fns[paired[-1]].terms[1:] * 2)
+    for rule in (euler_quadrature(8), euler_quadrature(6)):
+        gram = bases.gram_matrix(fns, rule)
+        assert np.max(np.abs(gram - product_grid_gram(fns, rule))) < 1e-13
+        assert bases._gram_error(bases._terms(fns), rule)[0] == np.max(np.abs(gram - np.eye(len(fns))))
+
+
+def test_gram_counts_and_error_of_the_recurrence():
+    # the counts are those of every earlier route; the error is a few ulps
+    for mesh, entries in ((bases._mesh_c2, (4593, 31681)), (bases._mesh_c3, (4453, 31021))):
+        for top, channels, count in ((12, 325, entries[0]), (20, 861, entries[1])):
+            err, n_channels, n_entries = bases._gram_error(mesh(range(top + 1)))
+            assert (n_channels, n_entries) == (channels, count)
+            assert err <= (2.5e-15 if top == 12 else 5e-15)
+
+
 def dense_action(gather, phase):
     """Test helper: each element's exact action as a dense (2j+1)^2 matrix."""
     size = gather.shape[1]
@@ -461,6 +500,17 @@ def test_batched_deck_operators_match_per_element_wigner_d():
                     assert np.max(np.abs(dense - wigner_d(j, lift))) < kernel_tol
                     factors.append(dense)
                 assert np.max(np.abs(pair_action - np.kron(factors[0].T, factors[1]))) < 1e-15
+
+
+def test_every_gather_is_an_involution():
+    # each lift maps rows to columns by an involution, so `_average` reads
+    # gather[:, index] for the positions the entries at index move to
+    for group in (build_cyclic8(), build_quaternion()):
+        for j in range(13):
+            gather, _ = bases._deck_action(group, j)
+            identity = np.broadcast_to(np.arange(gather.shape[1]), gather.shape)
+            assert np.array_equal(np.take_along_axis(gather, gather, axis=1), identity)
+            assert np.array_equal(np.argsort(gather, axis=1), gather)
 
 
 def test_each_lift_is_read_once_for_every_degree():
@@ -623,6 +673,23 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
     values = bases._basis_values(fns, su2.matrix_from_point(moved))
     assert report["periodicity_max_error"] == np.max(np.abs(values[1:] - values[0]))
     assert report["passed"] is True
+
+
+def test_periodicity_stacks_no_identity_image(monkeypatch):
+    # the identity's image is the base point bit for bit: verify_basis
+    # evaluates n_points x |H| points, not n_points x (|H| + 1)
+    seen = []
+    real_stack_values = bases._stack_values
+
+    def spy(terms, u, group=1):
+        seen.append((np.shape(u), group))
+        return real_stack_values(terms, u, group)
+
+    monkeypatch.setattr(bases, "_stack_values", spy)
+    for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
+        fns = [f for j in range(5) for f in bases.basis_for(manifold, j)]
+        assert bases.verify_basis(fns, group, n_points=13)["passed"] is True
+    assert seen == [((13, 8, 2, 2), 8)] * 2
 
 
 @pytest.mark.parametrize("budget", [1, 2**9, 2**14, 2**40])
@@ -793,30 +860,32 @@ def test_verify_basis_rejects_mixed_manifolds():
 
 
 def test_periodicity_under_every_deck_element():
-    # direct pointwise check, independent of verify_basis bookkeeping
+    # direct pointwise check, independent of verify_basis bookkeeping: each
+    # sampled function on the stack of points and on its image under each element
     pts = gc.random_sphere_points(25, seed=17)
+    u = su2.matrix_from_point(pts)
     for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
         fns = [f for j in range(4) for f in bases.basis_for(manifold, j)]
+        sampled = fns[:: max(1, len(fns) // 7)]
+        at_points = [f.evaluate(u) for f in sampled]
         for el in group.elements:
-            for x in pts:
-                u = su2.matrix_from_point(x)
-                v = su2.matrix_from_point(gc.apply(el.element, x))
-                for f in fns[:: max(1, len(fns) // 7)]:
-                    assert abs(f.evaluate(u) - f.evaluate(v)) < 1e-10
+            v = su2.matrix_from_point(gc.apply(el.element, pts))
+            for f, values in zip(sampled, at_points):
+                assert values.shape == (25,)
+                assert np.max(np.abs(values - f.evaluate(v))) < 1e-10
 
 
 @pytest.mark.parametrize("check", ["gram", "periodicity", "fix"])
 def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
     fns = [f for j in range(5) for f in bases.basis_c2(j)]
     if check == "gram":
-        real_profiles = bases._channel_profiles
+        real_small_d = bases._small_d_by_degree
 
-        def poisoned_profiles(*args):
-            profiles, channel, owner = real_profiles(*args)
-            profiles[np.array([f.j for f in fns])[owner] == 3] *= np.nan
-            return profiles, channel, owner
+        def poisoned_small_d(*args):
+            for degree, rows in real_small_d(*args):
+                yield degree, rows * np.nan if degree == 3 else rows
 
-        monkeypatch.setattr(bases, "_channel_profiles", poisoned_profiles)
+        monkeypatch.setattr(bases, "_small_d_by_degree", poisoned_small_d)
     elif check == "periodicity":
         real_values = bases._degree_values
 

@@ -4,7 +4,10 @@ The coupling coefficients get an independent oracle: a ladder-operator
 construction that never touches the factorial sum used in the library.
 The Wigner kernel, which works from the J_y eigenbasis, gets two: the
 monomial factorial sum in floating point, and the same sum in exact
-rational arithmetic at Pythagorean points.
+rational arithmetic at Pythagorean points.  The Gram's d^j, from the
+recurrence in degree, is checked against the kernel at every pair, against
+exact orthonormality under the quadrature rule, and at its seed against
+exact rational squares.
 """
 
 import cmath
@@ -274,6 +277,84 @@ def test_stable_small_d_stays_unitary_at_high_degree():
     small = small_d(80, betas)
     assert small.dtype == float
     assert np.max(np.abs(small @ small.swapaxes(-1, -2) - np.eye(81))) < 1e-13
+
+
+def ring_pairs(top):
+    """Every integer (m1, m2) with |m1|, |m2| <= top, in ascending order of
+    j0 = max(|m1|, |m2|), as the recurrence takes them."""
+    m1, m2 = (v.reshape(-1) for v in np.meshgrid(np.arange(-top, top + 1), np.arange(-top, top + 1)))
+    order = np.argsort(np.maximum(np.abs(m1), np.abs(m2)), kind="stable")
+    return m1[order], m2[order]
+
+
+def recurrence_table(m1, m2, t, top, scale=1.0):
+    """Every row the recurrence yields, d[j, k] for the k-th pair, 0 below its j0."""
+    table = np.zeros((top + 1, len(m1), len(t)))
+    for j, rows in wigner._small_d_by_degree(m1, m2, t, top, scale):
+        table[j, : len(rows)] = rows
+    return table
+
+
+def test_recurrence_in_degree_matches_the_kernel_over_every_pair():
+    # the Gram's d^j against the periodicity's, two independent routes
+    rule = euler_quadrature(80)
+    m1, m2 = ring_pairs(40)
+    j0 = np.maximum(np.abs(m1), np.abs(m2))
+    table = recurrence_table(m1, m2, rule.cos_beta, 40)
+    for j in range(41):
+        on = j0 <= j
+        kernel = _ColumnKernel(2 * j, np.stack([2 * m1[on], 2 * m2[on]], axis=-1)).small_d(rule.beta)
+        assert np.max(np.abs(table[j, on] - kernel.T)) <= 1e-13, j
+        assert not np.any(table[j, ~on])
+
+
+def test_recurrence_rows_are_orthonormal_under_the_162_node_rule():
+    # (2j+1) sum_b (w_b / 2) d^j d^j' = delta_jj' for every pair and every
+    # two degrees up to 80, one ring j0 = max(|m1|, |m2|) at a time
+    rule = euler_quadrature(160)
+    assert rule.shape[1] == 162
+    root_w = np.sqrt(rule.beta_weights / 2.0)
+    worst = 0.0
+    for low in range(81):
+        m1, m2 = ring_pairs(low)
+        ring = np.maximum(np.abs(m1), np.abs(m2)) == low
+        table = recurrence_table(m1[ring], m2[ring], rule.cos_beta, 80, root_w)[low:]
+        rows = table.transpose(1, 0, 2) * np.sqrt(2.0 * np.arange(low, 81) + 1.0)[:, None]
+        worst = max(worst, np.max(np.abs(rows @ rows.transpose(0, 2, 1) - np.eye(81 - low))))
+    assert worst <= 2e-14
+
+
+def test_recurrence_seeds_in_t_hold_at_degree_80():
+    # the seed d^80 at j0 = 80 against its exact square in rationals of the
+    # node t, C(160, a) ((1 + t)/2)^a ((1 - t)/2)^b; a seed from a rounded
+    # cos(beta/2) raised to the power 120 is off by 1.2e-12 at (60, 60)
+    rule = euler_quadrature(160)
+    m1, m2 = ring_pairs(80)
+    ring = (np.maximum(np.abs(m1), np.abs(m2)) == 80) & (m1 % 10 == 0) & (m2 % 10 == 0)
+    ((degree, seed),) = wigner._small_d_by_degree(m1[ring], m2[ring], rule.cos_beta, 80)
+    assert degree == 80 and len(seed) == np.count_nonzero(ring)
+    worst = 0.0
+    for k, (a, b) in enumerate(zip(np.abs(m1 + m2)[ring].tolist(), np.abs(m1 - m2)[ring].tolist())):
+        for n in range(0, 162, 9):
+            t = Fraction(float(rule.cos_beta[n]))
+            square = math.comb(160, a) * ((1 + t) / 2) ** a * ((1 - t) / 2) ** b
+            if square > Fraction(1, 10**250):  # far above the doubles' underflow
+                worst = max(worst, abs(float(Fraction(float(seed[k, n])) ** 2 / square) - 1.0) / 2.0)
+    assert worst <= 1.5e-14
+
+
+def test_recurrence_refuses_seeds_whose_binomial_overflows():
+    # C(2 j0, j0) is a finite float up to j0 = 514 and overflows at 515
+    t = np.array([0.0])
+    ((degree, seed),) = wigner._small_d_by_degree([0], [514], t, 514)
+    assert degree == 514 and np.isfinite(seed).all()
+    with pytest.raises(ValueError, match="overflows a float"):
+        next(wigner._small_d_by_degree([515], [0], t, 515))
+
+
+def test_recurrence_refuses_pairs_out_of_order():
+    with pytest.raises(ValueError, match="ascending"):
+        next(wigner._small_d_by_degree(np.array([2, 0]), np.array([0, 0]), np.array([0.5]), 3))
 
 
 def test_phase_tables_hold_at_exponents_above_100():
@@ -599,6 +680,8 @@ def test_rule_keeps_its_factors():
     assert np.array_equal(grid[1][0, :, 0], rule.beta)
     assert np.array_equal(grid[2][0, 0, :], rule.gamma)
     assert np.allclose(np.cos(rule.beta), np.polynomial.legendre.leggauss(7)[0], atol=1e-15)
+    assert np.array_equal(rule.cos_beta, _gauss_legendre(7)[0])  # the nodes themselves
+    assert np.array_equal(rule.beta, np.arccos(rule.cos_beta))  # read off them, never stored
     weights = rule.weights.reshape(rule.shape)
     assert np.array_equal(weights[2, :, 3], rule.beta_weights / (2.0 * 6 * 5))
     assert abs(rule.weights.sum() - 1.0) < 1e-14
