@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
-# terms times points per pass of the stacked kernel in `_degree_values`
+# padded term slots times points per pass of the stacked kernel in `_degree_values`
 _ENTRY_BUDGET = 2**14
 # term rows times beta nodes per batch of channel sets in `_gram_entries`
 _GRAM_BUDGET = 2**20
@@ -492,39 +492,34 @@ def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where: np.
     beta[where[k]]: d^j is evaluated over them in one call and each chunk
     gathers its rows, so no bit of a value depends on the chunking.
 
-    A chunk holds whole groups of `group` consecutive points, as many as
-    keep terms times points within _ENTRY_BUDGET, and one group at least.
     A function's value is the sum of its terms, norm * coef * D_{m1 m2},
-    added in term order: the k-th terms of all functions are one row
-    gather, a function with fewer terms padded with weight 0.
+    added in term order: the kernel has a row per slot of the padded
+    (rank, function) grid, rank-major, a function with fewer terms padded
+    with a valid pair of weight 0, and each chunk's weighted rows are
+    summed over the rank blocks.  A chunk holds whole groups of `group`
+    consecutive points, as many as keep slots times points within
+    _ENTRY_BUDGET, and one group at least.
     """
     j = int(terms.j[0])
-    m1_m2 = j - np.array(np.divmod(terms.index, 2 * j + 1))
-    kernel = _ColumnKernel(2 * j, (2 * m1_m2).T)  # a kernel row per term
-    small_d = kernel.small_d(beta)
     first, row = terms.runs()
     rank = np.arange(len(row)) - first[row]
     slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
     weights = np.zeros(slots.shape, dtype=complex)
     slots[rank, row] = np.arange(len(row))
     weights[rank, row] = terms.norm * terms.coef
-    weights = weights[..., None]
-    step = group * max(1, _ENTRY_BUDGET // (len(row) * group))
+    weights = weights.reshape(-1, 1)
+    m1_m2 = j - np.array(np.divmod(terms.index[slots.ravel()], 2 * j + 1))
+    kernel = _ColumnKernel(2 * j, (2 * m1_m2).T)  # a kernel row per slot
+    small_d = kernel.small_d(beta)
+    step = group * max(1, _ENTRY_BUDGET // (slots.size * group))
     for start in range(0, unit.shape[1], step):
         at = slice(start, start + step)
-        # nothing of a chunk stays bound here, so it is freed before the next
-        yield at, _term_sums(kernel.columns(unit[:, at], small_d[where[at]]), slots, weights)
-
-
-def _term_sums(columns: np.ndarray, slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Rows sum_k weights[k] * columns[slots[k]], added in order of k."""
-    values = columns[slots[0]]
-    values *= weights[0]
-    for more, weight in zip(slots[1:], weights[1:]):
-        term = columns[more]
-        term *= weight
-        values += term
-    return values
+        columns = kernel.columns(unit[:, at], small_d[where[at]])
+        columns *= weights
+        # from -0, which changes no addend, not even a signed zero
+        values = columns.reshape(slots.shape + (-1,)).sum(axis=0, initial=-0j)
+        del columns  # only the values stay bound while the caller holds them
+        yield at, values
 
 
 def _stack_values(terms: _Terms, u, group: int = 1):
@@ -538,12 +533,15 @@ def _stack_values(terms: _Terms, u, group: int = 1):
     """
     shape, unit, beta = _su2_points(_point_entries(u))
     beta, where = np.unique(beta, return_inverse=True)
-    chunks = (
-        (degree.owner[degree.runs()[0]], at, values)
-        for degree in map(terms.degree, np.flatnonzero(np.bincount(terms.j)))
-        for at, values in _degree_values(degree, unit, beta, where, group)
-    )
-    return shape, chunks
+
+    def chunks():
+        for j in np.flatnonzero(np.bincount(terms.j)):
+            degree = terms.degree(j)
+            rows = degree.owner[degree.runs()[0]]
+            for at, values in _degree_values(degree, unit, beta, where, group):
+                yield rows, at, values
+
+    return shape, chunks()
 
 
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:

@@ -158,17 +158,22 @@ def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> D
     return group
 
 
+def _word_elements(words: dict[str, tuple]) -> list[DeckElement]:
+    """The deck elements of labelled words, each read exactly off its word
+    twice over: as a signed permutation and as its lifted pair."""
+    elements = []
+    for label, word in words.items():
+        el = gc.element_from_word(word)
+        elements.append(DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el)))
+    return elements
+
+
 @lru_cache(maxsize=None)
 def build_cyclic8() -> DeckGroup:
-    """Deck group of the first cubic manifold: cyclic of order 8."""
-    gen = gc.element_from_word(CYCLIC_GENERATOR_WORD)
-    gen_pair = lift_even_word(CYCLIC_GENERATOR_WORD)
-    elements = []
-    for t in range(1, 9):
-        el = gc.compose_in_order([gen] * t)
-        label, pair = _power_label(t), gen_pair.power(t)
-        elements.append(DeckElement(label=label, element=el, pair=pair, order=_element_order(el)))
-    return _finish_group("C2", "cyclic-8", elements)
+    """Deck group of the first cubic manifold: cyclic of order 8, its t-th
+    element spelled as the generator word repeated t times."""
+    words = {_power_label(t): CYCLIC_GENERATOR_WORD * t for t in range(1, 9)}
+    return _finish_group("C2", "cyclic-8", _word_elements(words))
 
 
 @lru_cache(maxsize=None)
@@ -179,13 +184,7 @@ def build_quaternion() -> DeckGroup:
         raise RuntimeError("alternate q1 spelling disagrees")
     words = {"e": (), **QUATERNION_WORDS, "J4": (J4,)}
     words.update({f"J4*{k}": (J4,) + w for k, w in QUATERNION_WORDS.items()})
-    elements = []
-    for label, word in words.items():
-        el = gc.element_from_word(word)
-        elements.append(
-            DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el))
-        )
-    return _finish_group("C3", "quaternion", elements)
+    return _finish_group("C3", "quaternion", _word_elements(words))
 
 
 def deck_group(name: str) -> DeckGroup:

@@ -246,14 +246,6 @@ class Su2Exact:
     def is_unitary(self) -> bool:
         return self * self.adjoint() == Su2Exact.identity()
 
-    def power(self, n: int) -> "Su2Exact":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = Su2Exact.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def to_complex(self) -> np.ndarray:
         return np.array(
             [[e.to_complex() for e in row] for row in self.entries], dtype=complex
@@ -304,9 +296,6 @@ class IsoPair:
         """Pair of self followed by other (application order)."""
         return IsoPair(self.left * other.left, self.right * other.right)
 
-    def power(self, n: int) -> "IsoPair":
-        return IsoPair(self.left.power(n), self.right.power(n))
-
     def inverse(self) -> "IsoPair":
         return IsoPair(self.left.inverse(), self.right.inverse())
 
@@ -330,6 +319,14 @@ class IsoPair:
         return wli @ np.asarray(u, dtype=complex) @ self.right.to_complex()
 
 
+@lru_cache(maxsize=None)
+def _letter_pair(s: int, s2: int) -> tuple[Su2Exact, Su2Exact]:
+    """The factors (v_s v_s2^-1, v_s^-1 v_s2) that two consecutive
+    reflection letters multiply into the left and right lifts."""
+    vs, vs2 = weyl_matrix(s), weyl_matrix(s2)
+    return vs * vs2.inverse(), vs.inverse() * vs2
+
+
 def lift_even_word(word) -> IsoPair:
     """Lift a glue word with an even number of reflection letters to a pair.
 
@@ -343,9 +340,9 @@ def lift_even_word(word) -> IsoPair:
     wl = Su2Exact.identity()
     wr = Su2Exact.identity()
     for s, s2 in zip(letters[0::2], letters[1::2]):
-        vs, vs2 = weyl_matrix(s), weyl_matrix(s2)
-        wl = wl * (vs * vs2.inverse())
-        wr = wr * (vs.inverse() * vs2)
+        left, right = _letter_pair(s, s2)
+        wl = wl * left
+        wr = wr * right
     if flips % 2:
         wr = -wr
     return IsoPair(wl, wr)

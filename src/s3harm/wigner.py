@@ -23,10 +23,11 @@ check, the unit phases and beta, over the flattened stack of points
 (EulerAngles give beta and the phases directly, `_euler_points`).
 _ColumnKernel then evaluates the requested entries of one degree from that
 factorisation, written in u alone, with one row per (m1, m2) and one column
-per point, so that its phase lookups, and the callers' sums over terms,
-gather whole rows.  It takes whatever points it is given in one pass; the
-callers bound them.  Its d^j factor and its phase factor are separate
-steps, so a caller can take d^j once per distinct beta.  wigner_entry,
+per point, so that its phase lookups gather whole rows, and a caller that
+lays its terms out rank-major sums them over blocks of rows.  It takes
+whatever points it is given in one pass; the callers bound them.  Its d^j
+factor and its phase factor are separate steps, so a caller can take d^j
+once per distinct beta.  wigner_entry,
 wigner_entry_function and conjugation_harmonic share one route through it
 (_entry_values);
 wigner_d keeps the kernel of a full matrix for the last degree it was
@@ -75,6 +76,8 @@ __all__ = [
 
 
 def _two_j(j, what: str = "degree") -> int:
+    if isinstance(j, (str, bytes, bool, np.bool_)):  # 2 * "4" is "44"
+        raise ValueError(f"{what} must be a non-negative half-integer, got {j!r}")
     value = 2 * j
     rounded = int(round(float(value)))
     if abs(float(value) - rounded) > 1e-9 or rounded < 0:
@@ -83,6 +86,8 @@ def _two_j(j, what: str = "degree") -> int:
 
 
 def _two_m(m, two_j: int, what: str = "m") -> int:
+    if isinstance(m, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{what} must be a half-integer, got {m!r}")
     value = 2 * m
     rounded = int(round(float(value)))
     if abs(float(value) - rounded) > 1e-9:

@@ -717,6 +717,61 @@ def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget
     assert np.array_equal(np.stack([f.evaluate(u) for f in fns], axis=-1), one_by_one)
 
 
+def test_functions_of_one_to_three_terms_sum_like_their_entries(monkeypatch):
+    # ranks 1, 2 and 3 in one degree pad the shorter functions with weight-0
+    # slots, and a repeated (m1, m2) adds twice; the list mixes two degrees
+    def fn(j, norm, *terms):
+        return bases.BasisFunction("C2", j, terms[0][0], terms[0][1], "test", terms, norm)
+
+    fns = [
+        fn(5, 0.3, (5, -2, 1j), (0, 0, 0.5 - 0.25j), (-4, 3, -1.0)),
+        fn(3, 1.1, (1, -2, 1.0)),
+        fn(3, 0.7, (0, 0, 0.3), (2, -3, 1 + 2j), (-3, 1, -0.7)),
+        fn(5, 0.9, (2, 2, 1.0)),
+        fn(3, 0.5, (3, 0, 0.5 + 0.5j), (-1, 2, -1j)),
+        fn(3, 1.3, (2, 2, 0.25), (1, 1, 1j), (2, 2, -0.75 + 0.1j)),
+    ]
+    u = su2.matrix_from_point(gc.random_sphere_points(29, seed=8))
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    expected = np.stack(
+        [f.norm_factor * sum(coef * wigner_entry(f.j, m1, m2, a, b, c, d) for m1, m2, coef in f.terms) for f in fns],
+        axis=-1,
+    )
+    values = []
+    for budget in (1, 2**9, 2**14, 2**40):
+        monkeypatch.setattr(bases, "_ENTRY_BUDGET", budget)
+        values.append(bases._basis_values(fns, u))
+    assert np.max(np.abs(values[0] - expected)) <= 1e-13
+    assert all(np.array_equal(v, values[0]) for v in values[1:])
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (bases.basis_c2, ("4",)),
+        (bases.multiplicity_c8, ("3",)),
+        (bases.multiplicity_q, ("2",)),
+        (wigner.su2_character, ("1", 0)),
+    ],
+    ids=["basis_c2", "multiplicity_c8", "multiplicity_q", "su2_character"],
+)
+def test_a_string_degree_is_refused(call, args):
+    # doubled as a string, "4" was "44", and so degree 22
+    with pytest.raises(ValueError, match="half-integer"):
+        call(*args)
+
+
+def test_a_degree_or_m_that_is_no_number_is_refused_before_doubling():
+    for value in ("1", b"1", True, np.True_):
+        with pytest.raises(ValueError):
+            wigner._two_j(value)
+        with pytest.raises(ValueError):
+            wigner._two_m(value, 2)
+    # a label it cannot parse is still a coefficient of 0
+    assert wigner.clebsch_gordan("1", 0, 1, 0, 0, 0) == 0.0
+    assert wigner.clebsch_gordan(1, 0, 1, 0, 0, 0) != 0.0
+
+
 def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
     rule = euler_quadrature(6)
     fns = [f for j in range(4) for f in bases.basis_c3(j)]

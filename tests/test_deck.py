@@ -10,7 +10,7 @@ import pytest
 
 from s3harm import deck
 from s3harm import groupcore as gc
-from s3harm.su2 import IsoPair
+from s3harm.su2 import IsoPair, lift_even_word
 
 
 # label, epsilon, cycles, point action, left lift, right lift
@@ -314,3 +314,16 @@ def test_the_exact_checks_run_once_per_group_value():
     els[1] = deck.DeckElement(els[1].label, els[1].element, els[1].pair, 2)
     assert deck.verify_deck_group(deck.DeckGroup(group.name, group.isomorphism, tuple(els)))["orders_match"] is False
     assert deck._exact_checks.cache_info().misses == 2
+
+
+def test_cyclic_elements_are_the_generator_powers_exactly():
+    # each element is read off the generator word repeated t times; it must
+    # be the t-th power of the generator, as a signed permutation and as a pair
+    group = deck.build_cyclic8()
+    gen = gc.element_from_word(deck.CYCLIC_GENERATOR_WORD)
+    gen_pair = lift_even_word(deck.CYCLIC_GENERATOR_WORD)
+    element, pair = gc.IDENTITY, IsoPair.identity()
+    for t, el in enumerate(group.elements, start=1):
+        element, pair = gc.multiply(element, gen), pair.compose(gen_pair)
+        assert (el.element, el.pair) == (element, pair), t
+    assert [el.label for el in group.elements] == ["g1"] + [f"g1^{t}" for t in range(2, 8)] + ["e"]
