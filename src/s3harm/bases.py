@@ -44,10 +44,10 @@ over the product nodes, aliasing of a too-coarse rule included, and never
 evaluates a function at a node.  `_gram_entries` is the one place it is
 summed, into the list of nonzero entries (two functions meet only in a
 shared channel): the channels that functions join are summed set by set,
-in batches of bounded size that take their pairs' d^j across every degree
-and drop it, and each batch reduces its own entries.  `gram_matrix`
-scatters them into the dense matrix and `verify_basis` reduces them batch
-by batch.
+through one padded grid per set and with no sort by key, in batches of
+bounded size that take their pairs' d^j across every degree and drop it.
+`gram_matrix` scatters them into the dense matrix and `verify_basis`
+reduces them batch by batch.
 """
 
 from __future__ import annotations
@@ -651,10 +651,12 @@ def basis_for(manifold: str, j) -> list[BasisFunction]:
     return _by_manifold(manifold, basis_c2, basis_c3)(j)
 
 
-def _channel_sets(chan: np.ndarray, owner: np.ndarray, channels: int, count: int) -> np.ndarray:
-    """The set of each channel 0..channels-1, named by its smallest channel,
-    given each term's channel and owner: a function joins every channel it
-    has terms in, and the sets are the channels so joined, step by step."""
+def _channel_sets(chan: np.ndarray, owner: np.ndarray, channels: int, count: int):
+    """The set of each channel 0..channels-1 and of each function
+    0..count-1, named by its smallest channel (channels for a function
+    without terms), given each term's channel and owner: a function joins
+    every channel it has terms in, and the sets are the channels so joined,
+    step by step."""
     label = np.arange(channels)
     while True:
         lowest = np.full(count, channels)
@@ -662,31 +664,32 @@ def _channel_sets(chan: np.ndarray, owner: np.ndarray, channels: int, count: int
         joined = label.copy()
         np.minimum.at(joined, chan, lowest[owner])
         if np.array_equal(joined, label):
-            return label
+            return label, lowest
         label = joined
 
 
-def _gram_batch(terms: _Terms, chan: np.ndarray, sets: np.ndarray, count: int, rule):
-    """The entries (keys f n + g, values) of the Gram matrix that a batch of
-    whole channel sets adds, its terms sorted by set, channel and function.
+def _places(label: np.ndarray) -> np.ndarray:
+    """Each item's place among the items of its label, in order."""
+    order = np.argsort(label, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(label)) - np.searchsorted(label[order], label[order])
+    return place
 
-    Every term has a row R = sqrt(w_b / 2) d^j_{m1 m2}(beta_b) over the beta
-    nodes, taken for every pair (m1, m2) of the batch across its degrees by
-    the recurrence (`_small_d_by_degree`) and dropped with the batch.  Each
-    channel adds conj(c_p) c_q (R R^T)_pq at (owner p, owner q) for every
-    two of its terms p and q, c the norm times the coefficient.  A set
-    whose channels hold the same functions in the same order (every set of
-    `_mesh_c2` and `_mesh_c3` under the default rule) adds its channels'
-    blocks in channel order; the sets of one shape, channels times
-    functions, are one stack.  The channels of any other set are units of
-    their own, and the entries that two terms reach (a function twice in a
-    channel, or a set whose channels hold other functions, as a too-coarse
-    rule's aliasing can make) are added up in the order of the stacks,
-    after a stable sort by key.  Sorting every batch so, with no stacked
-    sets, gives the same bits but takes both mesh Grams at jmax 80 from
-    3.3-3.5 s to 4.8-5.4 s, and at jmax 40 from 0.25-0.31 s to 0.42-0.44 s
-    (2 vCPUs, numpy 2.4)."""
-    j, owner, weight = terms.j, terms.owner, terms.norm * terms.coef
+
+def _gram_batch(terms: _Terms, sets: np.ndarray, channel: np.ndarray, function: np.ndarray, count: int, rule):
+    """The entries (keys f n + g, values) of the Gram matrix that a batch of
+    whole channel sets adds, its terms sorted by set, channel and function;
+    channel numbers each term's channel and function each function in its set.
+
+    Each term has a row R = sqrt(w_b / 2) d^j_{m1 m2}(beta_b) over the beta
+    nodes, from the recurrence (`_small_d_by_degree`), and a slot (channel,
+    rank among its function's terms there, function) in the padded grid of
+    its set; a padding slot reads a zero row with weight 0.  The sets of one
+    grid shape are one stack.  A set adds conj(c_p) c_q (R R^T)_pq over every
+    two slots p, q of a channel, c the norm times the coefficient, over its
+    channels and ranks in channel order, into an entry for every two of its
+    functions that share a channel; no entry is reduced by key."""
+    j, owner = terms.j, terms.owner
     m1, m2 = j - terms.index // (2 * j + 1), j - terms.index % (2 * j + 1)
     top = int(j.max())
     span = 2 * top + 1
@@ -695,44 +698,40 @@ def _gram_batch(terms: _Terms, chan: np.ndarray, sets: np.ndarray, count: int, r
     _, first, pair = np.unique(key, return_index=True, return_inverse=True)
     by_degree = np.argsort(j, kind="stable")
     edges = np.searchsorted(j[by_degree], np.arange(top + 2))
-    rows = np.empty((len(j), rule.shape[1]))  # the terms' rows, in order of degree
+    rows = np.empty((len(j) + 1, rule.shape[1]))  # the terms' rows in order of degree, then a zero row
+    rows[-1] = 0.0
     root_w = np.sqrt(rule.beta_weights / 2.0)
     for degree, small_d in _small_d_by_degree(m1[first], m2[first], rule.cos_beta, top, root_w):
         lo, hi = edges[degree], edges[degree + 1]
         np.take(small_d, pair[by_degree[lo:hi]], axis=0, out=rows[lo:hi])
-    place = np.empty_like(by_degree)
-    place[by_degree] = np.arange(len(j))  # each term's row
-    starts = np.flatnonzero(np.diff(chan, prepend=-1))  # the first term of each channel
-    sizes = np.diff(np.append(starts, len(chan)))
-    heads = np.flatnonzero(np.diff(sets[starts], prepend=-1))  # the first channel of each set
-    per_set = np.diff(np.append(heads, len(starts)))
-    # a term is alike if the first channel of its set holds its function at its place
-    where = np.repeat(np.arange(len(starts)), sizes)
-    lead = np.repeat(heads, per_set)[where]
-    alike = sizes[where] == sizes[lead]
-    alike &= owner == owner[np.where(alike, starts[lead] + np.arange(len(chan)) - starts[where], 0)]
-    uniform = np.logical_and.reduceat(alike, starts[heads])
-    split = np.repeat(~uniform, per_set)  # the channels of the other sets, one unit each
-    unit = np.concatenate([starts[heads[uniform]], starts[split]])
-    depth = np.concatenate([per_set[uniform], np.ones(np.count_nonzero(split), dtype=np.intp)])
-    shape = depth * (len(chan) + 1) + np.concatenate([sizes[heads[uniform]], sizes[split]])
+    new = np.diff(channel * count + owner, prepend=-1) != 0  # the first term of a function in a channel
+    rank = np.arange(len(j)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    heads = np.flatnonzero(np.diff(sets, prepend=-1))  # the first term of each set
+    grid = np.maximum.reduceat(np.stack([channel, rank, function[owner]]), heads, axis=1) + 1
+    within = np.cumsum(np.diff(sets, prepend=-1) != 0) - 1  # the set of each term
+    dims = grid.max(axis=1) + 1
+    codes, shape = np.unique(np.ravel_multi_index(grid, dims), return_inverse=True)
+    shapes = np.unravel_index(codes, dims)  # the (channels, ranks, functions) of each stack
+    bounds = np.cumsum(np.append(0, np.bincount(shape) * np.prod(shapes, axis=0)))  # stack by stack
+    offset = bounds[shape] + _places(shape) * grid.prod(axis=0)  # where each set's grid starts
+    slot = np.full(bounds[-1], len(j))
+    ranks, functions = grid[1:, within]
+    at = offset[within] + (channel * ranks + rank) * functions + function[owner]  # the slot of each term
+    slot[at[by_degree]] = np.arange(len(j))  # the row of each slot
+    weight = np.append((terms.norm * terms.coef)[by_degree], 0.0)
+    who = np.append(owner[by_degree], -1)
     keys, values = [], []
-    for kind in sorted(set(shape.tolist())):  # the units of r channels of size terms each
-        r, size = divmod(kind, len(chan) + 1)
-        block = (unit[shape == kind, None] + np.arange(r * size)).reshape(-1, r, size)
-        c, stack = weight[block], rows[place[block]]
-        products = c.conj()[..., :, None] * c[..., None, :] * (stack @ stack.swapaxes(-1, -2))
-        who = owner[block[:, 0]]
-        keys.append((who[:, :, None] * count + who[:, None, :]).reshape(-1))
-        values.append(products.sum(axis=1).reshape(-1))
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    repeated = (owner[1:] == owner[:-1]) & (chan[1:] == chan[:-1])  # a function twice in a channel
-    if np.any(repeated) or not np.all(uniform[per_set > 1]):
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, values = keys[first], np.add.reduceat(values[order], first)
-    return keys, values * _MEASURE_MASS
+    for c, r, f, lo, hi in zip(*shapes, bounds, bounds[1:]):
+        block = slot[lo:hi].reshape(-1, c, r * f)
+        w, stack = weight[block], rows[block]
+        products = w.conj()[..., :, None] * w[..., None, :] * (stack @ stack.swapaxes(-1, -2))
+        present = who[block].reshape(-1, c, r, f).max(axis=2)  # each channel's functions, -1 if absent
+        held = present >= 0
+        meet = held.swapaxes(1, 2) @ held  # every two functions that share a channel
+        owners = present.max(axis=1)
+        keys.append((owners[:, :, None] * count + owners[:, None, :])[meet])
+        values.append(products.reshape(-1, c, r, f, r, f).sum(axis=(1, 2, 4))[meet])
+    return np.concatenate(keys), np.concatenate(values) * _MEASURE_MASS
 
 
 def _gram_entries(table: _Basis, rule=None):
@@ -745,10 +744,9 @@ def _gram_entries(table: _Basis, rule=None):
     functions join, through their terms, are one set; the terms are sorted
     by set, channel, function and term order, and whole sets are summed in
     batches of about _GRAM_BUDGET rows times beta nodes (one set at least)
-    by `_gram_batch`, which reduces its own entries: no two batches share
-    one.  Returns (channels, batches), the number of channels and an
-    iterator of each batch's (keys f n + g, values); a function without
-    terms has no entry.
+    by `_gram_batch`.  Returns (channels, batches), the number of channels
+    and an iterator of each batch's (keys f n + g, values); a function
+    without terms has no entry.
     """
     count = len(table.j)
     if rule is None:
@@ -758,13 +756,15 @@ def _gram_entries(table: _Basis, rule=None):
     j = terms.j
     m1, m2 = j - terms.index // (2 * j + 1), j - terms.index % (2 * j + 1)
     channels, chan = np.unique((m1 % n_alpha) * n_gamma + m2 % n_gamma, return_inverse=True)
-    sets = _channel_sets(chan, terms.owner, len(channels), count)[chan]
+    label, joined = _channel_sets(chan, terms.owner, len(channels), count)
+    sets = label[chan]
+    channel, function = _places(label), _places(joined)  # each channel's and function's place in its set
     order = np.lexsort((terms.owner, chan, sets))
     starts = np.flatnonzero(np.diff(sets[order], prepend=-1))  # the first term of each set
     per_batch = max(1, _GRAM_BUDGET // n_beta)
     bounds = np.append(starts[np.flatnonzero(np.diff(starts // per_batch, prepend=-1))], len(order))
     batches = (
-        _gram_batch(_Terms(*(v[at] for v in terms)), chan[at], sets[at], count, rule)
+        _gram_batch(_Terms(*(v[at] for v in terms)), sets[at], channel[chan[at]], function, count, rule)
         for at in (order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     )
     return len(channels), batches
@@ -844,6 +844,7 @@ def verify_basis(
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
+    points = gc.random_sphere_points(n_points, seed=seed)  # a bad n_points or seed fails before any work
     table = functions if isinstance(functions, _Basis) else _terms(functions)
     report: dict = {"manifold": None, "seed": seed, "tol": tol, "n_points": n_points}
     if not len(table.j):
@@ -864,7 +865,6 @@ def verify_basis(
     gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(table)
     report["gram_max_error"] = gram_err
 
-    points = gc.random_sphere_points(n_points, seed=seed)
     # the identity's image is the base point bit for bit, so its difference is 0
     others = [gc.apply(el.element, points) for el in group.elements if el.element != gc.IDENTITY]
     moved = np.stack([points] + others, axis=1)

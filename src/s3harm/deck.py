@@ -311,8 +311,8 @@ def verify_deck_group(group: DeckGroup, seed: int = 42, n_points: int = 100, tol
     """
     if n_points < 1:
         raise ValueError(f"pair agreement needs at least one sample point, got n_points={n_points}")
+    pts = gc.random_sphere_points(n_points, seed=seed)  # a bad n_points or seed fails before the checks
     checks, orbit_size = _exact_checks(group)
-    pts = gc.random_sphere_points(n_points, seed=seed)
     report = {
         **checks,
         "pair_action_max_error": float(np.max([_pair_action_error(el, pts) for el in group.elements])),

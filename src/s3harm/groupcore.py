@@ -309,6 +309,17 @@ def element_from_json(text: str) -> HyperoctElement:
     return elem
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, for a Python or numpy integer; refuses a bool and
+    any other type with ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def random_sphere_points(n: int, seed: int = 42) -> np.ndarray:
     """n points drawn uniformly from S^3, as an (n, 4) array.
 
@@ -317,12 +328,13 @@ def random_sphere_points(n: int, seed: int = 42) -> np.ndarray:
     sqrt(1 - u0) e^{2 pi i u2}) in C^2 = E^4, which is exactly uniform and
     already of unit length.  The uniforms are the `random()` stream of
     `random.Random(seed)`, which Python keeps fixed across versions for an
-    integer seed; a numpy integer is taken as the same int.  A negative n
-    raises ValueError.
+    integer seed; a numpy integer is taken as the same int.  A negative n,
+    and an n or seed that is a bool or no integer, raise ValueError.
     """
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 0:
         raise ValueError(f"cannot sample a negative number of points, got n={n}")
-    rng = random.Random(operator.index(seed))
+    rng = random.Random(seed)
     u0, u1, u2 = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3).T
     r1, r2 = np.sqrt(u0), np.sqrt(1.0 - u0)
     a1, a2 = 2.0 * np.pi * u1, 2.0 * np.pi * u2

@@ -624,6 +624,15 @@ def _cg_column(two_j: int, tl: int, tm: int):
     return out
 
 
+def _beta_two_j(beta_label) -> int:
+    """2j of the label beta = 2j+1 of an adapted harmonic, parsed by
+    `_two_j`; refuses a label that is not a positive odd integer."""
+    two_label = _two_j(beta_label, "beta label")
+    if two_label % 4 != 2:
+        raise ValueError(f"beta label must be a positive odd integer 2j+1, got {beta_label}")
+    return two_label // 2 - 1
+
+
 def conjugation_harmonic(beta_label: int, l, m, u):
     """Harmonic psi_{beta l m} at u, adapted to conjugation on the sphere.
 
@@ -631,9 +640,7 @@ def conjugation_harmonic(beta_label: int, l, m, u):
     0..2j and |m| <= l.  u may be a single 2x2 unitary, a stacked array of
     them, or EulerAngles.
     """
-    if beta_label < 1 or beta_label % 2 == 0:
-        raise ValueError("beta label must be a positive odd integer 2j+1")
-    two_j = beta_label - 1
+    two_j = _beta_two_j(beta_label)
     tl = _two_j(l, "l")
     if tl % 2 or tl > 2 * two_j:
         raise ValueError(f"l must be an integer in 0..{two_j}")
@@ -645,7 +652,7 @@ def conjugation_harmonic(beta_label: int, l, m, u):
 
 def wigner_from_harmonics(beta_label: int, m1, m2, u):
     """Inverse expansion: rebuild D^j_{m1,m2}(u) from the adapted harmonics."""
-    two_j = beta_label - 1
+    two_j = _beta_two_j(beta_label)
     j = two_j / 2
     tm1 = _two_m(m1, two_j, "m1")
     tm2 = _two_m(m2, two_j, "m2")

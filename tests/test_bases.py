@@ -448,8 +448,8 @@ def test_the_gram_batches_change_no_bit(rule, monkeypatch):
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_a_set_whose_channels_hold_other_functions_sums_like_the_grid(manifold):
     # records that lost their partner term, or hold it twice, leave the two
-    # channels of their set with different functions: their entries meet
-    # in the sorted reduction, which must give the product-grid sum
+    # channels of their set with different functions: their set's grid has
+    # padding slots and two ranks, which must give the product-grid sum
     fns = [f for j in range(5) for f in bases.basis_for(manifold, j)]
     paired = [i for i, f in enumerate(fns) if len(f.terms) == 2]
     fns[paired[3]] = replace(fns[paired[3]], terms=fns[paired[3]].terms[:1])
@@ -458,6 +458,24 @@ def test_a_set_whose_channels_hold_other_functions_sums_like_the_grid(manifold):
         gram = bases.gram_matrix(fns, rule)
         assert np.max(np.abs(gram - product_grid_gram(fns, rule))) < 1e-13
         assert bases._gram_error(bases._terms(fns), rule)[0] == np.max(np.abs(gram - np.eye(len(fns))))
+
+
+def test_a_chained_set_has_an_entry_only_where_two_functions_meet():
+    # A and B share the channel (1, 0); B, C and D share (1, 1), which D
+    # holds twice: one set of three channels, in which A meets neither C nor D
+    def record(j, *pairs):
+        terms = tuple((m1, m2, complex(1 + k, 0.5 * k)) for k, (m1, m2) in enumerate(pairs))
+        return bases.BasisFunction("C2", j, *pairs[0], "single-term", terms, 0.3)
+
+    fns = [record(1, (0, 0), (1, 0)), record(2, (1, 0), (1, 1)), record(1, (1, 1)), record(2, (1, 1), (1, 1))]
+    meet = set(itertools.product(range(4), repeat=2)) - {(0, 2), (2, 0), (0, 3), (3, 0)}
+    table = bases._terms(fns)
+    for rule in (None, euler_quadrature(6)):
+        assert bases._gram_error(table, rule)[1:] == (3, 12)
+        keys = np.concatenate([keys for keys, _ in bases._gram_entries(table, rule)[1]])
+        assert {divmod(key, 4) for key in keys.tolist()} == meet
+        oracle = product_grid_gram(fns, rule or euler_quadrature(4))
+        assert np.max(np.abs(bases.gram_matrix(fns, rule) - oracle)) < 1e-13
 
 
 def test_gram_counts_and_error_of_the_recurrence():
@@ -912,6 +930,17 @@ def test_verify_basis_rejects_mixed_manifolds():
     # no sample point would make the periodicity check pass vacuously
     with pytest.raises(ValueError):
         bases.verify_basis(bases.basis_c2(2), build_cyclic8(), n_points=0)
+
+
+@pytest.mark.parametrize("bad", [{"n_points": 2.5}, {"n_points": True}, {"seed": 1.5}], ids=repr)
+def test_verify_basis_refuses_a_bad_count_or_seed_before_the_gram(bad, monkeypatch):
+    # the points are drawn first, so a bad value fails before any Gram entry
+    def summed(*args):
+        raise AssertionError("the Gram ran before the sample points")
+
+    monkeypatch.setattr(bases, "_gram_entries", summed)
+    with pytest.raises(ValueError, match="must be an integer"):
+        bases.verify_basis(bases.basis_c2(2), build_cyclic8(), **bad)
 
 
 def test_periodicity_under_every_deck_element():

@@ -102,6 +102,18 @@ def test_verify_deck_group_refuses_no_sample_points():
             deck.verify_deck_group(deck.build_cyclic8(), n_points=n_points)
 
 
+@pytest.mark.parametrize("bad", [{"n_points": 2.5}, {"n_points": True}, {"seed": 1.5}], ids=repr)
+def test_verify_deck_group_refuses_a_bad_count_or_seed_before_any_check(bad, monkeypatch):
+    group = deck.build_cyclic8()
+
+    def checked(group):
+        raise AssertionError("the exact checks ran before the sample points")
+
+    monkeypatch.setattr(deck, "_exact_checks", checked)
+    with pytest.raises(ValueError, match="must be an integer"):
+        deck.verify_deck_group(group, **bad)
+
+
 def test_element_orders():
     c2 = deck.build_cyclic8()
     assert {d.label: d.order for d in c2.elements} == {

@@ -209,6 +209,14 @@ def test_sphere_points_refuse_a_negative_count():
         gc.random_sphere_points(-2)
 
 
+@pytest.mark.parametrize(
+    "n, seed", [(2.5, 1), (True, 1), (np.True_, 1), ("3", 1), (3, 1.5), (3, True)], ids=repr
+)
+def test_sphere_points_refuse_a_count_or_seed_that_is_no_integer(n, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        gc.random_sphere_points(n, seed=seed)
+
+
 def test_sphere_points_are_unit_vectors():
     pts = gc.random_sphere_points(1000, seed=1)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-15

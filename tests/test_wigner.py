@@ -791,6 +791,23 @@ def test_harmonic_label_validation():
         conjugation_harmonic(3, 1, 2, u)      # |m| beyond l
 
 
+@pytest.mark.parametrize("label", [True, "3", 2, 3.5], ids=repr)
+def test_both_harmonic_routes_refuse_a_beta_label_that_is_no_odd_integer(label):
+    # True was read as the label 1 and "3" raised TypeError; the inverse
+    # expansion took 2 and 3.5 for the degrees 0.5 and 1.25
+    u = random_su2(np.random.default_rng(34))
+    for route in (conjugation_harmonic, wigner_from_harmonics):
+        with pytest.raises(ValueError, match="beta label"):
+            route(label, 0, 0, u)
+
+
+@pytest.mark.parametrize("label", [3.0, np.int64(3)], ids=repr)
+def test_both_harmonic_routes_take_an_integral_beta_label_of_any_type(label):
+    u = random_su2(np.random.default_rng(35))
+    assert conjugation_harmonic(label, 1, 0, u) == conjugation_harmonic(3, 1, 0, u)
+    assert wigner_from_harmonics(label, 1, 0, u) == wigner_from_harmonics(3, 1, 0, u)
+
+
 def test_harmonic_accepts_exact_matrices():
     q = build_quaternion()
     d = q.by_label("q1")
