@@ -12,7 +12,10 @@ the `_Terms` of all their terms.  `_mesh_c2` and `_mesh_c3` build it for a
 range of degrees from the selection rules, as masks over (j, m1, m2)
 meshes; `basis_c2` and `basis_c3` return BasisFunction records as views of
 it, and `_terms` walks any list of records back into one.  Every check
-reads the table, and `verify` audits it without making a record.
+reads the table, and `verify` audits it without making a record.  The
+values of its functions at points come from the one pointwise evaluator,
+`wigner._slot_values`; this module only lays out each degree's terms as
+that evaluator's padded grid (`_slot_grid`).
 
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
@@ -63,11 +66,11 @@ from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from .su2 import Cyclo8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
-    _ColumnKernel,
     _point_entries,
+    _points,
     _scalar_or_array,
+    _slot_values,
     _small_d_by_degree,
-    _su2_points,
     _two_j,
     character_jj,
     euler_quadrature,
@@ -88,8 +91,6 @@ __all__ = [
 ]
 
 _MEASURE_MASS = 8.0 * math.pi**2
-# padded term slots times points per pass of the stacked kernel in `_degree_values`
-_ENTRY_BUDGET = 2**14
 # term rows times beta nodes per batch of channel sets in `_gram_entries`
 _GRAM_BUDGET = 2**20
 
@@ -482,66 +483,42 @@ class BasisFunction:
         }
 
 
-def _degree_values(terms: _Terms, unit: np.ndarray, beta: np.ndarray, where: np.ndarray, group: int = 1):
-    """Values of the functions that own terms, all of one degree, at the
-    points (unit, beta) of `_su2_points`, chunk by chunk: yields (at,
-    values), the slice of points a chunk covers and their values, a row per
-    function (in list order) and a column per point.
-
-    beta holds the distinct beta values of the points, point k at
-    beta[where[k]]: d^j is evaluated over them in one call and each chunk
-    gathers its rows, so no bit of a value depends on the chunking.
-
-    A function's value is the sum of its terms, norm * coef * D_{m1 m2},
-    added in term order: the kernel has a row per slot of the padded
-    (rank, function) grid, rank-major, a function with fewer terms padded
-    with a valid pair of weight 0, and each chunk's weighted rows are
-    summed over the rank blocks.  A chunk holds whole groups of `group`
-    consecutive points, as many as keep slots times points within
-    _ENTRY_BUDGET, and one group at least.
-    """
-    j = int(terms.j[0])
-    first, row = terms.runs()
+def _slot_grid(degree: _Terms) -> tuple[np.ndarray, np.ndarray]:
+    """The padded (rank, function) grid of the terms of one degree, as
+    `_slot_values` takes it: each slot's (2 m1, 2 m2) and its weight
+    norm * coef, rank-major, the functions in list order, and a function
+    with fewer terms padded with a valid pair of weight 0, so that each
+    function's value is the sum of its terms in term order."""
+    j = int(degree.j[0])
+    first, row = degree.runs()
     rank = np.arange(len(row)) - first[row]
     slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
     weights = np.zeros(slots.shape, dtype=complex)
     slots[rank, row] = np.arange(len(row))
-    weights[rank, row] = terms.norm * terms.coef
-    weights = weights.reshape(-1, 1)
-    m1_m2 = j - np.array(np.divmod(terms.index[slots.ravel()], 2 * j + 1))
-    kernel = _ColumnKernel(2 * j, (2 * m1_m2).T)  # a kernel row per slot
-    small_d = kernel.small_d(beta)
-    step = group * max(1, _ENTRY_BUDGET // (slots.size * group))
-    for start in range(0, unit.shape[1], step):
-        at = slice(start, start + step)
-        columns = kernel.columns(unit[:, at], small_d[where[at]])
-        columns *= weights
-        # from -0, which changes no addend, not even a signed zero
-        values = columns.reshape(slots.shape + (-1,)).sum(axis=0, initial=-0j)
-        del columns  # only the values stay bound while the caller holds them
-        yield at, values
+    weights[rank, row] = degree.norm * degree.coef
+    return 2 * (j - np.stack(np.divmod(degree.index[slots], 2 * j + 1), axis=-1)), weights
 
 
 def _stack_values(terms: _Terms, u, group: int = 1):
     """The one pointwise route for basis functions: u is parsed once
-    (`_su2_points`), the distinct beta values of its points are found once,
-    and each degree of terms is evaluated over them by `_degree_values`.
+    (`_points`), and each degree of terms is evaluated over its points by
+    `_slot_values`, from the degree's grid (`_slot_grid`), in chunks of
+    whole groups of `group` consecutive points.
 
     Returns (shape, chunks): the batch shape of u, and an iterator of
     (rows, at, values), the positions in the list of the functions a chunk
     holds, the slice of the flattened points it covers and their values.
     """
-    shape, unit, beta = _su2_points(_point_entries(u))
-    beta, where = np.unique(beta, return_inverse=True)
+    points = _points(_point_entries(u))
 
     def chunks():
         for j in np.flatnonzero(np.bincount(terms.j)):
             degree = terms.degree(j)
             rows = degree.owner[degree.runs()[0]]
-            for at, values in _degree_values(degree, unit, beta, where, group):
+            for at, values in _slot_values(2 * int(j), *_slot_grid(degree), points, group):
                 yield rows, at, values
 
-    return shape, chunks()
+    return points.shape, chunks()
 
 
 def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
@@ -840,7 +817,7 @@ def verify_basis(
     itself) are parsed onto SU(2) once, each base point beside its images,
     and their distinct beta values are found once; each degree takes d^j
     over those values in one call and evaluates the points in chunks of
-    whole groups (`_degree_values`).
+    whole groups (`_stack_values`).
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")

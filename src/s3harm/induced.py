@@ -310,9 +310,3 @@ def census_sums(rows: list[dict]) -> dict:
         "sum_dim_m_q": sum(r["dim"] * r["m_q"] for r in rows),
     }
 
-
-def transversal_is_left(little: str) -> bool:
-    """Check the transversal really tiles S(4) by left cosets c K."""
-    cogroup = [k for k in permutations(range(4)) if in_little_cogroup(little, k)]
-    cosets = [{tuple(c[k[i]] for i in range(4)) for k in cogroup} for c in coset_generators(little)]
-    return sum(map(len, cosets)) == len(set().union(*cosets)) == 24

@@ -243,9 +243,6 @@ class Su2Exact:
         (a, b), (c, d) = self.entries
         return Su2Exact(((d, -b), (-c, a)))
 
-    def is_unitary(self) -> bool:
-        return self * self.adjoint() == Su2Exact.identity()
-
     def to_complex(self) -> np.ndarray:
         return np.array(
             [[e.to_complex() for e in row] for row in self.entries], dtype=complex
@@ -303,16 +300,6 @@ class IsoPair:
         if self.left == other.left and self.right == other.right:
             return True
         return self.left == -other.left and self.right == -other.right
-
-    def canonical(self) -> "IsoPair":
-        """Fixed sign choice: first nonzero entry has positive sort key."""
-        for mat in (self.left, self.right):
-            for row in mat.entries:
-                for e in row:
-                    if not e.is_zero():
-                        first = next(c for c in e.coeffs if c != 0)
-                        return self if first > 0 else IsoPair(-self.left, -self.right)
-        return self
 
     def apply_complex(self, u: np.ndarray) -> np.ndarray:
         wli = self.left.inverse().to_complex()

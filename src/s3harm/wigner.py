@@ -17,23 +17,24 @@ matrices:
 * At Euler angles every entry factorises as
   D^j_{m1 m2}(alpha, beta, gamma) = e^{i m1 alpha} d^j_{m1 m2}(beta) e^{i m2 gamma}.
 
-Every pointwise evaluator wraps one private kernel.  _point_entries reads
-a point argument's entries and _su2_points parses them once: the SU(2)
-check, the unit phases and beta, over the flattened stack of points
-(EulerAngles give beta and the phases directly, `_euler_points`).
-_ColumnKernel then evaluates the requested entries of one degree from that
-factorisation, written in u alone, with one row per (m1, m2) and one column
-per point, so that its phase lookups gather whole rows, and a caller that
-lays its terms out rank-major sums them over blocks of rows.  It takes
-whatever points it is given in one pass; the callers bound them.  Its d^j
-factor and its phase factor are separate steps, so a caller can take d^j
-once per distinct beta.  wigner_entry,
-wigner_entry_function and conjugation_harmonic share one route through it
-(_entry_values);
-wigner_d keeps the kernel of a full matrix for the last degree it was
-asked for (_full_kernel).  The kernel holds the d^j rows itself, from the
-exact diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys. Rev. E
-92, 043307).
+Every pointwise evaluator takes one route.  _point_entries reads a point
+argument's entries and _points parses them once: the SU(2) check, the unit
+phases and beta over the flattened stack of points (`_su2_points`;
+EulerAngles give beta and the phases directly, `_euler_points`), and the
+distinct beta values.  _slot_values is then the one place where D^j values
+are summed: it evaluates a padded (rank, function) grid of (m1, m2) pairs
+and weights of one degree from that factorisation, written in u alone,
+with one row per slot and one column per point, sums each function's
+weighted slots over the rank blocks, and takes the points in chunks of
+bounded size.  Its d^j factor (`_small_d`) is one matmul over the distinct
+beta, from rows of the exact diagonalisation of J_y (`_d_rows`; Feng,
+Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307), and each chunk gathers
+its rows.  wigner_entry and wigner_entry_function evaluate a grid of one
+slot, conjugation_harmonic one function whose slots are weighted by its
+Clebsch-Gordan coefficients, and wigner_d (2j+1)^2 one-slot functions at
+one point, with the d^j rows of every (m1, m2) kept for the last degree it
+was asked for (`_every_pair`); `bases` lays out the grids of its basis
+functions.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -51,10 +52,10 @@ computed here, by Newton steps on the three-term Legendre recurrence.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,24 +75,25 @@ __all__ = [
     "wigner_entry_function",
 ]
 
+# padded slots times points per chunk of `_slot_values`
+_ENTRY_BUDGET = 2**14
 
-def _two_j(j, what: str = "degree") -> int:
+
+def _two_j(j, what: str = "degree", signed: bool = False) -> int:
+    """2j as an int; refuses with ValueError a j that is no non-negative
+    half-integer (with signed, no half-integer of either sign)."""
+    kind = "a half-integer" if signed else "a non-negative half-integer"
     if isinstance(j, (str, bytes, bool, np.bool_)):  # 2 * "4" is "44"
-        raise ValueError(f"{what} must be a non-negative half-integer, got {j!r}")
+        raise ValueError(f"{what} must be {kind}, got {j!r}")
     value = 2 * j
     rounded = int(round(float(value)))
-    if abs(float(value) - rounded) > 1e-9 or rounded < 0:
-        raise ValueError(f"{what} must be a non-negative half-integer, got {j}")
+    if abs(float(value) - rounded) > 1e-9 or (rounded < 0 and not signed):
+        raise ValueError(f"{what} must be {kind}, got {j}")
     return rounded
 
 
 def _two_m(m, two_j: int, what: str = "m") -> int:
-    if isinstance(m, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{what} must be a half-integer, got {m!r}")
-    value = 2 * m
-    rounded = int(round(float(value)))
-    if abs(float(value) - rounded) > 1e-9:
-        raise ValueError(f"{what} must be a half-integer, got {m}")
+    rounded = _two_j(m, what, signed=True)
     if (rounded - two_j) % 2 or abs(rounded) > two_j:
         raise ValueError(f"{what}={m} invalid for degree {two_j / 2}")
     return rounded
@@ -178,6 +180,24 @@ def _euler_points(angles: EulerAngles) -> tuple[tuple[int, ...], np.ndarray, np.
     return shape, unit, np.where((beta >= 0.0) & (beta <= np.pi), beta, folded)
 
 
+class _Points(NamedTuple):
+    """A stack of points parsed once (`_points`): its batch shape, the unit
+    phases of `_su2_points` a column per point, the distinct beta values,
+    and for each point its place among them (point k at beta[where[k]])."""
+
+    shape: tuple[int, ...]
+    unit: np.ndarray
+    beta: np.ndarray
+    where: np.ndarray
+
+
+def _points(entries, tol: float = 1e-9) -> _Points:
+    """`_su2_points` of entries (of `_point_entries`), with the distinct
+    beta values found once."""
+    shape, unit, beta = _su2_points(entries, tol)
+    return _Points(shape, unit, *np.unique(beta, return_inverse=True))
+
+
 @lru_cache(maxsize=None)
 def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues and orthonormal eigenvectors of J_y at degree j,
@@ -206,79 +226,93 @@ def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)
 
 
-class _ColumnKernel:
-    """Evaluator (unit, beta) of _su2_points -> D^j_{m1 m2} for each
-    (2 m1, 2 m2) in pairs, a row per pair and a column per point.  The work
-    that depends only on the degree and the pairs (the d^j rows, the phase
-    exponents) is done here once, so one kernel serves any number of calls.
-
-    An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
-    are integer powers, not exp(i k arg z), so exact lifts stay exact, and
-    each is a row of a table of powers (`_unit_powers`), so the lookups are
-    row gathers.
-    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (_jy_eigen) is
-    real, so `small_d(beta)` is one real matmul, points by pairs:
-    [cos(beta lam), sin(beta lam)] @ rows.T, where rows holds [Re, -Im] of
-    V_{r1} conj(V_{r2}) and depends on no point.  `columns(unit, small_d)`
-    multiplies its transpose by the phases, so a caller takes d^j once per
-    distinct beta and gathers its rows.  In that orientation BLAS gives each
-    entry of d^j the same bits however many points (more than a handful) a
-    call holds.
-    """
-
-    def __init__(self, two_j: int, pairs):
-        twice = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        self.lam, vec = _jy_eigen(two_j)
-        index = (two_j - twice) // 2
-        outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
-        self.rows = np.concatenate([outer.real, -outer.imag], axis=-1)
-        self.a_power = two_j + (twice[:, 0] + twice[:, 1]) // 2
-        self.b_power = two_j + (twice[:, 0] - twice[:, 1]) // 2
-        self.two_j = two_j
-
-    def small_d(self, beta: np.ndarray) -> np.ndarray:
-        angle = np.asarray(beta, dtype=float)[..., None] * self.lam
-        return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ self.rows.T
-
-    def columns(self, unit: np.ndarray, small_d: np.ndarray) -> np.ndarray:
-        powers = _unit_powers(unit, self.two_j)
-        out = powers[0][self.a_power]
-        out *= small_d.T
-        del small_d  # the caller passes its only reference
-        # in place but for one entry (one pair at one point): numpy multiplies a
-        # one-element array into itself with other last bits than its vector
-        # loop gives, so a value would depend on the chunk size
-        return np.multiply(out, powers[1][self.b_power], out=out if out.size > 1 else None)
-
-    def __call__(self, unit: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return self.columns(unit, self.small_d(beta))
+def _d_rows(two_j: int, pairs) -> np.ndarray:
+    """The rows of `_small_d` for each (2 m1, 2 m2) in pairs: [Re, -Im] of
+    V_{r1} conj(V_{r2}), with V the eigenvectors of J_y (`_jy_eigen`) and r
+    the rows of m1 and m2, a row of 2 (2j+1) floats per pair."""
+    vec = _jy_eigen(two_j)[1]
+    index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
+    outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
+    return np.concatenate([outer.real, -outer.imag], axis=-1)
 
 
 @lru_cache(maxsize=1)
-def _full_kernel(two_j: int) -> _ColumnKernel:
-    """The kernel of every (m1, m2) of degree j, rows m1-major with both
-    descending, as `wigner_d` reads it, kept for the last degree asked for.
+def _every_pair(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, rows): every (2 m1, 2 m2) of degree j as one rank of a grid,
+    m1-major with both descending as `wigner_d` lays them out, and their
+    `_d_rows`, kept for the last degree asked for."""
+    ms = np.arange(two_j, -two_j - 1, -2)
+    pairs = np.stack(np.meshgrid(ms, ms, indexing="ij"), axis=-1).reshape(1, -1, 2)
+    rows = _d_rows(two_j, pairs)
+    pairs.flags.writeable = rows.flags.writeable = False
+    return pairs, rows
 
-    Its d^j rows, 2 (2j+1)^3 floats, are moved into their own anonymous
-    memory mapping, returned to the system when the kernel is dropped: left
-    in the malloc heap among the dense projectors' large temporaries, they
-    kept about 2.5 MB more resident at the peak of a j = 16, 18, 20
-    projector run than their own 0.8 MB.
+
+def _small_d(two_j: int, rows: np.ndarray, beta) -> np.ndarray:
+    """d^j_{m1 m2}(beta) at the pairs whose `_d_rows` are rows, points by
+    pairs.  d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H
+    (`_jy_eigen`) is real, so this is one real matmul:
+    [cos(beta lam), sin(beta lam)] @ rows.T.  In that orientation BLAS gives
+    each entry the same bits however many points (more than a handful) a
+    call holds."""
+    angle = np.asarray(beta, dtype=float)[..., None] * _jy_eigen(two_j)[0]
+    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
+
+
+def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1, rows=None):
+    """Values at points (`_points`) of the functions of one degree j laid
+    out on a padded (rank, function) grid, chunk by chunk: yields (at,
+    values), the slice of the flattened points a chunk covers and their
+    values, a row per function and a column per point.  This is the one
+    place where D^j values are summed.
+
+    pairs holds each slot's (2 m1, 2 m2), shape (ranks, functions, 2), and
+    weights its weight, shape (ranks, functions), or None for a weight of 1
+    that multiplies nothing (1 + 0j would flip the sign of a zero part); a
+    function with fewer terms than the grid has ranks is padded with a
+    valid pair of weight 0.  rows, if given, are the `_d_rows` of pairs.  A
+    value is the sum of its function's weight times D^j_{m1 m2} over the
+    ranks, added in rank order.
+
+    An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
+    are integer powers, not exp(i k arg z), so exact lifts stay exact, and
+    each is a row of the chunk's table of powers (`_unit_powers`), so the
+    lookups are row gathers.  d^j is taken in one call over the distinct
+    beta (`_small_d`) and each chunk gathers its rows, so no bit of a value
+    depends on the chunking.  A chunk holds whole groups of `group`
+    consecutive points, as many as keep slots times points within
+    _ENTRY_BUDGET, and one group at least.
     """
-    ms = range(two_j, -two_j - 1, -2)
-    kernel = _ColumnKernel(two_j, [(tm1, tm2) for tm1 in ms for tm2 in ms])
-    rows = np.frombuffer(mmap.mmap(-1, kernel.rows.nbytes), dtype=float).reshape(kernel.rows.shape)
-    rows[...] = kernel.rows
-    rows.flags.writeable = False
-    kernel.rows = rows
-    return kernel
+    grid = np.shape(pairs)[:-1]
+    pairs = np.reshape(pairs, (-1, 2))
+    weights = None if weights is None else np.reshape(weights, (-1, 1))
+    small_d = _small_d(two_j, _d_rows(two_j, pairs) if rows is None else rows, points.beta)
+    a_power = two_j + (pairs[:, 0] + pairs[:, 1]) // 2
+    b_power = two_j + (pairs[:, 0] - pairs[:, 1]) // 2
+    step = group * max(1, _ENTRY_BUDGET // (math.prod(grid) * group))
+    for start in range(0, len(points.where), step):
+        at = slice(start, start + step)
+        powers = _unit_powers(points.unit[:, at], two_j)
+        columns = powers[0][a_power]
+        columns *= small_d[points.where[at]].T
+        # in place but for one entry (one slot at one point): numpy multiplies a
+        # one-element array into itself with other last bits than its vector
+        # loop gives, so a value would depend on the chunk size
+        columns = np.multiply(columns, powers[1][b_power], out=columns if columns.size > 1 else None)
+        if weights is not None:
+            columns *= weights
+        # the rank blocks added in order: numpy's sum of a one-point chunk, a
+        # contiguous reduction, would add more than 8 of them pairwise
+        values = reduce(np.add, columns.reshape(grid + (-1,)))
+        del powers, columns  # only the values stay bound while the caller holds them
+        yield at, values
 
 
 _SEED_MAX_DEGREE = 514  # the largest j0 whose binomial C(2 j0, j0) is a finite float
 
 
 def _small_d_by_degree(m1: np.ndarray, m2: np.ndarray, t: np.ndarray, top: int, scale=1.0):
-    """d^j_{m1 m2}(arccos t) of integer pairs, in `_ColumnKernel`'s sign
+    """d^j_{m1 m2}(arccos t) of integer pairs, in `_small_d`'s sign
     convention ((-1)^{m1-m2} times the standard d), times scale, at every
     degree from j0 = max(|m1|, |m2|) to top: the three-term recurrence in j
     at fixed (m1, m2) (Kostelec & Rockmore 2008, J. Fourier Anal. Appl. 14,
@@ -344,20 +378,27 @@ def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
 
-def _entry_values(two_j: int, pairs, entries, coefs=None):
-    """D^j at the (2 m1, 2 m2) in pairs, at the points whose (a, b, c, d)
-    are entries, in their shape: the first pair's entry, or with coefs the
-    sum of coefs times the pairs' entries; a complex at a single point."""
-    shape, unit, beta = _su2_points(entries)
-    values = _ColumnKernel(two_j, pairs)(unit, beta)
-    values = values[0] if coefs is None else coefs @ values
-    return _scalar_or_array(values.reshape(shape))
+def _grid_values(two_j: int, pairs, weights, points: _Points, rows=None) -> np.ndarray:
+    """Every value of `_slot_values`, a row per function and a column per
+    flattened point."""
+    out = np.empty((np.shape(pairs)[1], len(points.where)), dtype=complex)
+    for at, values in _slot_values(two_j, pairs, weights, points, rows=rows):
+        out[:, at] = values
+    return out
+
+
+def _entry_sum(two_j: int, pairs, weights, entries):
+    """The one function of a grid of `_slot_values` (pairs of shape
+    (ranks, 1, 2)) at the points whose (a, b, c, d) are entries
+    (`_point_entries`), in their shape; a complex at a single point."""
+    points = _points(entries)
+    return _scalar_or_array(_grid_values(two_j, pairs, weights, points).reshape(points.shape))
 
 
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
-    return _entry_values(tj, [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))], (a, b, c, d))
+    return _entry_sum(tj, [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]], None, (a, b, c, d))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -367,10 +408,11 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     not special unitary within unitary_tol is rejected with ValueError.
     """
     two_j = _two_j(j)
-    shape, unit, beta = _su2_points(_point_entries(u), unitary_tol)
-    if shape != ():
-        raise ValueError(f"expected one 2x2 matrix, got a batch of shape {shape}")
-    return _full_kernel(two_j)(unit, beta).reshape(two_j + 1, two_j + 1)
+    points = _points(_point_entries(u), unitary_tol)
+    if points.shape != ():
+        raise ValueError(f"expected one 2x2 matrix, got a batch of shape {points.shape}")
+    pairs, rows = _every_pair(two_j)
+    return _grid_values(two_j, pairs, None, points, rows).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -473,10 +515,10 @@ class EulerAngles:
 def wigner_entry_function(j, m1, m2):
     """Vectorized callable of EulerAngles returning D^j_{m1,m2}."""
     tj = _two_j(j)
-    pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
+    pairs = [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]]
 
     def evaluate(angles: EulerAngles):
-        return _entry_values(tj, pairs, _point_entries(angles))
+        return _entry_sum(tj, pairs, None, _point_entries(angles))
 
     return evaluate
 
@@ -646,24 +688,4 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    coefs = np.array([coef for _, _, coef in column], dtype=complex)
-    return _entry_values(two_j, [(tm1, tm2) for tm1, tm2, _ in column], _point_entries(u), coefs)
-
-
-def wigner_from_harmonics(beta_label: int, m1, m2, u):
-    """Inverse expansion: rebuild D^j_{m1,m2}(u) from the adapted harmonics."""
-    two_j = _beta_two_j(beta_label)
-    j = two_j / 2
-    tm1 = _two_m(m1, two_j, "m1")
-    tm2 = _two_m(m2, two_j, "m2")
-    tm = tm2 - tm1
-    total = 0
-    for tl in range(0, 2 * two_j + 1, 2):
-        if abs(tm) > tl:
-            continue
-        cg = clebsch_gordan(j, -tm1 / 2, j, tm2 / 2, tl / 2, tm / 2)
-        if cg == 0.0:
-            continue
-        total = total + cg * conjugation_harmonic(beta_label, tl / 2, tm / 2, u)
-    phase = (-1.0) ** ((two_j - tm1) // 2)
-    return phase * total
+    return _entry_sum(two_j, [[pair] for *pair, _ in column], [[coef] for *_, coef in column], _point_entries(u))

@@ -683,9 +683,9 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
     n_points = 37
     # a few base points and their images per kernel pass in verify_basis,
     # then every point in one pass of the dense route
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**10)
+    monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 2**10)
     report = bases.verify_basis(fns, group, seed=3, n_points=n_points)
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
+    monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 2**40)
     points = gc.random_sphere_points(n_points, seed=3)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
     values = bases._basis_values(fns, su2.matrix_from_point(moved))
@@ -719,18 +719,17 @@ def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget
     # kernel of other shape than the list, so its last bits are its own)
     fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
     u = su2.matrix_from_point(gc.random_sphere_points(23, seed=11))
-    _, unit, beta = bases._su2_points(bases._point_entries(u))
-    distinct, where = np.unique(beta, return_inverse=True)
-    assert len(distinct) == len(beta)
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 2**40)
+    points = wigner._points(wigner._point_entries(u))
+    assert len(points.beta) == len(points.where) == 23
+    monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 2**40)
     terms = bases._terms(fns).terms
-    dense = np.full((len(fns), len(beta)), np.nan, dtype=complex)
+    dense = np.full((len(fns), 23), np.nan, dtype=complex)
     for j in np.flatnonzero(np.bincount(terms.j)):
         degree = terms.degree(j)
-        ((at, values),) = bases._degree_values(degree, unit, distinct, where)
+        ((at, values),) = wigner._slot_values(2 * int(j), *bases._slot_grid(degree), points)
         dense[degree.owner[degree.runs()[0]], at] = values
     one_by_one = np.stack([f.evaluate(u) for f in fns], axis=-1)
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", budget)
+    monkeypatch.setattr(wigner, "_ENTRY_BUDGET", budget)
     assert np.array_equal(bases._basis_values(fns, u), dense.T)
     assert np.array_equal(np.stack([f.evaluate(u) for f in fns], axis=-1), one_by_one)
 
@@ -757,7 +756,7 @@ def test_functions_of_one_to_three_terms_sum_like_their_entries(monkeypatch):
     )
     values = []
     for budget in (1, 2**9, 2**14, 2**40):
-        monkeypatch.setattr(bases, "_ENTRY_BUDGET", budget)
+        monkeypatch.setattr(wigner, "_ENTRY_BUDGET", budget)
         values.append(bases._basis_values(fns, u))
     assert np.max(np.abs(values[0] - expected)) <= 1e-13
     assert all(np.array_equal(v, values[0]) for v in values[1:])
@@ -793,18 +792,17 @@ def test_a_degree_or_m_that_is_no_number_is_refused_before_doubling():
 def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
     rule = euler_quadrature(6)
     fns = [f for j in range(4) for f in bases.basis_c3(j)]
-    _, _, beta = bases._su2_points(bases._point_entries(rule.angles))
-    distinct = np.unique(beta)
+    distinct = wigner._points(wigner._point_entries(rule.angles)).beta
     # the angles are read without the matrix, so each beta node comes back as itself
     assert np.array_equal(distinct, np.sort(rule.beta)) and len(distinct) == rule.shape[1]
     calls = []
-    real_small_d = wigner._ColumnKernel.small_d
+    real_small_d = wigner._small_d
 
-    def spy(kernel, beta):
+    def spy(two_j, rows, beta):
         calls.append(beta.copy())
-        return real_small_d(kernel, beta)
+        return real_small_d(two_j, rows, beta)
 
-    monkeypatch.setattr(wigner._ColumnKernel, "small_d", spy)
+    monkeypatch.setattr(wigner, "_small_d", spy)
     values = bases._basis_values(fns, rule.angles)
     assert values.shape == (rule.node_count, len(fns))
     # one call per degree that has functions (C3 has none at degree 1)
@@ -813,14 +811,30 @@ def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, monkeypatch):
+    # and the same bits from every other pointwise evaluator, each one grid
+    # of the kernel chunked by the same budget
     group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
     fns = [f for j in range(13) for f in bases.basis_for(manifold, j)]
-    default = bases.verify_basis(fns, group)
-    # one base point and its images per kernel pass, whatever the degree
-    monkeypatch.setattr(bases, "_ENTRY_BUDGET", 1)
+    u = su2.matrix_from_point(gc.random_sphere_points(31, seed=5))
+    a, b, c, d = (u[:, row, col] for row in (0, 1) for col in (0, 1))
+
+    def pointwise():
+        return [
+            bases._basis_values(fns, u),
+            wigner.wigner_entry(12, 3, -2, a, b, c, d),
+            wigner.conjugation_harmonic(25, 10, 3, u),
+            wigner.conjugation_harmonic(25, 24, -24, u),  # a single Clebsch-Gordan term
+            wigner.wigner_d(12, u[0]),
+        ]
+
+    default, values = bases.verify_basis(fns, group), pointwise()
+    # one base point and its images per kernel pass, whatever the degree, and
+    # one point per pass elsewhere
+    monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 1)
     smallest = bases.verify_basis(fns, group)
     assert smallest["periodicity_max_error"] == default["periodicity_max_error"]
     assert 0.0 < default["periodicity_max_error"] < 1e-13
+    assert [v.tobytes() for v in pointwise()] == [v.tobytes() for v in values]
 
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
@@ -971,13 +985,13 @@ def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
 
         monkeypatch.setattr(bases, "_small_d_by_degree", poisoned_small_d)
     elif check == "periodicity":
-        real_values = bases._degree_values
+        real_values = bases._slot_values
 
-        def poisoned_values(terms, *points):
-            for at, values in real_values(terms, *points):
-                yield at, values * np.nan if terms.j[0] == 3 else values
+        def poisoned_values(two_j, *grid_and_points):
+            for at, values in real_values(two_j, *grid_and_points):
+                yield at, values * np.nan if two_j == 6 else values
 
-        monkeypatch.setattr(bases, "_degree_values", poisoned_values)
+        monkeypatch.setattr(bases, "_slot_values", poisoned_values)
     else:
         real_fix = bases._fix_error
 

@@ -168,9 +168,10 @@ def test_verify_induced_suite_passes(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    # force a failing deck report through the group suite
+    # force a failing deck report through the group suite; the suite reads
+    # the presentation's row off the report
     def broken(group, seed=42, tol=1e-10, n_points=100):
-        return {"passed": False, "name": group.name, "pair_action_max_error": 1.0}
+        return {"passed": False, "name": group.name, "pair_action_max_error": 1.0, "relations": True}
 
     monkeypatch.setattr(cli, "verify_deck_group", broken)
     code, out = run(capsys, ["verify", "--suite", "group", "--format", "json"])

@@ -21,8 +21,14 @@ from s3harm.induced import (
     multiplicity_identity,
     sn_character,
     sn_character_table,
-    transversal_is_left,
 )
+
+
+def transversal_is_left(little: str) -> bool:
+    """Whether the transversal tiles S(4) by disjoint left cosets c K."""
+    cogroup = [k for k in permutations(range(4)) if in_little_cogroup(little, k)]
+    cosets = [{tuple(c[k[i]] for i in range(4)) for k in cogroup} for c in coset_generators(little)]
+    return sum(map(len, cosets)) == len(set().union(*cosets)) == 24
 
 
 S4_CLASSES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]

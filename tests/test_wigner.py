@@ -12,6 +12,7 @@ exact rational squares.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from s3harm import bases, su2, wigner
+from s3harm import groupcore as gc
 from s3harm.deck import build_cyclic8, build_quaternion
 from s3harm.wigner import (
     EulerAngles,
-    _ColumnKernel,
     _gauss_legendre,
     clebsch_gordan,
     character_jj,
@@ -33,7 +34,6 @@ from s3harm.wigner import (
     wigner_d,
     wigner_entry,
     wigner_entry_function,
-    wigner_from_harmonics,
 )
 
 
@@ -65,9 +65,34 @@ def monomial_wigner(two_j, a, b, c, d):
     return out.reshape(np.shape(a) + (two_j + 1, two_j + 1))
 
 
+def kernel_small_d(two_j, pairs, beta):
+    """d^j(beta) from the pointwise kernel at the (2 m1, 2 m2) in pairs, points by pairs."""
+    return wigner._small_d(two_j, wigner._d_rows(two_j, pairs), beta)
+
+
 def small_d(two_j, beta):
     """Full d^j(beta) from the kernel, shape beta.shape + (2j+1, 2j+1)."""
-    return _ColumnKernel(two_j, all_pairs(two_j)).small_d(beta).reshape(np.shape(beta) + (two_j + 1,) * 2)
+    return kernel_small_d(two_j, all_pairs(two_j), beta).reshape(np.shape(beta) + (two_j + 1,) * 2)
+
+
+def wigner_from_harmonics(beta_label, m1, m2, u):
+    """Inverse expansion, the oracle of conjugation_harmonic: D^j_{m1,m2}(u)
+    rebuilt from the adapted harmonics."""
+    two_j = wigner._beta_two_j(beta_label)
+    j = two_j / 2
+    tm1 = wigner._two_m(m1, two_j, "m1")
+    tm2 = wigner._two_m(m2, two_j, "m2")
+    tm = tm2 - tm1
+    total = 0
+    for tl in range(0, 2 * two_j + 1, 2):
+        if abs(tm) > tl:
+            continue
+        cg = clebsch_gordan(j, -tm1 / 2, j, tm2 / 2, tl / 2, tm / 2)
+        if cg == 0.0:
+            continue
+        total = total + cg * conjugation_harmonic(beta_label, tl / 2, tm / 2, u)
+    phase = (-1.0) ** ((two_j - tm1) // 2)
+    return phase * total
 
 
 # ---------------------------------------------------------------- rotations
@@ -109,10 +134,11 @@ def test_entry_broadcasting_matches_scalar_loop():
     vec = wigner_entry(2, 1, -1, a, b, c, d)
     for k in range(6):
         assert abs(vec[k] - wigner_d(2, us[k])[1, 3]) < 1e-13
-    # one stack of 1681 x 40 entries, well past 2^15, in one pass of the kernel
+    # one stack of 1681 x 40 entries, past the entry budget, in chunks of the kernel
     us = np.stack([random_su2(rng) for _ in range(40)])
-    _, unit, beta = wigner._su2_points(wigner._point_entries(us))
-    batched = wigner._ColumnKernel(40, all_pairs(40))(unit, beta)
+    assert 41 * 41 * 40 > wigner._ENTRY_BUDGET
+    points = wigner._points(wigner._point_entries(us))
+    batched = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
     assert batched.shape == (41 * 41, 40)
     for k in range(40):
         assert np.max(np.abs(batched[:, k].reshape(41, 41) - wigner_d(20, us[k]))) < 1e-14
@@ -248,7 +274,7 @@ def test_stable_small_d_matches_monomial_kernel():
     # the exact values above), hence 2e-13 rather than the kernel's accuracy
     betas = np.concatenate([[0.0, np.pi], np.random.default_rng(43).uniform(0, np.pi, 14)])
     for two_j in range(25):
-        small = _ColumnKernel(two_j, all_pairs(two_j)).small_d(betas)
+        small = kernel_small_d(two_j, all_pairs(two_j), betas)
         assert small.shape == (betas.size, (two_j + 1) ** 2)
         want = monomial_wigner(two_j, *EulerAngles(0.0, betas, 0.0).matrix_entries())
         assert np.max(np.abs(small.reshape(want.shape) - want)) < 2e-13, two_j
@@ -303,7 +329,7 @@ def test_recurrence_in_degree_matches_the_kernel_over_every_pair():
     table = recurrence_table(m1, m2, rule.cos_beta, 40)
     for j in range(41):
         on = j0 <= j
-        kernel = _ColumnKernel(2 * j, np.stack([2 * m1[on], 2 * m2[on]], axis=-1)).small_d(rule.beta)
+        kernel = kernel_small_d(2 * j, np.stack([2 * m1[on], 2 * m2[on]], axis=-1), rule.beta)
         assert np.max(np.abs(table[j, on] - kernel.T)) <= 1e-13, j
         assert not np.any(table[j, ~on])
 
@@ -415,20 +441,34 @@ def test_every_evaluator_refuses_a_point_off_su2():
 
 
 def test_wigner_d_keeps_the_kernel_of_its_last_degree():
-    wigner._full_kernel.cache_clear()
+    wigner._every_pair.cache_clear()
     u = random_su2(np.random.default_rng(8))
     first = wigner_d(20, u)
-    assert np.array_equal(wigner_d(20, u), first)
-    info = wigner._full_kernel.cache_info()
+    assert wigner_d(20, u).tobytes() == first.tobytes()
+    info = wigner._every_pair.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    # the cached kernel gives the bits of a kernel built for the call
-    _, unit, beta = wigner._su2_points(wigner._point_entries(u))
-    assert np.array_equal(first, wigner._ColumnKernel(40, all_pairs(40))(unit, beta).reshape(41, 41))
-    assert not wigner._full_kernel(40).rows.flags.writeable
-    # one kernel is kept however many degrees are asked for
+    # the cached d^j rows give the bits of rows built for the call
+    points = wigner._points(wigner._point_entries(u))
+    fresh = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
+    assert fresh.reshape(41, 41).tobytes() == first.tobytes()
+    # the rows of one degree are kept however many degrees are asked for
     for j in range(12):
         wigner_d(j, u)
-    assert wigner._full_kernel.cache_info().currsize == info.maxsize == 1
+    assert wigner._every_pair.cache_info().currsize == info.maxsize == 1
+
+
+def test_a_harmonic_over_a_large_stack_is_evaluated_in_bounded_memory():
+    # the stack goes through the kernel in chunks of the entry budget, so its
+    # phase tables and products stay small; in one pass they take 130 MB
+    u = su2.matrix_from_point(gc.random_sphere_points(20_000, seed=21))
+    tracemalloc.start()
+    try:
+        values = conjugation_harmonic(41, 10, 3, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20_000,) and np.all(np.isfinite(values))
+    assert peak < 64 * 2**20
 
 
 def test_runtime_paths_never_reach_the_monomial_sum():
