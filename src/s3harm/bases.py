@@ -15,7 +15,9 @@ it, and `_terms` walks any list of records back into one.  Every check
 reads the table, and `verify` audits it without making a record.  The
 values of its functions at points come from the one pointwise evaluator,
 `wigner._slot_values`; this module only lays out each degree's terms as
-that evaluator's padded grid (`_slot_grid`).
+that evaluator's padded grid (`_slot_grid`).  A single record is
+evaluated without a table, as one function of one degree: its terms are
+a grid of one column, like that of `wigner.conjugation_harmonic`.
 
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
@@ -66,12 +68,13 @@ from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
 from .su2 import Cyclo8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
-    _point_entries,
+    _entry_sum,
     _points,
     _scalar_or_array,
     _slot_values,
     _small_d_by_degree,
     _two_j,
+    _two_m,
     character_jj,
     euler_quadrature,
 )
@@ -458,8 +461,16 @@ class BasisFunction:
 
     def evaluate(self, u):
         """Value at u: EulerAngles, a 2x2 unitary, stacked matrices, or an
-        exact matrix; broadcasts over arrays."""
-        return _scalar_or_array(_basis_values([self], u)[..., 0])
+        exact matrix; broadcasts over arrays.  The terms are one (ranks, 1)
+        grid of weights norm_factor * coef; labels that `_terms` refuses
+        raise ValueError."""
+        _integers([self.j, self.m1, self.m2, *(m for m1, m2, _ in self.terms for m in (m1, m2))])
+        two_j = 2 * _require_integer_j(self.j)
+        pairs = [[(_two_m(m1, two_j, "m1"), _two_m(m2, two_j, "m2"))] for m1, m2, _ in self.terms]
+        if not pairs:  # the empty sum
+            return _scalar_or_array(np.zeros(_points(u).shape, dtype=complex))
+        weights = float(self.norm_factor) * np.array([[coef] for *_, coef in self.terms], dtype=complex)
+        return _entry_sum(two_j, pairs, weights, u)
 
     def coefficient_vector(self) -> np.ndarray:
         """Coefficients on the (2j+1)^2 space, (m1, m2) both descending."""
@@ -500,7 +511,7 @@ def _slot_grid(degree: _Terms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_values(terms: _Terms, u, group: int = 1):
-    """The one pointwise route for basis functions: u is parsed once
+    """The pointwise route for a list of basis functions: u is parsed once
     (`_points`), and each degree of terms is evaluated over its points by
     `_slot_values`, from the degree's grid (`_slot_grid`), in chunks of
     whole groups of `group` consecutive points.
@@ -509,7 +520,7 @@ def _stack_values(terms: _Terms, u, group: int = 1):
     (rows, at, values), the positions in the list of the functions a chunk
     holds, the slice of the flattened points it covers and their values.
     """
-    points = _points(_point_entries(u))
+    points = _points(u)
 
     def chunks():
         for j in np.flatnonzero(np.bincount(terms.j)):
@@ -519,17 +530,6 @@ def _stack_values(terms: _Terms, u, group: int = 1):
                 yield rows, at, values
 
     return points.shape, chunks()
-
-
-def _basis_values(functions: list[BasisFunction], u) -> np.ndarray:
-    """Values of every function at u, one column per function in list
-    order, by `_stack_values`."""
-    table = _terms(functions)
-    shape, chunks = _stack_values(table.terms, u)
-    out = np.zeros((len(table.j), math.prod(shape)), dtype=complex)
-    for rows, at, values in chunks:
-        out[rows, at] = values
-    return out.T.reshape(shape + (len(table.j),))
 
 
 # the kinds of function, one shared string each in the tables' kind columns

@@ -69,9 +69,10 @@ def _normalised(c: tuple[int, int, int, int], k: int) -> "Cyclo8":
 
 def _exact_int(value, what: str) -> int:
     """value as an int, refused with ValueError unless it equals that int:
-    integral floats and numpy integers pass, 0.5, "3" and infinity do not."""
+    integral floats and numpy integers pass, 0.5, "3", infinity and a bool
+    do not."""
     try:
-        n = int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value:

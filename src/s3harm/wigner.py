@@ -17,24 +17,25 @@ matrices:
 * At Euler angles every entry factorises as
   D^j_{m1 m2}(alpha, beta, gamma) = e^{i m1 alpha} d^j_{m1 m2}(beta) e^{i m2 gamma}.
 
-Every pointwise evaluator takes one route.  _point_entries reads a point
-argument's entries and _points parses them once: the SU(2) check, the unit
-phases and beta over the flattened stack of points (`_su2_points`;
-EulerAngles give beta and the phases directly, `_euler_points`), and the
-distinct beta values.  _slot_values is then the one place where D^j values
-are summed: it evaluates a padded (rank, function) grid of (m1, m2) pairs
-and weights of one degree from that factorisation, written in u alone,
-with one row per slot and one column per point, sums each function's
-weighted slots over the rank blocks, and takes the points in chunks of
-bounded size.  Its d^j factor (`_small_d`) is one matmul over the distinct
-beta, from rows of the exact diagonalisation of J_y (`_d_rows`; Feng,
-Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307), and each chunk gathers
-its rows.  wigner_entry and wigner_entry_function evaluate a grid of one
-slot, conjugation_harmonic one function whose slots are weighted by its
-Clebsch-Gordan coefficients, and wigner_d (2j+1)^2 one-slot functions at
-one point, with the d^j rows of every (m1, m2) kept for the last degree it
-was asked for (`_every_pair`); `bases` lays out the grids of its basis
-functions.
+Every pointwise evaluator takes one route.  _points parses a point
+argument once, whatever its form: the SU(2) check, the unit phases and
+beta over the flattened stack of points (EulerAngles give beta and the
+phases directly, `_euler_points`), and the distinct beta values.
+_slot_values is then the one place where D^j values are summed: it
+evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
+one degree from that factorisation, written in u alone, with one row per
+slot and one column per point, sums each function's weighted slots over
+the rank blocks, and takes the points in chunks of bounded size.  Its d^j
+factor (`_small_d`) is one matmul over the distinct beta, from rows of the
+exact diagonalisation of J_y (`_d_rows`; Feng, Wang, Yang & Jin 2015,
+Phys. Rev. E 92, 043307), and each chunk gathers its rows.  wigner_entry
+and wigner_entry_function evaluate a grid of one slot,
+conjugation_harmonic and `bases.BasisFunction.evaluate` one function
+whose slots are weighted by its Clebsch-Gordan coefficients (kept per
+label, `_cg_column`) or its closed-form terms, and wigner_d (2j+1)^2
+one-slot functions at one point, with the d^j rows of every (m1, m2) kept
+for the last degree it was asked for (`_every_pair`); `bases` lays out the
+grids of its lists of basis functions.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -59,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .groupcore import _integer
 from .su2 import IsoPair, _complex_matrices, rotation_angles
 
 __all__ = [
@@ -81,15 +83,18 @@ _ENTRY_BUDGET = 2**14
 
 def _two_j(j, what: str = "degree", signed: bool = False) -> int:
     """2j as an int; refuses with ValueError a j that is no non-negative
-    half-integer (with signed, no half-integer of either sign)."""
+    half-integer (with signed, no half-integer of either sign), among them
+    every j that is no finite real number."""
     kind = "a half-integer" if signed else "a non-negative half-integer"
     if isinstance(j, (str, bytes, bool, np.bool_)):  # 2 * "4" is "44"
         raise ValueError(f"{what} must be {kind}, got {j!r}")
-    value = 2 * j
-    rounded = int(round(float(value)))
-    if abs(float(value) - rounded) > 1e-9 or (rounded < 0 and not signed):
+    try:
+        value = float(2 * j)
+    except (TypeError, ValueError, OverflowError):  # None, 1j, a list, an int past the floats
+        value = math.nan
+    if not math.isfinite(value) or abs(value - round(value)) > 1e-9 or (round(value) < 0 and not signed):
         raise ValueError(f"{what} must be {kind}, got {j}")
-    return rounded
+    return round(value)
 
 
 def _two_m(m, two_j: int, what: str = "m") -> int:
@@ -127,41 +132,8 @@ def _entry_terms(two_j: int, two_m1: int, two_m2: int):
     return tuple(terms)
 
 
-def _point_entries(u):
-    """Entries (a, b, c, d) of a point argument, each of the batch shape,
-    or the angles themselves if u is EulerAngles.
-
-    u may be EulerAngles, one 2x2 special unitary, a stacked array of them
-    with shape (..., 2, 2), or an exact Su2Exact matrix.
-    """
-    if isinstance(u, EulerAngles):
-        return u
-    arr = _complex_matrices(u)
-    return arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
-
-
-def _su2_points(entries, tol: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(shape, unit, beta) of the broadcastable (a, b, c, d) of
-    _point_entries, the points flattened in C order: unit[0] = a/|a| and
-    unit[1] = b/|b| (1 where the modulus is 0), beta = 2 atan2(|b|, |a|).
-
-    Refused with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and
-    d = conj(a) within tol.  EulerAngles go by `_euler_points`.
-    """
-    if isinstance(entries, EulerAngles):
-        return _euler_points(entries)
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in entries))
-    off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
-    if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
-        raise ValueError("argument matrix is not special unitary")
-    a_b = np.stack([a.reshape(-1), b.reshape(-1)])
-    modulus = np.abs(a_b)
-    unit = np.divide(a_b, modulus, out=np.ones_like(a_b), where=modulus > 0)
-    return a.shape, unit, 2.0 * np.arctan2(modulus[1], modulus[0])
-
-
 def _euler_points(angles: EulerAngles) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """`_su2_points` of EulerAngles, read straight off the angles, which
+    """(shape, unit, beta) of `_points` read straight off EulerAngles, which
     give a = e^{i(alpha+gamma)/2} cos(beta/2) and b = e^{i(alpha-gamma)/2}
     sin(beta/2): the unit phases are those exponentials times the signs of
     the cosine and the sine (1 where either is 0), and beta in [0, pi] is
@@ -182,8 +154,8 @@ def _euler_points(angles: EulerAngles) -> tuple[tuple[int, ...], np.ndarray, np.
 
 class _Points(NamedTuple):
     """A stack of points parsed once (`_points`): its batch shape, the unit
-    phases of `_su2_points` a column per point, the distinct beta values,
-    and for each point its place among them (point k at beta[where[k]])."""
+    phases a column per point, the distinct beta values, and for each
+    point its place among them (point k at beta[where[k]])."""
 
     shape: tuple[int, ...]
     unit: np.ndarray
@@ -191,10 +163,25 @@ class _Points(NamedTuple):
     where: np.ndarray
 
 
-def _points(entries, tol: float = 1e-9) -> _Points:
-    """`_su2_points` of entries (of `_point_entries`), with the distinct
-    beta values found once."""
-    shape, unit, beta = _su2_points(entries, tol)
+def _points(u, tol: float = 1e-9) -> _Points:
+    """The one parser of a point argument u: EulerAngles (`_euler_points`),
+    one 2x2 special unitary, a (..., 2, 2) stack of them or an Su2Exact.
+    The points [[a, b], [c, d]] are flattened in C order: unit[0] = a/|a|,
+    unit[1] = b/|b| (1 where the modulus is 0), beta = 2 atan2(|b|, |a|).
+    Refused with ValueError unless |a|^2 + |b|^2 = 1, c = -conj(b) and
+    d = conj(a) within tol."""
+    if isinstance(u, EulerAngles):
+        shape, unit, beta = _euler_points(u)
+    else:
+        arr = _complex_matrices(u)
+        a, b, c, d = arr[..., 0, 0], arr[..., 0, 1], arr[..., 1, 0], arr[..., 1, 1]
+        off_su2 = [np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), np.abs(c + b.conj()), np.abs(d - a.conj())]
+        if not np.max(off_su2, initial=0.0) <= tol:  # a NaN fails too
+            raise ValueError("argument matrix is not special unitary")
+        a_b = np.stack([a.reshape(-1), b.reshape(-1)])
+        modulus = np.abs(a_b)
+        unit = np.divide(a_b, modulus, out=np.ones_like(a_b), where=modulus > 0)
+        shape, beta = a.shape, 2.0 * np.arctan2(modulus[1], modulus[0])
     return _Points(shape, unit, *np.unique(beta, return_inverse=True))
 
 
@@ -387,18 +374,20 @@ def _grid_values(two_j: int, pairs, weights, points: _Points, rows=None) -> np.n
     return out
 
 
-def _entry_sum(two_j: int, pairs, weights, entries):
+def _entry_sum(two_j: int, pairs, weights, u):
     """The one function of a grid of `_slot_values` (pairs of shape
-    (ranks, 1, 2)) at the points whose (a, b, c, d) are entries
-    (`_point_entries`), in their shape; a complex at a single point."""
-    points = _points(entries)
+    (ranks, 1, 2)) at the point argument u (`_points`), in its batch
+    shape; a complex at a single point."""
+    points = _points(u)
     return _scalar_or_array(_grid_values(two_j, pairs, weights, points).reshape(points.shape))
 
 
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
-    return _entry_sum(tj, [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]], None, (a, b, c, d))
+    pairs = [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]]
+    u = np.stack(np.broadcast_arrays(a, b, c, d), axis=-1)
+    return _entry_sum(tj, pairs, None, u.reshape(u.shape[:-1] + (2, 2)))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -408,7 +397,7 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     not special unitary within unitary_tol is rejected with ValueError.
     """
     two_j = _two_j(j)
-    points = _points(_point_entries(u), unitary_tol)
+    points = _points(u, unitary_tol)
     if points.shape != ():
         raise ValueError(f"expected one 2x2 matrix, got a batch of shape {points.shape}")
     pairs, rows = _every_pair(two_j)
@@ -518,7 +507,7 @@ def wigner_entry_function(j, m1, m2):
     pairs = [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]]
 
     def evaluate(angles: EulerAngles):
-        return _entry_sum(tj, pairs, None, _point_entries(angles))
+        return _entry_sum(tj, pairs, None, angles)
 
     return evaluate
 
@@ -612,13 +601,15 @@ def euler_quadrature(
     max_degree is the band limit of the integrand (2 j_max for a product of
     two degree-j_max matrix elements).  Uniform grids in alpha and gamma
     need max_degree + 1 nodes, the Gauss-Legendre rule in cos(beta) needs
-    max_degree + 2; explicitly requesting fewer raises ValueError.
+    max_degree + 2; explicitly requesting fewer raises ValueError, as does
+    a size that is a bool or no integer.
     """
+    max_degree = _integer(max_degree, "max_degree")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    na = n_alpha if n_alpha is not None else max_degree + 1
-    ng = n_gamma if n_gamma is not None else max_degree + 1
-    nb = n_beta if n_beta is not None else max_degree + 2
+    na = max_degree + 1 if n_alpha is None else _integer(n_alpha, "n_alpha")
+    ng = max_degree + 1 if n_gamma is None else _integer(n_gamma, "n_gamma")
+    nb = max_degree + 2 if n_beta is None else _integer(n_beta, "n_beta")
     if na < max_degree + 1 or ng < max_degree + 1:
         raise ValueError(
             f"alpha/gamma grids need at least {max_degree + 1} nodes for degree {max_degree}"
@@ -640,18 +631,22 @@ def euler_quadrature(
 def quadrature_inner(f, g, resolution) -> complex:
     """Normalized inner product (1/8 pi^2) inte conj(f) g over Euler angles.
 
-    resolution is either the integrand band limit (an int) or a prebuilt
-    EulerQuadrature.  f and g must broadcast over array-valued angles.
+    resolution is either the integrand band limit (an int, parsed as
+    euler_quadrature's max_degree) or a prebuilt EulerQuadrature.  f and g
+    must broadcast over array-valued angles.
     """
-    rule = resolution if isinstance(resolution, EulerQuadrature) else euler_quadrature(int(resolution))
+    rule = resolution if isinstance(resolution, EulerQuadrature) else euler_quadrature(resolution)
     angles = rule.angles
     fv = np.asarray(f(angles), dtype=complex)
     gv = np.asarray(g(angles), dtype=complex)
     return complex(np.sum(rule.weights * np.conj(fv) * gv))
 
 
-def _cg_column(two_j: int, tl: int, tm: int):
-    """Coefficients <j -m1 j m+m1 | l m> with phase (-1)^(j-m1), by m1."""
+@lru_cache(maxsize=None)
+def _cg_column(two_j: int, tl: int, tm: int) -> tuple[tuple[int, int, float], ...]:
+    """Coefficients <j -m1 j m+m1 | l m> with phase (-1)^(j-m1), by m1, as
+    (2 m1, 2 (m + m1), coefficient); kept per label, since each is summed
+    from exact fractions."""
     j = two_j / 2
     out = []
     for tm1 in range(-two_j, two_j + 1, 2):
@@ -663,7 +658,7 @@ def _cg_column(two_j: int, tl: int, tm: int):
             continue
         phase = (-1.0) ** ((two_j - tm1) // 2)
         out.append((tm1, tm2, phase * cg))
-    return out
+    return tuple(out)
 
 
 def _beta_two_j(beta_label) -> int:
@@ -688,4 +683,4 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    return _entry_sum(two_j, [[pair] for *pair, _ in column], [[coef] for *_, coef in column], _point_entries(u))
+    return _entry_sum(two_j, [[pair] for *pair, _ in column], [[coef] for *_, coef in column], u)

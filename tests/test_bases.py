@@ -23,6 +23,17 @@ from s3harm.wigner import (
 )
 
 
+def basis_values(functions, u):
+    """Batched reference: every function at u, one column per function in
+    list order, from the list's table through `bases._stack_values`."""
+    table = bases._terms(functions)
+    shape, chunks = bases._stack_values(table.terms, u)
+    out = np.zeros((len(table.j), math.prod(shape)), dtype=complex)
+    for rows, at, values in chunks:
+        out[rows, at] = values
+    return out.T.reshape(shape + (len(table.j),))
+
+
 # frozen degree-0 through degree-8 counts
 MULT_C8 = [1, 1, 7, 11, 23, 27, 45, 53, 77]
 MULT_Q = [1, 0, 10, 7, 27, 22, 52, 45, 85]
@@ -303,6 +314,33 @@ def test_evaluate_agrees_across_input_forms():
     assert abs(f.evaluate(q1) - f.evaluate(q1.to_complex())) < 1e-14
 
 
+def test_a_record_is_evaluated_as_one_grid_without_a_table(monkeypatch):
+    # the terms of one record are one column of the kernel's grid, as a
+    # conjugation-adapted harmonic's are, and give the bits of the list route
+    x = gc.random_sphere_points(12, seed=6)
+    forms = [
+        su2.matrix_from_point(x[0]),
+        su2.matrix_from_point(x).reshape(3, 4, 2, 2),
+        EulerAngles(np.linspace(-1, 6, 5)[:, None], np.linspace(0, np.pi, 5)[:, None], np.linspace(0, 3, 2)),
+        build_quaternion().by_label("q2").pair.left,
+    ]
+    fns = [f for j in (0, 3, 6) for manifold in ("C2", "C3") for f in bases.basis_for(manifold, j)[:3]]
+    listed = [[basis_values([f], u)[..., 0] for u in forms] for f in fns]
+
+    def no_table(*args):
+        raise AssertionError("a single record built a table")
+
+    monkeypatch.setattr(bases, "_terms", no_table)
+    monkeypatch.setattr(bases, "_stack_values", no_table)
+    for f, expected in zip(fns, listed):
+        for u, want in zip(forms, expected):
+            got = np.asarray(f.evaluate(u))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a record without terms is the empty sum
+    empty = replace(fns[0], terms=())
+    assert empty.evaluate(forms[0]) == 0 and empty.evaluate(forms[1]).shape == (3, 4)
+
+
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_batched_evaluator_matches_per_function_sums(manifold):
     rng = np.random.default_rng(5)
@@ -315,7 +353,7 @@ def test_batched_evaluator_matches_per_function_sums(manifold):
     exact = build_quaternion().by_label("q2").pair.left
     for u, mats in ((angles, angles.matrix()), (stacked, stacked), (exact, exact.to_complex())):
         entries = (mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1])
-        batched = bases._basis_values(fns, u)
+        batched = basis_values(fns, u)
         assert batched.shape == mats.shape[:-2] + (len(fns),)
         for k, f in enumerate(fns):
             explicit = f.norm_factor * sum(
@@ -371,7 +409,7 @@ def test_gram_across_degrees_stays_identity():
 
 def product_grid_gram(fns, rule):
     """Test oracle: every function at every product node, values^H W values."""
-    values = bases._basis_values(fns, rule.angles)
+    values = basis_values(fns, rule.angles)
     return 8.0 * math.pi**2 * (values.conj().T @ (values * rule.weights[:, None]))
 
 
@@ -688,7 +726,7 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
     monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 2**40)
     points = gc.random_sphere_points(n_points, seed=3)
     moved = np.stack([points] + [gc.apply(el.element, points) for el in group.elements])
-    values = bases._basis_values(fns, su2.matrix_from_point(moved))
+    values = basis_values(fns, su2.matrix_from_point(moved))
     assert report["periodicity_max_error"] == np.max(np.abs(values[1:] - values[0]))
     assert report["passed"] is True
 
@@ -719,7 +757,7 @@ def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget
     # kernel of other shape than the list, so its last bits are its own)
     fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
     u = su2.matrix_from_point(gc.random_sphere_points(23, seed=11))
-    points = wigner._points(wigner._point_entries(u))
+    points = wigner._points(u)
     assert len(points.beta) == len(points.where) == 23
     monkeypatch.setattr(wigner, "_ENTRY_BUDGET", 2**40)
     terms = bases._terms(fns).terms
@@ -730,7 +768,7 @@ def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget
         dense[degree.owner[degree.runs()[0]], at] = values
     one_by_one = np.stack([f.evaluate(u) for f in fns], axis=-1)
     monkeypatch.setattr(wigner, "_ENTRY_BUDGET", budget)
-    assert np.array_equal(bases._basis_values(fns, u), dense.T)
+    assert np.array_equal(basis_values(fns, u), dense.T)
     assert np.array_equal(np.stack([f.evaluate(u) for f in fns], axis=-1), one_by_one)
 
 
@@ -757,7 +795,7 @@ def test_functions_of_one_to_three_terms_sum_like_their_entries(monkeypatch):
     values = []
     for budget in (1, 2**9, 2**14, 2**40):
         monkeypatch.setattr(wigner, "_ENTRY_BUDGET", budget)
-        values.append(bases._basis_values(fns, u))
+        values.append(basis_values(fns, u))
     assert np.max(np.abs(values[0] - expected)) <= 1e-13
     assert all(np.array_equal(v, values[0]) for v in values[1:])
 
@@ -778,6 +816,27 @@ def test_a_string_degree_is_refused(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("label", [math.inf, -math.inf, math.nan, None, 1j, np.float64("inf"), [1]], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda j: wigner_d(j, np.eye(2)),
+        lambda j: bases.multiplicity_for("C2", j),
+        bases.basis_c3,
+        bases.projector_q,
+        lambda j: wigner.su2_character(j, 0.3),
+    ],
+    ids=["wigner_d", "multiplicity_for", "basis_c3", "projector_q", "su2_character"],
+)
+def test_a_label_that_is_no_finite_real_number_is_refused(call, label):
+    # infinity overflowed int(), nan failed numpy's cast to an integer, and
+    # None, 1j and a list failed with TypeError
+    with pytest.raises(ValueError, match="half-integer"):
+        call(label)
+    # clebsch_gordan promises 0 for any label out of range
+    assert wigner.clebsch_gordan(1, 0, label, 0, 1, 0) == 0.0
+
+
 def test_a_degree_or_m_that_is_no_number_is_refused_before_doubling():
     for value in ("1", b"1", True, np.True_):
         with pytest.raises(ValueError):
@@ -792,7 +851,7 @@ def test_a_degree_or_m_that_is_no_number_is_refused_before_doubling():
 def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
     rule = euler_quadrature(6)
     fns = [f for j in range(4) for f in bases.basis_c3(j)]
-    distinct = wigner._points(wigner._point_entries(rule.angles)).beta
+    distinct = wigner._points(rule.angles).beta
     # the angles are read without the matrix, so each beta node comes back as itself
     assert np.array_equal(distinct, np.sort(rule.beta)) and len(distinct) == rule.shape[1]
     calls = []
@@ -803,7 +862,7 @@ def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
         return real_small_d(two_j, rows, beta)
 
     monkeypatch.setattr(wigner, "_small_d", spy)
-    values = bases._basis_values(fns, rule.angles)
+    values = basis_values(fns, rule.angles)
     assert values.shape == (rule.node_count, len(fns))
     # one call per degree that has functions (C3 has none at degree 1)
     assert len(calls) == 3 and all(np.array_equal(call, distinct) for call in calls)
@@ -820,7 +879,7 @@ def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, mon
 
     def pointwise():
         return [
-            bases._basis_values(fns, u),
+            basis_values(fns, u),
             wigner.wigner_entry(12, 3, -2, a, b, c, d),
             wigner.conjugation_harmonic(25, 10, 3, u),
             wigner.conjugation_harmonic(25, 24, -24, u),  # a single Clebsch-Gordan term

@@ -150,6 +150,19 @@ def test_constructor_still_refuses_bad_input():
     assert Cyclo8((2.0, 0, 0, 0), 2) == ONE
 
 
+def test_a_bool_is_no_ring_coefficient():
+    # True was read as 1: Cyclo8((True, 0, 0, 0)) was 1, a half power of True
+    # gave 1/sqrt(2), and a row of True built the identity
+    for flag in (True, False, np.True_, np.False_):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Cyclo8((flag, 0, 0, 0))
+        with pytest.raises(ValueError, match="must be an integer"):
+            Cyclo8((1, 0, 0, 0), flag)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Su2Exact.from_rows((flag, 0), (0, 1))
+    assert Su2Exact.from_rows((1.0, 0), (0, np.int64(1))) == Su2Exact.identity()
+
+
 def test_conjugation_is_multiplicative():
     rng = np.random.default_rng(100)
     for _ in range(20):

@@ -137,7 +137,7 @@ def test_entry_broadcasting_matches_scalar_loop():
     # one stack of 1681 x 40 entries, past the entry budget, in chunks of the kernel
     us = np.stack([random_su2(rng) for _ in range(40)])
     assert 41 * 41 * 40 > wigner._ENTRY_BUDGET
-    points = wigner._points(wigner._point_entries(us))
+    points = wigner._points(us)
     batched = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
     assert batched.shape == (41 * 41, 40)
     for k in range(40):
@@ -158,10 +158,10 @@ def test_euler_angles_are_parsed_without_the_matrix():
     beta = np.concatenate([rng.uniform(0, np.pi, 40), rng.uniform(-3 * np.pi, 5 * np.pi, 40),
                            [0.0, np.pi, 2 * np.pi, -np.pi, 3 * np.pi, -2 * np.pi]])
     angles = EulerAngles(rng.uniform(-7, 7, (len(beta), 1)), beta[:, None], rng.uniform(-7, 7, (len(beta), 2)))
-    shape, unit, direct_beta = wigner._su2_points(wigner._point_entries(angles))
-    matrix_shape, matrix_unit, matrix_beta = wigner._su2_points(angles.matrix_entries())
-    assert shape == matrix_shape == (len(beta), 2)
-    assert np.max(np.abs(unit - matrix_unit)) < 1e-14
+    direct, matrix = wigner._points(angles), wigner._points(angles.matrix())
+    direct_beta, matrix_beta = direct.beta[direct.where], matrix.beta[matrix.where]
+    assert direct.shape == matrix.shape == (len(beta), 2)
+    assert np.max(np.abs(direct.unit - matrix.unit)) < 1e-14
     assert np.max(np.abs(direct_beta - matrix_beta)) < 1e-14
     inside = np.repeat((beta >= 0) & (beta <= np.pi), 2)
     assert np.array_equal(direct_beta[inside], np.repeat(beta, 2)[inside])
@@ -448,7 +448,7 @@ def test_wigner_d_keeps_the_kernel_of_its_last_degree():
     info = wigner._every_pair.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     # the cached d^j rows give the bits of rows built for the call
-    points = wigner._points(wigner._point_entries(u))
+    points = wigner._points(u)
     fresh = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
     assert fresh.reshape(41, 41).tobytes() == first.tobytes()
     # the rows of one degree are kept however many degrees are asked for
@@ -691,6 +691,31 @@ def test_quadrature_resolution_can_be_an_integer():
     assert abs(quadrature_inner(f, f, 2) - 1 / 3) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [(4, 5.5), (2.5,), (4.0,), (True,), (4, None, 6.0), (4, None, None, np.True_), (4, 5, 6, 5.0)],
+    ids=repr,
+)
+def test_quadrature_sizes_that_are_no_integer_are_refused(sizes):
+    # 5.5 alpha nodes were placed at 2 pi k / 5.5 for k = 0..5, a grid that is
+    # not uniform; 2.5 and 4.0 failed with TypeError inside the Gauss-Legendre
+    # rule, and True built the degree-1 rule
+    with pytest.raises(ValueError, match="must be an integer"):
+        euler_quadrature(*sizes)
+
+
+def test_quadrature_resolution_that_is_no_integer_is_refused():
+    # 2.7 was truncated to the rule of band limit 2
+    f = wigner_entry_function(1, 0, 0)
+    for resolution in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            quadrature_inner(f, f, resolution)
+    # a numpy integer is an integer
+    rule = euler_quadrature(np.int64(4), np.int32(5))
+    assert rule.shape == (5, 6, 5) and type(rule.max_degree) is int
+    assert quadrature_inner(f, f, np.int64(2)) == quadrature_inner(f, f, 2)
+
+
 def test_low_rule_aliases_high_degrees():
     # adequate rule: band limit 4 for a degree-2 pair; the degree-2 rule
     # aliases the alpha difference of 3 and produces a large spurious overlap
@@ -846,6 +871,28 @@ def test_both_harmonic_routes_take_an_integral_beta_label_of_any_type(label):
     u = random_su2(np.random.default_rng(35))
     assert conjugation_harmonic(label, 1, 0, u) == conjugation_harmonic(3, 1, 0, u)
     assert wigner_from_harmonics(label, 1, 0, u) == wigner_from_harmonics(3, 1, 0, u)
+
+
+def test_a_clebsch_gordan_column_is_summed_once_per_label(monkeypatch):
+    # the column is summed from exact fractions, most of a single-point call
+    wigner._cg_column.cache_clear()
+    calls = []
+    real_clebsch_gordan = wigner.clebsch_gordan
+
+    def spy(*labels):
+        calls.append(labels)
+        return real_clebsch_gordan(*labels)
+
+    monkeypatch.setattr(wigner, "clebsch_gordan", spy)
+    u = random_su2(np.random.default_rng(36))
+    first = conjugation_harmonic(41, 10, 3, u)
+    summed = len(calls)
+    assert summed > 0
+    assert conjugation_harmonic(41, 10, 3, u) == first
+    assert len(calls) == summed
+    # another label is a column of its own
+    conjugation_harmonic(41, 10, -3, u)
+    assert len(calls) > summed
 
 
 def test_harmonic_accepts_exact_matrices():
