@@ -12,12 +12,13 @@ the `_Terms` of all their terms.  `_mesh_c2` and `_mesh_c3` build it for a
 range of degrees from the selection rules, as masks over (j, m1, m2)
 meshes; `basis_c2` and `basis_c3` return BasisFunction records as views of
 it, and `_terms` walks any list of records back into one.  Every check
-reads the table, and `verify` audits it without making a record.  The
-values of its functions at points come from the one pointwise evaluator,
-`wigner._slot_values`; this module only lays out each degree's terms as
-that evaluator's padded grid (`_slot_grid`).  A single record is
-evaluated without a table, as one function of one degree: its terms are
-a grid of one column, like that of `wigner.conjugation_harmonic`.
+reads the table, and `verify_basis` audits it in one walk over its
+degrees, without making a record.  The values of its functions at points
+come from the one pointwise evaluator, `wigner._slot_values`; this module
+only lays out each degree's terms as that evaluator's padded grid
+(`_slot_grid`).  A single record is evaluated without a table, as one
+function of one degree: its terms are a grid of one column, like that of
+`wigner.conjugation_harmonic`.
 
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
@@ -510,28 +511,6 @@ def _slot_grid(degree: _Terms) -> tuple[np.ndarray, np.ndarray]:
     return 2 * (j - np.stack(np.divmod(degree.index[slots], 2 * j + 1), axis=-1)), weights
 
 
-def _stack_values(terms: _Terms, u, group: int = 1):
-    """The pointwise route for a list of basis functions: u is parsed once
-    (`_points`), and each degree of terms is evaluated over its points by
-    `_slot_values`, from the degree's grid (`_slot_grid`), in chunks of
-    whole groups of `group` consecutive points.
-
-    Returns (shape, chunks): the batch shape of u, and an iterator of
-    (rows, at, values), the positions in the list of the functions a chunk
-    holds, the slice of the flattened points it covers and their values.
-    """
-    points = _points(u)
-
-    def chunks():
-        for j in np.flatnonzero(np.bincount(terms.j)):
-            degree = terms.degree(j)
-            rows = degree.owner[degree.runs()[0]]
-            for at, values in _slot_values(2 * int(j), *_slot_grid(degree), points, group):
-                yield rows, at, values
-
-    return points.shape, chunks()
-
-
 # the kinds of function, one shared string each in the tables' kind columns
 _KINDS = np.array(["single-term", "two-term-sum", "two-term-difference"], dtype=object)
 
@@ -811,13 +790,13 @@ def verify_basis(
     (`fix_max_error`).  The rank is compared with every independent count
     of the manifold (`multiplicity_routes_agree`).
 
-    A list is walked into a table once (`_terms`), and every check takes
-    its degree's slice of that table.  The n_points base points and their
-    images under every element but the identity (whose image is the point
-    itself) are parsed onto SU(2) once, each base point beside its images,
-    and their distinct beta values are found once; each degree takes d^j
-    over those values in one call and evaluates the points in chunks of
-    whole groups (`_stack_values`).
+    A list is walked into a table once (`_terms`), and its degrees once.
+    The n_points base points and their images under every element but the
+    identity (whose image is the point itself) are parsed onto SU(2) once
+    (`_points`), each base point beside its images.  Each degree with terms
+    takes d^j over their distinct beta values in one call, evaluates them
+    in chunks of whole groups (`_slot_values`) and compares each chunk's
+    images with their base points in place; the exact audit follows.
     """
     if n_points < 1:
         raise ValueError(f"periodicity needs at least one sample point, got n_points={n_points}")
@@ -838,27 +817,24 @@ def verify_basis(
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 
-    terms = table.terms
     gram_err, report["gram_channels"], report["gram_entries"] = _gram_error(table)
     report["gram_max_error"] = gram_err
 
     # the identity's image is the base point bit for bit, so its difference is 0
     others = [gc.apply(el.element, points) for el in group.elements if el.element != gc.IDENTITY]
-    moved = np.stack([points] + others, axis=1)
-    images = moved.shape[1]
+    images = 1 + len(others)
     # a signed permutation at most swaps |a| and |b|: a point's images share two beta values
-    _, chunks = _stack_values(terms, matrix_from_point(moved), images)
-    period_errs = []
-    for _, _, values in chunks:
-        values = values.reshape(len(values), -1, images)
-        period_errs.append(np.max(np.abs(values[..., 1:] - values[..., :1]), initial=0.0))
-    # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
-    period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
+    moved = _points(matrix_from_point(np.stack([points] + others, axis=1)))
 
     products = product_table(group)
-    blocks = report["projector"] = {}
+    period_errs, blocks = [], {}
     for j in degrees:
-        degree = terms.degree(j)
+        degree = table.terms.degree(j)
+        if len(degree.j):  # a degree without terms has no values to compare
+            for _, values in _slot_values(2 * j, *_slot_grid(degree), moved, images):
+                values = values.reshape(len(values), -1, images)  # each chunk's values are its own
+                values[..., 1:] -= values[..., :1]
+                period_errs.append(np.max(np.abs(values[..., 1:]), initial=0.0))
         gather, phase = _deck_action(group, j)
         rep, orbit_phase, invariant = _invariant_orbits(gather, phase)
         fixed = gather == np.arange(gather.shape[1])
@@ -870,6 +846,9 @@ def verify_basis(
             "homomorphism": _is_homomorphism(gather, phase, products),
             "closed_form_matches": _matches_orbits(degree, rep, orbit_phase, invariant),
         }
+    # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
+    period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
+    report["projector"] = blocks
     exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())
     fix_err = float(np.max([b["fix_max_error"] for b in blocks.values()]))
     report["multiplicity_routes_agree"] = all(

@@ -82,9 +82,9 @@ _ENTRY_BUDGET = 2**14
 
 
 def _two_j(j, what: str = "degree", signed: bool = False) -> int:
-    """2j as an int; refuses with ValueError a j that is no non-negative
-    half-integer (with signed, no half-integer of either sign), among them
-    every j that is no finite real number."""
+    """2j as an int; refuses with ValueError a j that is not exactly a
+    non-negative half-integer (with signed, a half-integer of either sign),
+    among them every j that is no finite real number."""
     kind = "a half-integer" if signed else "a non-negative half-integer"
     if isinstance(j, (str, bytes, bool, np.bool_)):  # 2 * "4" is "44"
         raise ValueError(f"{what} must be {kind}, got {j!r}")
@@ -92,7 +92,7 @@ def _two_j(j, what: str = "degree", signed: bool = False) -> int:
         value = float(2 * j)
     except (TypeError, ValueError, OverflowError):  # None, 1j, a list, an int past the floats
         value = math.nan
-    if not math.isfinite(value) or abs(value - round(value)) > 1e-9 or (round(value) < 0 and not signed):
+    if not math.isfinite(value) or 2 * j != round(value) or (round(value) < 0 and not signed):
         raise ValueError(f"{what} must be {kind}, got {j}")
     return round(value)
 
@@ -219,8 +219,9 @@ def _d_rows(two_j: int, pairs) -> np.ndarray:
     the rows of m1 and m2, a row of 2 (2j+1) floats per pair."""
     vec = _jy_eigen(two_j)[1]
     index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
-    outer = vec[index[:, 0]] * vec[index[:, 1]].conj()
-    return np.concatenate([outer.real, -outer.imag], axis=-1)
+    outer = vec[index[:, 0]]
+    outer *= vec.conj()[index[:, 1]]
+    return np.concatenate([outer.real, np.negative(outer.imag, out=outer.imag)], axis=-1)
 
 
 @lru_cache(maxsize=1)

@@ -25,13 +25,18 @@ from s3harm.wigner import (
 
 def basis_values(functions, u):
     """Batched reference: every function at u, one column per function in
-    list order, from the list's table through `bases._stack_values`."""
+    list order, from the list's table, degree by degree: u parsed once
+    (`wigner._points`), and each degree's grid (`bases._slot_grid`)
+    evaluated by `wigner._slot_values`."""
     table = bases._terms(functions)
-    shape, chunks = bases._stack_values(table.terms, u)
-    out = np.zeros((len(table.j), math.prod(shape)), dtype=complex)
-    for rows, at, values in chunks:
-        out[rows, at] = values
-    return out.T.reshape(shape + (len(table.j),))
+    points = wigner._points(u)
+    out = np.zeros((len(table.j), len(points.where)), dtype=complex)
+    for j in np.flatnonzero(np.bincount(table.terms.j)):
+        degree = table.terms.degree(j)
+        rows = degree.owner[degree.runs()[0]]
+        for at, values in wigner._slot_values(2 * int(j), *bases._slot_grid(degree), points):
+            out[rows, at] = values
+    return out.T.reshape(points.shape + (len(table.j),))
 
 
 # frozen degree-0 through degree-8 counts
@@ -331,7 +336,7 @@ def test_a_record_is_evaluated_as_one_grid_without_a_table(monkeypatch):
         raise AssertionError("a single record built a table")
 
     monkeypatch.setattr(bases, "_terms", no_table)
-    monkeypatch.setattr(bases, "_stack_values", no_table)
+    monkeypatch.setattr(bases, "_slot_grid", no_table)
     for f, expected in zip(fns, listed):
         for u, want in zip(forms, expected):
             got = np.asarray(f.evaluate(u))
@@ -733,19 +738,48 @@ def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
 
 def test_periodicity_stacks_no_identity_image(monkeypatch):
     # the identity's image is the base point bit for bit: verify_basis
-    # evaluates n_points x |H| points, not n_points x (|H| + 1)
-    seen = []
-    real_stack_values = bases._stack_values
+    # parses n_points x |H| points once, not n_points x (|H| + 1), and every
+    # degree evaluates that one stack in whole groups of |H| points
+    parsed, evaluated = [], []
+    real_points, real_slot_values = bases._points, bases._slot_values
 
-    def spy(terms, u, group=1):
-        seen.append((np.shape(u), group))
-        return real_stack_values(terms, u, group)
+    def points_spy(u, *args):
+        parsed.append(np.shape(u))
+        return real_points(u, *args)
 
-    monkeypatch.setattr(bases, "_stack_values", spy)
+    def slot_values_spy(two_j, pairs, weights, points, group=1, rows=None):
+        evaluated.append((points.shape, group))
+        return real_slot_values(two_j, pairs, weights, points, group, rows)
+
+    monkeypatch.setattr(bases, "_points", points_spy)
+    monkeypatch.setattr(bases, "_slot_values", slot_values_spy)
     for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
         fns = [f for j in range(5) for f in bases.basis_for(manifold, j)]
         assert bases.verify_basis(fns, group, n_points=13)["passed"] is True
-    assert seen == [((13, 8, 2, 2), 8)] * 2
+    assert parsed == [(13, 8, 2, 2)] * 2
+    # C3 has no function of degree 1, so it evaluates one degree fewer
+    assert evaluated == [((13, 8), 8)] * 9
+
+
+@pytest.mark.parametrize("manifold, group", [("C2", build_cyclic8), ("C3", build_quaternion)])
+def test_verify_takes_d_once_per_degree_with_terms(manifold, group, monkeypatch):
+    # one walk over the degrees: each degree with terms takes d^j in one
+    # call over the distinct beta of the one parsed stack, and a degree
+    # left out of the list (here 2) takes none, though it is still audited
+    fns = [f for j in (0, 1, 3, 4) for f in bases.basis_for(manifold, j)]
+    calls = []
+    real_small_d = wigner._small_d
+
+    def spy(two_j, rows, beta):
+        calls.append(two_j)
+        return real_small_d(two_j, rows, beta)
+
+    monkeypatch.setattr(wigner, "_small_d", spy)
+    for _ in range(2):
+        report = bases.verify_basis(fns, group(), n_points=7)
+        assert report["degrees"] == [0, 1, 2, 3, 4] and set(report["projector"]) == {0, 1, 2, 3, 4}
+    with_terms = sorted({f.j for f in fns})
+    assert calls == [2 * j for j in with_terms] * 2
 
 
 @pytest.mark.parametrize("budget", [1, 2**9, 2**14, 2**40])
@@ -835,6 +869,43 @@ def test_a_label_that_is_no_finite_real_number_is_refused(call, label):
         call(label)
     # clebsch_gordan promises 0 for any label out of range
     assert wigner.clebsch_gordan(1, 0, label, 0, 1, 0) == 0.0
+
+
+def test_a_label_a_hair_off_a_half_integer_is_refused_everywhere():
+    # one exact rule for degree and m labels: twice the label must be an
+    # integer exactly, as the table's labels and the exact lifts demand
+    u = su2.matrix_from_point(gc.random_sphere_points(1, seed=2)[0])
+    entries = (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
+    record = bases.basis_c2(2)[0]
+    calls = {
+        "basis_c2": lambda j: bases.basis_c2(j),
+        "basis_c3": lambda j: bases.basis_c3(j),
+        "multiplicity_c8": lambda j: bases.multiplicity_c8(j),
+        "multiplicity_q": lambda j: bases.multiplicity_q(j),
+        "wigner_d": lambda j: wigner_d(j, u),
+        "wigner_entry": lambda j: wigner_entry(j, j, -j, *entries),
+        "wigner_entry m1": lambda m: wigner_entry(2, m - 1, 0, *entries),
+        "su2_character": lambda j: wigner.su2_character(j, 0.3),
+        "evaluate": lambda j: replace(record, j=j).evaluate(u),
+        "gram_matrix": lambda j: bases.gram_matrix([replace(record, j=j)]),
+        "verify_basis": lambda j: bases.verify_basis([replace(record, j=j)], build_cyclic8(), n_points=3),
+    }
+    integer_only = {"basis_c2", "basis_c3", "wigner_entry m1", "evaluate", "gram_matrix", "verify_basis"}
+    for name, call in calls.items():
+        for off in (2 + 1e-10, 2 - 1e-12, 2.5 + 1e-10):
+            with pytest.raises(ValueError):
+                call(off)
+        call(2.0)
+        if name in integer_only:
+            with pytest.raises(ValueError):
+                call(2.5)
+        else:
+            call(2.5)
+    assert bases.multiplicity_c8(2.0) == bases.multiplicity_c8(2) and bases.multiplicity_q(2.5) == 0
+    assert wigner.clebsch_gordan(1, 0, 1, 0, 2 + 1e-10, 0) == 0.0
+    assert wigner.clebsch_gordan(1, 0, 1, 0, 2.0, 0) == wigner.clebsch_gordan(1, 0, 1, 0, 2, 0) != 0.0
+    assert wigner.clebsch_gordan(1.5, 0.5 + 1e-10, 1, 0, 2.5, 0.5) == 0.0
+    assert wigner.clebsch_gordan(1.5, 0.5, 1, 0, 2.5, 0.5) != 0.0
 
 
 def test_a_degree_or_m_that_is_no_number_is_refused_before_doubling():
