@@ -26,16 +26,15 @@ evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
 one degree from that factorisation, written in u alone, with one row per
 slot and one column per point, sums each function's weighted slots over
 the rank blocks, and takes the points in chunks of bounded size.  Its d^j
-factor (`_small_d`) is one matmul over the distinct beta, from rows of the
-exact diagonalisation of J_y (`_d_rows`; Feng, Wang, Yang & Jin 2015,
-Phys. Rev. E 92, 043307), and each chunk gathers its rows.  wigner_entry
-and wigner_entry_function evaluate a grid of one slot,
+factor (`_small_d`) is one matmul per block of distinct beta, from rows of
+the exact diagonalisation of J_y (`_d_rows`, their one source; Feng, Wang,
+Yang & Jin 2015, Phys. Rev. E 92, 043307), and each chunk gathers its
+rows.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
 conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
-label, `_cg_column`) or its closed-form terms, and wigner_d (2j+1)^2
-one-slot functions at one point, with the d^j rows of every (m1, m2) kept
-for the last degree it was asked for (`_every_pair`); `bases` lays out the
-grids of its lists of basis functions.
+label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
+(2j+1)^2 one-slot functions at one point; `bases` lays out the grids of
+its lists of basis functions.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -79,6 +78,8 @@ __all__ = [
 
 # padded slots times points per chunk of `_slot_values`
 _ENTRY_BUDGET = 2**14
+# distinct beta per `_small_d` matmul; fixed, as a handful takes another BLAS path
+_BETA_BLOCK = 2**12
 
 
 def _two_j(j, what: str = "degree", signed: bool = False) -> int:
@@ -224,30 +225,26 @@ def _d_rows(two_j: int, pairs) -> np.ndarray:
     return np.concatenate([outer.real, np.negative(outer.imag, out=outer.imag)], axis=-1)
 
 
-@lru_cache(maxsize=1)
-def _every_pair(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, rows): every (2 m1, 2 m2) of degree j as one rank of a grid,
-    m1-major with both descending as `wigner_d` lays them out, and their
-    `_d_rows`, kept for the last degree asked for."""
-    ms = np.arange(two_j, -two_j - 1, -2)
-    pairs = np.stack(np.meshgrid(ms, ms, indexing="ij"), axis=-1).reshape(1, -1, 2)
-    rows = _d_rows(two_j, pairs)
-    pairs.flags.writeable = rows.flags.writeable = False
-    return pairs, rows
-
-
 def _small_d(two_j: int, rows: np.ndarray, beta) -> np.ndarray:
     """d^j_{m1 m2}(beta) at the pairs whose `_d_rows` are rows, points by
-    pairs.  d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H
-    (`_jy_eigen`) is real, so this is one real matmul:
-    [cos(beta lam), sin(beta lam)] @ rows.T.  In that orientation BLAS gives
-    each entry the same bits however many points (more than a handful) a
-    call holds."""
-    angle = np.asarray(beta, dtype=float)[..., None] * _jy_eigen(two_j)[0]
-    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
+    pairs: d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H
+    (`_jy_eigen`) is real, [cos(beta lam), sin(beta lam)] @ rows.T, one
+    matmul into one result per block of at most _BETA_BLOCK beta.  Blocks
+    are of nearly equal size and break at multiples of 64, since an entry's
+    last bits depend on the shape of its matmul: at 2j = 80 on one thread,
+    splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
+    into 100 or 200 none, and into 399 + 1 the lone beta's."""
+    beta, lam = np.asarray(beta, dtype=float), _jy_eigen(two_j)[0]
+    out = np.empty((beta.size, len(rows)))
+    blocks = -(-beta.size // _BETA_BLOCK)
+    edges = [64 * (k * -(-beta.size // 64) // blocks) for k in range(1, blocks)]
+    for part, into in zip(np.split(beta.reshape(-1), edges), np.split(out, edges)):
+        angle = part[:, None] * lam
+        np.matmul(np.concatenate([np.cos(angle), np.sin(angle)], axis=-1), rows.T, out=into)
+    return out.reshape(beta.shape + (len(rows),))
 
 
-def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1, rows=None):
+def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1):
     """Values at points (`_points`) of the functions of one degree j laid
     out on a padded (rank, function) grid, chunk by chunk: yields (at,
     values), the slice of the flattened points a chunk covers and their
@@ -258,9 +255,8 @@ def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1, ro
     weights its weight, shape (ranks, functions), or None for a weight of 1
     that multiplies nothing (1 + 0j would flip the sign of a zero part); a
     function with fewer terms than the grid has ranks is padded with a
-    valid pair of weight 0.  rows, if given, are the `_d_rows` of pairs.  A
-    value is the sum of its function's weight times D^j_{m1 m2} over the
-    ranks, added in rank order.
+    valid pair of weight 0.  A value is the sum of its function's weight
+    times D^j_{m1 m2} over the ranks, added in rank order.
 
     An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
     are integer powers, not exp(i k arg z), so exact lifts stay exact, and
@@ -268,16 +264,18 @@ def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1, ro
     lookups are row gathers.  d^j is taken in one call over the distinct
     beta (`_small_d`) and each chunk gathers its rows, so no bit of a value
     depends on the chunking.  A chunk holds whole groups of `group`
-    consecutive points, as many as keep slots times points within
+    consecutive points, as many as keep points times the larger of the
+    slots and the 2 (4j + 1) rows of the table of powers within
     _ENTRY_BUDGET, and one group at least.
     """
     grid = np.shape(pairs)[:-1]
     pairs = np.reshape(pairs, (-1, 2))
     weights = None if weights is None else np.reshape(weights, (-1, 1))
-    small_d = _small_d(two_j, _d_rows(two_j, pairs) if rows is None else rows, points.beta)
+    small_d = _small_d(two_j, _d_rows(two_j, pairs), points.beta)
     a_power = two_j + (pairs[:, 0] + pairs[:, 1]) // 2
     b_power = two_j + (pairs[:, 0] - pairs[:, 1]) // 2
-    step = group * max(1, _ENTRY_BUDGET // (math.prod(grid) * group))
+    width = max(math.prod(grid), 2 * (2 * two_j + 1))
+    step = group * max(1, _ENTRY_BUDGET // (width * group))
     for start in range(0, len(points.where), step):
         at = slice(start, start + step)
         powers = _unit_powers(points.unit[:, at], two_j)
@@ -366,11 +364,11 @@ def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
 
-def _grid_values(two_j: int, pairs, weights, points: _Points, rows=None) -> np.ndarray:
+def _grid_values(two_j: int, pairs, weights, points: _Points) -> np.ndarray:
     """Every value of `_slot_values`, a row per function and a column per
     flattened point."""
     out = np.empty((np.shape(pairs)[1], len(points.where)), dtype=complex)
-    for at, values in _slot_values(two_j, pairs, weights, points, rows=rows):
+    for at, values in _slot_values(two_j, pairs, weights, points):
         out[:, at] = values
     return out
 
@@ -401,8 +399,9 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     points = _points(u, unitary_tol)
     if points.shape != ():
         raise ValueError(f"expected one 2x2 matrix, got a batch of shape {points.shape}")
-    pairs, rows = _every_pair(two_j)
-    return _grid_values(two_j, pairs, None, points, rows).reshape(two_j + 1, two_j + 1)
+    ms = np.arange(two_j, -two_j - 1, -2)
+    pairs = np.stack(np.meshgrid(ms, ms, indexing="ij"), axis=-1).reshape(1, -1, 2)
+    return _grid_values(two_j, pairs, None, points).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:

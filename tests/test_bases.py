@@ -747,9 +747,9 @@ def test_periodicity_stacks_no_identity_image(monkeypatch):
         parsed.append(np.shape(u))
         return real_points(u, *args)
 
-    def slot_values_spy(two_j, pairs, weights, points, group=1, rows=None):
+    def slot_values_spy(two_j, pairs, weights, points, group=1):
         evaluated.append((points.shape, group))
-        return real_slot_values(two_j, pairs, weights, points, group, rows)
+        return real_slot_values(two_j, pairs, weights, points, group)
 
     monkeypatch.setattr(bases, "_points", points_spy)
     monkeypatch.setattr(bases, "_slot_values", slot_values_spy)

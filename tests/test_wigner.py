@@ -305,6 +305,17 @@ def test_stable_small_d_stays_unitary_at_high_degree():
     assert np.max(np.abs(small @ small.swapaxes(-1, -2) - np.eye(81))) < 1e-13
 
 
+def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
+    # 10,000 distinct beta are taken in three blocks, each written into one
+    # result; every entry keeps the bits of one matmul over all of them
+    two_j, beta = 40, np.random.default_rng(45).uniform(0, np.pi, 10_000)
+    rows = wigner._d_rows(two_j, [(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
+    angle = beta[:, None] * wigner._jy_eigen(two_j)[0]
+    whole = np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
+    assert -(-beta.size // wigner._BETA_BLOCK) == 3
+    assert wigner._small_d(two_j, rows, beta).tobytes() == whole.tobytes()
+
+
 def ring_pairs(top):
     """Every integer (m1, m2) with |m1|, |m2| <= top, in ascending order of
     j0 = max(|m1|, |m2|), as the recurrence takes them."""
@@ -440,21 +451,19 @@ def test_every_evaluator_refuses_a_point_off_su2():
     assert wigner_d(1, nearly, unitary_tol=1e-6).shape == (3, 3)
 
 
-def test_wigner_d_keeps_the_kernel_of_its_last_degree():
-    wigner._every_pair.cache_clear()
+def test_wigner_d_is_the_all_pairs_grid():
+    # wigner_d evaluates every (m1, m2) as one rank of one-slot functions,
+    # m1-major with both descending, and builds its d^j rows in each call
     u = random_su2(np.random.default_rng(8))
     first = wigner_d(20, u)
     assert wigner_d(20, u).tobytes() == first.tobytes()
-    info = wigner._every_pair.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    # the cached d^j rows give the bits of rows built for the call
     points = wigner._points(u)
-    fresh = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
-    assert fresh.reshape(41, 41).tobytes() == first.tobytes()
-    # the rows of one degree are kept however many degrees are asked for
+    grid = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
+    assert grid.reshape(41, 41).tobytes() == first.tobytes()
+    # calls at other degrees in between change no bit
     for j in range(12):
         wigner_d(j, u)
-    assert wigner._every_pair.cache_info().currsize == info.maxsize == 1
+    assert wigner_d(20, u).tobytes() == first.tobytes()
 
 
 def test_a_harmonic_over_a_large_stack_is_evaluated_in_bounded_memory():
@@ -469,6 +478,22 @@ def test_a_harmonic_over_a_large_stack_is_evaluated_in_bounded_memory():
         tracemalloc.stop()
     assert values.shape == (20_000,) and np.all(np.isfinite(values))
     assert peak < 64 * 2**20
+
+
+def test_one_entry_over_a_large_stack_is_evaluated_in_bounded_memory():
+    # d^j is taken in blocks of distinct beta, and a chunk holds as many
+    # points as keep its table of powers (2 (4j + 1) rows) within the entry
+    # budget, so one slot at j = 40 stays small; with neither bound it
+    # peaks at about 208 MB
+    u = su2.matrix_from_point(gc.random_sphere_points(50_000, seed=22))
+    tracemalloc.start()
+    try:
+        values = wigner_entry(40, 3, -2, u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (50_000,) and np.all(np.isfinite(values))
+    assert peak < 40 * 2**20
 
 
 def test_runtime_paths_never_reach_the_monomial_sum():
