@@ -67,7 +67,7 @@ import numpy as np
 
 from . import groupcore as gc
 from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
-from .su2 import Cyclo8, IsoPair, Su2Exact, matrix_from_point
+from .su2 import _MU8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
     _entry_sum,
     _points,
@@ -106,19 +106,16 @@ def _require_integer_j(j) -> int:
     return two_j // 2
 
 
-def _is_half_integer(j) -> bool:
-    return _two_j(j) % 2 == 1
-
-
 def _character_average(group: DeckGroup, j) -> int:
     """Multiplicity of the trivial representation of the deck group in
     degree j: the character average, which must be a clean non-negative
     integer.  Half-integer degree carries no periodic states because both
     deck groups contain the central inversion.
     """
-    if _is_half_integer(j):
+    two_j = _two_j(j)
+    if two_j % 2:
         return 0
-    jj = _require_integer_j(j)
+    jj = two_j // 2
     total = sum(character_jj(el.pair, jj) for el in group.elements) / len(group.elements)
     value = int(round(total))
     if abs(total - value) > 1e-9 or value < 0:
@@ -133,10 +130,11 @@ def multiplicity_c8(j) -> int:
 
 def multiplicity_q(j) -> int:
     """Number of quaternion-periodic harmonics of degree j, in closed form."""
-    if _is_half_integer(j):
+    two_j = _two_j(j)
+    if two_j % 2:
         return 0
-    jj = _require_integer_j(j)
-    n = 2 * jj + 1
+    jj = two_j // 2
+    n = two_j + 1
     numerator = 2 * n * (n + 3 * (-1) ** jj)
     if numerator % 8:
         raise RuntimeError(f"closed form for degree {jj} is not integral")
@@ -164,29 +162,15 @@ def multiplicity_for(manifold: str, j) -> int:
     return _by_manifold(manifold, multiplicity_c8, multiplicity_q)(j)
 
 
-# mu8[k] = exp(i pi k / 4), exact at the even k and correctly rounded at the odd
-_R = math.sqrt(0.5)
-_MU8 = np.array([1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j])
-
-
-def _mu8_exponent(z: Cyclo8) -> int:
-    """k with z = exp(i pi k / 4) exactly; refuses any other entry."""
-    nonzero = [(k, c) for k, c in enumerate(z.coeffs) if c]
-    if z.half_powers or len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-        raise ValueError(f"lift entry {z} is not an eighth root of unity")
-    k, c = nonzero[0]
-    return k if c == 1 else k + 4
-
-
 def _monomial_form(mat: Su2Exact) -> tuple[bool, int, int]:
     """(anti, e1, e2) of a lift diag(mu8^e1, mu8^e2) (anti False) or
     [[0, mu8^e1], [mu8^e2, 0]] (anti True), read exactly off its entries;
     refuses any other lift."""
     (a, b), (c, d) = mat.entries
     if b.is_zero() and c.is_zero():
-        return False, _mu8_exponent(a), _mu8_exponent(d)
+        return False, a.root_exponent(), d.root_exponent()
     if a.is_zero() and d.is_zero():
-        return True, _mu8_exponent(b), _mu8_exponent(c)
+        return True, b.root_exponent(), c.root_exponent()
     raise ValueError(f"lift {mat} is neither diagonal nor anti-diagonal")
 
 

@@ -15,13 +15,18 @@ Ring elements are validated once, where they enter through the Cyclo8
 constructor; sums, differences, products, negations and conjugates of
 valid elements are formed in straight-line integer code and normalised
 once each, by `_normalised`, which the constructor runs as well.
+
+Floats come from one table of eighth roots, `_MU8`, correctly rounded at
+each root: `Cyclo8.to_complex` reads each power of a off it, so each entry
+of a deck lift converts to its table entry bit for bit, and `bases` reads
+the deck action's phases off it by `Cyclo8.root_exponent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acos, pi
+from math import acos, sqrt
 
 import numpy as np
 
@@ -39,8 +44,9 @@ __all__ = [
     "weyl_matrix",
 ]
 
-_A_NUM = complex(2**-0.5, 2**-0.5)
-_A_POWERS = tuple(_A_NUM**k for k in range(4))
+# mu8[k] = exp(i pi k / 4), exact at the even k and correctly rounded at the odd
+_R = sqrt(0.5)
+_MU8 = np.array([1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j])
 
 
 def _times_root2(c):
@@ -157,9 +163,21 @@ class Cyclo8:
     def is_zero(self) -> bool:
         return self.coeffs == (0, 0, 0, 0)
 
+    def root_exponent(self) -> int:
+        """k with self = exp(i pi k / 4) exactly; refuses any other value."""
+        nonzero = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        if self.half_powers or len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+            raise ValueError(f"{self} is not an eighth root of unity")
+        k, c = nonzero[0]
+        return k if c == 1 else k + 4
+
     def to_complex(self) -> complex:
-        val = sum(c * p for c, p in zip(self.coeffs, _A_POWERS))
-        return val / 2 ** (self.half_powers / 2)
+        """The value as a float, each power of a read off `_MU8`: bit for bit
+        its entry at each eighth root, the sign of a zero part included (the
+        sum starts at -0j and the parts are scaled one by one); 0 is 0j."""
+        value = sum((c * mu for c, mu in zip(self.coeffs, _MU8) if c), -0j) or 0j
+        scale = _R ** (self.half_powers % 2) * 0.5 ** (self.half_powers // 2)
+        return complex(value.real * scale, value.imag * scale)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -302,10 +320,6 @@ class IsoPair:
             return True
         return self.left == -other.left and self.right == -other.right
 
-    def apply_complex(self, u: np.ndarray) -> np.ndarray:
-        wli = self.left.inverse().to_complex()
-        return wli @ np.asarray(u, dtype=complex) @ self.right.to_complex()
-
 
 @lru_cache(maxsize=None)
 def _letter_pair(s: int, s2: int) -> tuple[Su2Exact, Su2Exact]:
@@ -346,7 +360,7 @@ def _complex_matrices(u) -> np.ndarray:
 
 def pair_action(pair: IsoPair, u) -> np.ndarray:
     """Numeric image of a special unitary u (or a stack) under the pair."""
-    return pair.apply_complex(_complex_matrices(u))
+    return pair.left.inverse().to_complex() @ _complex_matrices(u) @ pair.right.to_complex()
 
 
 def matrix_from_point(x) -> np.ndarray:

@@ -26,10 +26,10 @@ evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
 one degree from that factorisation, written in u alone, with one row per
 slot and one column per point, sums each function's weighted slots over
 the rank blocks, and takes the points in chunks of bounded size.  Its d^j
-factor (`_small_d`) is one matmul per block of distinct beta, from rows of
-the exact diagonalisation of J_y (`_d_rows`, their one source; Feng, Wang,
-Yang & Jin 2015, Phys. Rev. E 92, 043307), and each chunk gathers its
-rows.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
+factor (`_small_d`, the one source of the kernel's d^j) builds its rows
+from the exact diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys.
+Rev. E 92, 043307) and takes one matmul per block of distinct beta, and
+each chunk gathers its rows.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
 conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
 label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
@@ -214,27 +214,23 @@ def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate([powers[:, :0:-1].conj(), powers], axis=1)
 
 
-def _d_rows(two_j: int, pairs) -> np.ndarray:
-    """The rows of `_small_d` for each (2 m1, 2 m2) in pairs: [Re, -Im] of
-    V_{r1} conj(V_{r2}), with V the eigenvectors of J_y (`_jy_eigen`) and r
-    the rows of m1 and m2, a row of 2 (2j+1) floats per pair."""
-    vec = _jy_eigen(two_j)[1]
+def _small_d(two_j: int, pairs, beta) -> np.ndarray:
+    """d^j_{m1 m2}(beta) at each (2 m1, 2 m2) in pairs, points by pairs:
+    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_jy_eigen`)
+    is real, [cos(beta lam), sin(beta lam)] @ rows.T, with a pair's row
+    [Re, -Im] of V_{r1} conj(V_{r2}) and r the rows of m1 and m2, one matmul
+    into one result per block of at most _BETA_BLOCK beta.  Blocks are of
+    nearly equal size and break at multiples of 64, since an entry's last
+    bits depend on the shape of its matmul: at 2j = 80 on one thread,
+    splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
+    into 100 or 200 none, and into 399 + 1 the lone beta's."""
+    lam, vec = _jy_eigen(two_j)
     index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
     outer = vec[index[:, 0]]
     outer *= vec.conj()[index[:, 1]]
-    return np.concatenate([outer.real, np.negative(outer.imag, out=outer.imag)], axis=-1)
-
-
-def _small_d(two_j: int, rows: np.ndarray, beta) -> np.ndarray:
-    """d^j_{m1 m2}(beta) at the pairs whose `_d_rows` are rows, points by
-    pairs: d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H
-    (`_jy_eigen`) is real, [cos(beta lam), sin(beta lam)] @ rows.T, one
-    matmul into one result per block of at most _BETA_BLOCK beta.  Blocks
-    are of nearly equal size and break at multiples of 64, since an entry's
-    last bits depend on the shape of its matmul: at 2j = 80 on one thread,
-    splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
-    into 100 or 200 none, and into 399 + 1 the lone beta's."""
-    beta, lam = np.asarray(beta, dtype=float), _jy_eigen(two_j)[0]
+    rows = np.concatenate([outer.real, np.negative(outer.imag, out=outer.imag)], axis=-1)
+    del outer  # the complex product is freed before the matmul
+    beta = np.asarray(beta, dtype=float)
     out = np.empty((beta.size, len(rows)))
     blocks = -(-beta.size // _BETA_BLOCK)
     edges = [64 * (k * -(-beta.size // 64) // blocks) for k in range(1, blocks)]
@@ -271,7 +267,7 @@ def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1):
     grid = np.shape(pairs)[:-1]
     pairs = np.reshape(pairs, (-1, 2))
     weights = None if weights is None else np.reshape(weights, (-1, 1))
-    small_d = _small_d(two_j, _d_rows(two_j, pairs), points.beta)
+    small_d = _small_d(two_j, pairs, points.beta)
     a_power = two_j + (pairs[:, 0] + pairs[:, 1]) // 2
     b_power = two_j + (pairs[:, 0] - pairs[:, 1]) // 2
     width = max(math.prod(grid), 2 * (2 * two_j + 1))

@@ -770,9 +770,9 @@ def test_verify_takes_d_once_per_degree_with_terms(manifold, group, monkeypatch)
     calls = []
     real_small_d = wigner._small_d
 
-    def spy(two_j, rows, beta):
+    def spy(two_j, pairs, beta):
         calls.append(two_j)
-        return real_small_d(two_j, rows, beta)
+        return real_small_d(two_j, pairs, beta)
 
     monkeypatch.setattr(wigner, "_small_d", spy)
     for _ in range(2):
@@ -928,9 +928,9 @@ def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
     calls = []
     real_small_d = wigner._small_d
 
-    def spy(two_j, rows, beta):
+    def spy(two_j, pairs, beta):
         calls.append(beta.copy())
-        return real_small_d(two_j, rows, beta)
+        return real_small_d(two_j, pairs, beta)
 
     monkeypatch.setattr(wigner, "_small_d", spy)
     values = basis_values(fns, rule.angles)

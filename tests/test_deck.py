@@ -10,6 +10,7 @@ import pytest
 
 from s3harm import deck
 from s3harm import groupcore as gc
+from s3harm import su2
 from s3harm.su2 import IsoPair, lift_even_word
 
 
@@ -206,6 +207,17 @@ def test_verify_reports_pass():
         assert report["pair_table_matches"] is True
         assert report["relations"] is True
         assert report["orders_match"] is True
+
+
+def test_every_deck_lift_converts_to_zeros_and_eighth_roots_exactly():
+    # so the quaternion group, whose lifts are monomial, moves points with no
+    # rounding at all
+    for name in ("c2", "c3"):
+        for el in deck.deck_group(name).elements:
+            for lift in (el.pair.left, el.pair.right):
+                for value in lift.to_complex().ravel():
+                    assert value == 0 or any(value.tobytes() == mu.tobytes() for mu in su2._MU8)
+    assert deck.verify_deck_group(deck.build_quaternion(), seed=42)["pair_action_max_error"] == 0.0
 
 
 def test_verify_flags_a_corrupted_group():

@@ -4,6 +4,8 @@ The oracle throughout: a lifted pair must move points of the 3-sphere
 exactly the way the signed permutation it came from does.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,21 @@ def test_eighth_root_has_order_eight():
 
 def test_root_two_squares_to_two():
     assert ROOT2 * ROOT2 == Cyclo8.from_int(2)
-    assert abs(ROOT2.to_complex() - np.sqrt(2)) < 1e-15
+    assert ROOT2.to_complex() == math.sqrt(2)
+
+
+def test_an_eighth_root_converts_to_its_table_entry_bit_for_bit():
+    # the sign of a zero part included: -1j converts to -0.0 - 1j
+    for k in range(8):
+        coeffs = [0, 0, 0, 0]
+        coeffs[k % 4] = 1 if k < 4 else -1
+        root = Cyclo8(tuple(coeffs))
+        assert root.root_exponent() == k
+        assert np.array(root.to_complex()).tobytes() == su2._MU8[k].tobytes()
+    assert Cyclo8((1, 0, 0, 0), 1).to_complex() == math.sqrt(0.5)
+    for other in (ROOT2, Cyclo8((1, 0, 0, 0), 1), Cyclo8.from_int(2), Cyclo8((1, 1, 0, 0)), Cyclo8.from_int(0)):
+        with pytest.raises(ValueError, match="not an eighth root of unity"):
+            other.root_exponent()
 
 
 def test_half_power_normalization():

@@ -67,7 +67,7 @@ def monomial_wigner(two_j, a, b, c, d):
 
 def kernel_small_d(two_j, pairs, beta):
     """d^j(beta) from the pointwise kernel at the (2 m1, 2 m2) in pairs, points by pairs."""
-    return wigner._small_d(two_j, wigner._d_rows(two_j, pairs), beta)
+    return wigner._small_d(two_j, pairs, beta)
 
 
 def small_d(two_j, beta):
@@ -307,13 +307,18 @@ def test_stable_small_d_stays_unitary_at_high_degree():
 
 def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
     # 10,000 distinct beta are taken in three blocks, each written into one
-    # result; every entry keeps the bits of one matmul over all of them
+    # result; every entry keeps the bits of one matmul over all of them,
+    # whose rows [Re, -Im] of V_{r1} conj(V_{r2}) are built here from J_y's
+    # eigenvectors V
     two_j, beta = 40, np.random.default_rng(45).uniform(0, np.pi, 10_000)
-    rows = wigner._d_rows(two_j, [(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
-    angle = beta[:, None] * wigner._jy_eigen(two_j)[0]
+    pairs = np.array([(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
+    lam, vec = wigner._jy_eigen(two_j)
+    outer = vec[(two_j - pairs[:, 0]) // 2] * vec[(two_j - pairs[:, 1]) // 2].conj()
+    rows = np.concatenate([outer.real, -outer.imag], axis=-1)
+    angle = beta[:, None] * lam
     whole = np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
     assert -(-beta.size // wigner._BETA_BLOCK) == 3
-    assert wigner._small_d(two_j, rows, beta).tobytes() == whole.tobytes()
+    assert wigner._small_d(two_j, pairs, beta).tobytes() == whole.tobytes()
 
 
 def ring_pairs(top):
