@@ -134,9 +134,6 @@ class HyperoctElement:
         object.__setattr__(self, "signs", tuple(self.signs))
         object.__setattr__(self, "perm", tuple(self.perm))
 
-    def __mul__(self, other: "HyperoctElement") -> "HyperoctElement":
-        return multiply(self, other)
-
     @property
     def cycles(self) -> str:
         return perm_to_cycles(self.perm)

@@ -139,8 +139,6 @@ class Cyclo8:
         return _normalised((-c0, -c1, -c2, -c3), self.half_powers)
 
     def __mul__(self, other: "Cyclo8") -> "Cyclo8":
-        if isinstance(other, int):
-            other = Cyclo8.from_int(other)
         c0, c1, c2, c3 = self.coeffs
         d0, d1, d2, d3 = other.coeffs
         # convolution in Z[a]/(a^4 + 1): a^4 = -1 folds the high powers back
@@ -153,8 +151,6 @@ class Cyclo8:
             ),
             self.half_powers + other.half_powers,
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclo8":
         c0, c1, c2, c3 = self.coeffs
@@ -311,9 +307,6 @@ class IsoPair:
     def compose(self, other: "IsoPair") -> "IsoPair":
         """Pair of self followed by other (application order)."""
         return IsoPair(self.left * other.left, self.right * other.right)
-
-    def inverse(self) -> "IsoPair":
-        return IsoPair(self.left.inverse(), self.right.inverse())
 
     def same_isometry(self, other: "IsoPair") -> bool:
         if self.left == other.left and self.right == other.right:

@@ -97,24 +97,6 @@ def test_cycle_orders_are_the_powering_orders_on_the_whole_group():
         assert deck._element_order(g) == n
 
 
-def test_verify_deck_group_refuses_no_sample_points():
-    for n_points in (0, -3):
-        with pytest.raises(ValueError, match="at least one sample point"):
-            deck.verify_deck_group(deck.build_cyclic8(), n_points=n_points)
-
-
-@pytest.mark.parametrize("bad", [{"n_points": 2.5}, {"n_points": True}, {"seed": 1.5}], ids=repr)
-def test_verify_deck_group_refuses_a_bad_count_or_seed_before_any_check(bad, monkeypatch):
-    group = deck.build_cyclic8()
-
-    def checked(group):
-        raise AssertionError("the exact checks ran before the sample points")
-
-    monkeypatch.setattr(deck, "_exact_checks", checked)
-    with pytest.raises(ValueError, match="must be an integer"):
-        deck.verify_deck_group(group, **bad)
-
-
 def test_element_orders():
     c2 = deck.build_cyclic8()
     assert {d.label: d.order for d in c2.elements} == {
@@ -194,14 +176,15 @@ def test_pair_table_closes_like_the_element_table():
 
 def test_verify_reports_pass():
     for name in ("c2", "c3"):
-        report = deck.verify_deck_group(deck.deck_group(name), seed=42)
+        report = deck.verify_deck_group(deck.deck_group(name))
         assert report["passed"] is True
         assert report["order"] == 8
         assert report["closed"] is True
         assert report["fixed_point_free"] is True
         assert report["orientation_preserving"] is True
         assert report["cell_center_orbit_size"] == 8
-        assert report["pair_action_max_error"] < 1e-12
+        assert report["pairs_act_as_permutations"] is True
+        assert report["n_points"] == 4
         assert report["isomorphism_matches"] is True
         assert report["distinct"] is True
         assert report["pair_table_matches"] is True
@@ -217,7 +200,14 @@ def test_every_deck_lift_converts_to_zeros_and_eighth_roots_exactly():
             for lift in (el.pair.left, el.pair.right):
                 for value in lift.to_complex().ravel():
                     assert value == 0 or any(value.tobytes() == mu.tobytes() for mu in su2._MU8)
-    assert deck.verify_deck_group(deck.build_quaternion(), seed=42)["pair_action_max_error"] == 0.0
+    # the float route moves the quaternion group's points with no rounding
+    pts = gc.random_sphere_points(100, seed=42)
+    for el in deck.build_quaternion().elements:
+        moved = su2.point_from_matrix(su2.pair_action(el.pair, su2.matrix_from_point(pts)))
+        assert np.array_equal(moved, gc.apply(el.element, pts)), el.label
+    for el in deck.build_cyclic8().elements:
+        moved = su2.point_from_matrix(su2.pair_action(el.pair, su2.matrix_from_point(pts)))
+        assert np.max(np.abs(moved - gc.apply(el.element, pts))) < 1e-15, el.label
 
 
 def test_verify_flags_a_corrupted_group():
@@ -234,7 +224,7 @@ def test_verify_flags_a_corrupted_group():
             ),
         ),
     )
-    report = deck.verify_deck_group(broken, seed=42)
+    report = deck.verify_deck_group(broken)
     assert report["passed"] is False
 
 
@@ -248,7 +238,7 @@ def test_swapped_quaternion_labels_break_the_relations():
         for el in base.elements
     ]
     group = deck.DeckGroup(base.name, base.isomorphism, tuple(relabelled))
-    report = deck.verify_deck_group(group, seed=42)
+    report = deck.verify_deck_group(group)
     assert report["relations"] is False
     assert report["passed"] is False
     assert report["closed"] is True and report["pair_table_matches"] is True
@@ -262,10 +252,34 @@ def test_swapped_pairs_break_the_pair_table():
     g1, g3 = els[0], els[2]
     els[0] = deck.DeckElement(g1.label, g1.element, g3.pair, g1.order)
     els[2] = deck.DeckElement(g3.label, g3.element, g1.pair, g3.order)
-    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)), seed=42)
+    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)))
     assert report["pair_table_matches"] is False
+    assert report["pairs_act_as_permutations"] is False
     assert report["passed"] is False
     with pytest.raises(RuntimeError, match="pair_table_matches"):
+        deck._finish_group(base.name, base.isomorphism, els)
+
+
+def test_conjugated_pairs_keep_the_pair_table_but_move_points_wrongly():
+    # conjugating every lift by one fixed lift keeps the pair table, so only
+    # the comparison on the basis points of R^4 can see that the pairs no
+    # longer act as their signed permutations
+    base = deck.build_quaternion()
+    h = deck.build_cyclic8().by_label("g1").pair
+    els = [
+        deck.DeckElement(
+            el.label,
+            el.element,
+            IsoPair(h.left.inverse() * el.pair.left * h.left, h.right.inverse() * el.pair.right * h.right),
+            el.order,
+        )
+        for el in base.elements
+    ]
+    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)))
+    assert report["pair_table_matches"] is True
+    assert report["pairs_act_as_permutations"] is False
+    assert deck._failed_checks(report) == ["pairs_act_as_permutations"]
+    with pytest.raises(RuntimeError, match="pairs_act_as_permutations"):
         deck._finish_group(base.name, base.isomorphism, els)
 
 
@@ -277,7 +291,7 @@ def test_swapped_stored_orders_fail_the_audit():
     assert (els[0].label, els[0].order, els[1].label, els[1].order) == ("g1", 8, "g1^2", 4)
     els[0] = deck.DeckElement(els[0].label, els[0].element, els[0].pair, 4)
     els[1] = deck.DeckElement(els[1].label, els[1].element, els[1].pair, 8)
-    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)), seed=42)
+    report = deck.verify_deck_group(deck.DeckGroup(base.name, base.isomorphism, tuple(els)))
     assert report["orders_match"] is False
     assert report["passed"] is False
     assert report["isomorphism"] == "cyclic-8"
@@ -326,13 +340,11 @@ def test_product_table_indexes_the_group_law():
 def test_the_exact_checks_run_once_per_group_value():
     group = deck.build_quaternion()
     deck._exact_checks.cache_clear()
-    first = deck.verify_deck_group(group, seed=1)
-    second = deck.verify_deck_group(deck.DeckGroup(group.name, group.isomorphism, tuple(group.elements)), seed=2)
+    first = deck.verify_deck_group(group)
+    second = deck.verify_deck_group(deck.DeckGroup(group.name, group.isomorphism, tuple(group.elements)))
     info = deck._exact_checks.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    seeded = ("pair_action_max_error", "seed")
-    assert first["seed"] == 1 and second["seed"] == 2
-    assert {k: v for k, v in first.items() if k not in seeded} == {k: v for k, v in second.items() if k not in seeded}
+    assert first == second and first is not second
     # a group that differs in one stored order is another key, audited afresh
     els = list(group.elements)
     els[1] = deck.DeckElement(els[1].label, els[1].element, els[1].pair, 2)
