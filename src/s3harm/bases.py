@@ -44,7 +44,7 @@ means over the uniform grids are exact Kronecker deltas modulo the grid
 sizes, and only the Gauss-Legendre sum over beta is numeric.  Its d^j comes
 from the three-term recurrence in degree at fixed (m1, m2)
 (`_small_d_by_degree`), seeded at the nodes t = cos(beta) themselves, and
-not from the J_y kernel that the pointwise values read, so the Gram and the
+not from the Delta-product kernel the pointwise values read, so the Gram and the
 periodicity check take d^j by two independent routes.  It equals the sum
 over the product nodes, aliasing of a too-coarse rule included, and never
 evaluates a function at a node.  `_gram_entries` is the one place it is

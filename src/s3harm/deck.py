@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -145,22 +146,19 @@ def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> D
     return group
 
 
-def _word_elements(words: dict[str, tuple]) -> list[DeckElement]:
-    """The deck elements of labelled words, each read exactly off its word
-    twice over: as a signed permutation and as its lifted pair."""
-    elements = []
-    for label, word in words.items():
-        el = gc.element_from_word(word)
-        elements.append(DeckElement(label=label, element=el, pair=lift_even_word(word), order=_element_order(el)))
-    return elements
+def _deck_elements(forms) -> list[DeckElement]:
+    """Deck elements of exact forms (label, signed permutation, lifted pair)."""
+    return [DeckElement(label, el, pair, _element_order(el)) for label, el, pair in forms]
 
 
 @lru_cache(maxsize=None)
 def build_cyclic8() -> DeckGroup:
     """Deck group of the first cubic manifold: cyclic of order 8, its t-th
-    element spelled as the generator word repeated t times."""
-    words = {_power_label(t): CYCLIC_GENERATOR_WORD * t for t in range(1, 9)}
-    return _finish_group("C2", "cyclic-8", _word_elements(words))
+    element the t-th power of the generator word's element and lifted pair."""
+    g, pair = gc.element_from_word(CYCLIC_GENERATOR_WORD), lift_even_word(CYCLIC_GENERATOR_WORD)
+    powers = accumulate([(g, pair)] * 8, lambda acc, one: (gc.multiply(one[0], acc[0]), acc[1].compose(one[1])))
+    forms = ((_power_label(t), el, p) for t, (el, p) in enumerate(powers, start=1))
+    return _finish_group("C2", "cyclic-8", _deck_elements(forms))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +169,8 @@ def build_quaternion() -> DeckGroup:
         raise RuntimeError("alternate q1 spelling disagrees")
     words = {"e": (), **QUATERNION_WORDS, "J4": (J4,)}
     words.update({f"J4*{k}": (J4,) + w for k, w in QUATERNION_WORDS.items()})
-    return _finish_group("C3", "quaternion", _word_elements(words))
+    forms = ((label, gc.element_from_word(word), lift_even_word(word)) for label, word in words.items())
+    return _finish_group("C3", "quaternion", _deck_elements(forms))
 
 
 def deck_group(name: str) -> DeckGroup:

@@ -26,10 +26,10 @@ evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
 one degree from that factorisation, written in u alone, with one row per
 slot and one column per point, sums each function's weighted slots over
 the rank blocks, and takes the points in chunks of bounded size.  Its d^j
-factor (`_small_d`, the one source of the kernel's d^j) builds its rows
-from the exact diagonalisation of J_y (Feng, Wang, Yang & Jin 2015, Phys.
-Rev. E 92, 043307) and takes one matmul per block of distinct beta, and
-each chunk gathers its rows.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
+factor (`_small_d`, the one source of the kernel's d^j) diagonalises J_y
+exactly (Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307) as D J_x D^H,
+D = diag(i^{j-m}): its rows are real products of rows of Delta = d^j(pi/2)
+(Risbo 1996), in one matmul per block of distinct beta.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
 conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
 label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
@@ -80,6 +80,7 @@ __all__ = [
 _ENTRY_BUDGET = 2**14
 # distinct beta per `_small_d` matmul; fixed, as a handful takes another BLAS path
 _BETA_BLOCK = 2**12
+_I_POWERS = np.array([[1.0, -0.0], [0.0, -1.0], [-1.0, -0.0], [0.0, 1.0]])  # [Re, -Im] of i^0..i^3
 
 
 def _two_j(j, what: str = "degree", signed: bool = False) -> int:
@@ -187,17 +188,16 @@ def _points(u, tol: float = 1e-9) -> _Points:
 
 
 @lru_cache(maxsize=None)
-def _jy_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact eigenvalues and orthonormal eigenvectors of J_y at degree j,
-    in the descending m layout: J_y = V diag(lam) V^H."""
+def _jx_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact eigenvalues lam and real orthonormal eigenvectors O of J_x at degree
+    j, rows descending in m; V = D O diagonalises J_y = D J_x D^H, D = diag(i^{j-m})."""
     m = np.arange(two_j, -two_j - 1, -2) / 2.0
-    j = two_j / 2.0
-    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)): row of m+1, column of m
-    j_plus = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), k=1)
-    lam, vec = np.linalg.eigh((j_plus - j_plus.T) / 2j)
+    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)) with j = m[0]: row of m+1, column of m
+    j_plus = np.diag(np.sqrt((m[0] - m[1:]) * (m[0] + m[1:] + 1.0)), k=1)
+    lam, vec = np.linalg.eigh((j_plus + j_plus.T) / 2.0)
     exact = np.round(2.0 * lam) / 2.0
     if np.max(np.abs(lam - exact)) > 1e-9:
-        raise RuntimeError(f"J_y spectrum at degree {j} is not -j..j")
+        raise RuntimeError(f"J_x spectrum at degree {two_j / 2} is not -j..j")
     exact.flags.writeable = vec.flags.writeable = False
     return exact, vec
 
@@ -216,20 +216,21 @@ def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
 
 def _small_d(two_j: int, pairs, beta) -> np.ndarray:
     """d^j_{m1 m2}(beta) at each (2 m1, 2 m2) in pairs, points by pairs:
-    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_jy_eigen`)
-    is real, [cos(beta lam), sin(beta lam)] @ rows.T, with a pair's row
-    [Re, -Im] of V_{r1} conj(V_{r2}) and r the rows of m1 and m2, one matmul
-    into one result per block of at most _BETA_BLOCK beta.  Blocks are of
-    nearly equal size and break at multiples of 64, since an entry's last
-    bits depend on the shape of its matmul: at 2j = 80 on one thread,
+    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_jx_eigen`)
+    is real, [cos(beta lam), sin(beta lam)] @ rows.T.  With r the rows of
+    m1 and m2, a pair's row is [Re, -Im] of V_{r1} conj(V_{r2}): the real
+    Delta product O_{r1} O_{r2} times that of i^{r1-r2} (`_I_POWERS`), one
+    matmul into one result per block of at most _BETA_BLOCK beta.  Blocks
+    are of nearly equal size and break at multiples of 64, since an entry's
+    last bits depend on the shape of its matmul: at 2j = 80 on one thread,
     splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
     into 100 or 200 none, and into 399 + 1 the lone beta's."""
-    lam, vec = _jy_eigen(two_j)
-    index = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2)) // 2
-    outer = vec[index[:, 0]]
-    outer *= vec.conj()[index[:, 1]]
-    rows = np.concatenate([outer.real, np.negative(outer.imag, out=outer.imag)], axis=-1)
-    del outer  # the complex product is freed before the matmul
+    lam, vec = _jx_eigen(two_j)
+    r1, r2 = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2).T) // 2
+    product = vec[r1]
+    product *= vec[r2]  # in place: a third gather-sized block would raise the peak
+    rows = (_I_POWERS[(r1 - r2) % 4, :, None] * product[:, None]).reshape(len(r1), -1)
+    del product  # freed before the matmul
     beta = np.asarray(beta, dtype=float)
     out = np.empty((beta.size, len(rows)))
     blocks = -(-beta.size // _BETA_BLOCK)

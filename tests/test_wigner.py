@@ -2,7 +2,7 @@
 
 The coupling coefficients get an independent oracle: a ladder-operator
 construction that never touches the factorial sum used in the library.
-The Wigner kernel, which works from the J_y eigenbasis, gets two: the
+The Wigner kernel, which works from the J_x eigenbasis, gets two: the
 monomial factorial sum in floating point, and the same sum in exact
 rational arithmetic at Pythagorean points.  The Gram's d^j, from the
 recurrence in degree, is checked against the kernel at every pair, against
@@ -308,17 +308,40 @@ def test_stable_small_d_stays_unitary_at_high_degree():
 def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
     # 10,000 distinct beta are taken in three blocks, each written into one
     # result; every entry keeps the bits of one matmul over all of them,
-    # whose rows [Re, -Im] of V_{r1} conj(V_{r2}) are built here from J_y's
-    # eigenvectors V
+    # whose rows are built here from J_x's real eigenvectors O: the product
+    # O_{r1} O_{r2} times [Re, -Im] of i^{r1-r2}, read from the sign table
     two_j, beta = 40, np.random.default_rng(45).uniform(0, np.pi, 10_000)
     pairs = np.array([(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
-    lam, vec = wigner._jy_eigen(two_j)
-    outer = vec[(two_j - pairs[:, 0]) // 2] * vec[(two_j - pairs[:, 1]) // 2].conj()
-    rows = np.concatenate([outer.real, -outer.imag], axis=-1)
+    lam, vec = wigner._jx_eigen(two_j)
+    r1, r2 = (two_j - pairs[:, 0]) // 2, (two_j - pairs[:, 1]) // 2
+    signs, product = wigner._I_POWERS[(r1 - r2) % 4], vec[r1] * vec[r2]
+    rows = np.concatenate([signs[:, :1] * product, signs[:, 1:] * product], axis=-1)
     angle = beta[:, None] * lam
     whole = np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
     assert -(-beta.size // wigner._BETA_BLOCK) == 3
     assert wigner._small_d(two_j, pairs, beta).tobytes() == whole.tobytes()
+
+
+def test_kernel_eigenbasis_is_delta_up_to_column_signs():
+    # the kernel's eigenbasis is real, its spectrum exactly -j..j, and the
+    # column of eigenvalue lam is the row of lam of Delta = d^j(pi/2) up to
+    # one sign per column; Delta here is the recurrence in degree at t = 0
+    top = 80
+    m1, m2 = ring_pairs(top)
+    delta = recurrence_table(m1, m2, np.array([0.0]), top)[..., 0]
+    for j in range(top + 1):
+        lam, vec = wigner._jx_eigen(2 * j)
+        assert vec.dtype == float and lam.dtype == float
+        assert lam.tolist() == list(range(-j, j + 1))
+        # grid is Delta, rows and columns descending in m; want's column of
+        # lam is Delta's row m1 = lam
+        grid = np.zeros((2 * j + 1, 2 * j + 1))
+        inside = (np.abs(m1) <= j) & (np.abs(m2) <= j)
+        grid[j - m1[inside], j - m2[inside]] = delta[j, inside]
+        want = grid[j - lam.astype(int)].T
+        signs = np.sign(np.sum(want * vec, axis=0))
+        assert np.all(np.abs(signs) == 1), j
+        assert np.max(np.abs(vec - want * signs)) < 2e-14, j
 
 
 def ring_pairs(top):
