@@ -146,19 +146,14 @@ def _finish_group(name: str, isomorphism: str, elements: list[DeckElement]) -> D
     return group
 
 
-def _deck_elements(forms) -> list[DeckElement]:
-    """Deck elements of exact forms (label, signed permutation, lifted pair)."""
-    return [DeckElement(label, el, pair, _element_order(el)) for label, el, pair in forms]
-
-
 @lru_cache(maxsize=None)
 def build_cyclic8() -> DeckGroup:
     """Deck group of the first cubic manifold: cyclic of order 8, its t-th
     element the t-th power of the generator word's element and lifted pair."""
     g, pair = gc.element_from_word(CYCLIC_GENERATOR_WORD), lift_even_word(CYCLIC_GENERATOR_WORD)
     powers = accumulate([(g, pair)] * 8, lambda acc, one: (gc.multiply(one[0], acc[0]), acc[1].compose(one[1])))
-    forms = ((_power_label(t), el, p) for t, (el, p) in enumerate(powers, start=1))
-    return _finish_group("C2", "cyclic-8", _deck_elements(forms))
+    elements = [DeckElement(_power_label(t), el, p, _element_order(el)) for t, (el, p) in enumerate(powers, start=1)]
+    return _finish_group("C2", "cyclic-8", elements)
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +164,11 @@ def build_quaternion() -> DeckGroup:
         raise RuntimeError("alternate q1 spelling disagrees")
     words = {"e": (), **QUATERNION_WORDS, "J4": (J4,)}
     words.update({f"J4*{k}": (J4,) + w for k, w in QUATERNION_WORDS.items()})
-    forms = ((label, gc.element_from_word(word), lift_even_word(word)) for label, word in words.items())
-    return _finish_group("C3", "quaternion", _deck_elements(forms))
+    elements = []
+    for label, word in words.items():
+        el = gc.element_from_word(word)
+        elements.append(DeckElement(label, el, lift_even_word(word), _element_order(el)))
+    return _finish_group("C3", "quaternion", elements)
 
 
 def deck_group(name: str) -> DeckGroup:

@@ -29,8 +29,8 @@ the rank blocks, and takes the points in chunks of bounded size.  Its d^j
 factor (`_small_d`, the one source of the kernel's d^j) diagonalises J_y
 exactly (Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307) as D J_x D^H,
 D = diag(i^{j-m}): its rows are real products of rows of Delta = d^j(pi/2)
-(Risbo 1996), in one matmul per block of distinct beta.  wigner_entry and wigner_entry_function evaluate a grid of one slot,
-conjugation_harmonic and `bases.BasisFunction.evaluate` one function
+(Risbo 1996), in one matmul per block of distinct beta.  wigner_entry and
+wigner_entry_function evaluate a grid of one slot, conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
 label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
 (2j+1)^2 one-slot functions at one point; `bases` lays out the grids of
@@ -192,12 +192,13 @@ def _jx_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact eigenvalues lam and real orthonormal eigenvectors O of J_x at degree
     j, rows descending in m; V = D O diagonalises J_y = D J_x D^H, D = diag(i^{j-m})."""
     m = np.arange(two_j, -two_j - 1, -2) / 2.0
-    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)) with j = m[0]: row of m+1, column of m
-    j_plus = np.diag(np.sqrt((m[0] - m[1:]) * (m[0] + m[1:] + 1.0)), k=1)
+    j = two_j / 2.0
+    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)): row of m+1, column of m
+    j_plus = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), k=1)
     lam, vec = np.linalg.eigh((j_plus + j_plus.T) / 2.0)
     exact = np.round(2.0 * lam) / 2.0
     if np.max(np.abs(lam - exact)) > 1e-9:
-        raise RuntimeError(f"J_x spectrum at degree {two_j / 2} is not -j..j")
+        raise RuntimeError(f"J_x spectrum at degree {j} is not -j..j")
     exact.flags.writeable = vec.flags.writeable = False
     return exact, vec
 
