@@ -26,10 +26,11 @@ evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
 one degree from that factorisation, written in u alone, with one row per
 slot and one column per point, sums each function's weighted slots over
 the rank blocks, and takes the points in chunks of bounded size.  Its d^j
-factor (`_small_d`, the one source of the kernel's d^j) diagonalises J_y
-exactly (Feng, Wang, Yang & Jin 2015, Phys. Rev. E 92, 043307) as D J_x D^H,
-D = diag(i^{j-m}): its rows are real products of rows of Delta = d^j(pi/2)
-(Risbo 1996), in one matmul per block of distinct beta.  wigner_entry and
+factor (`_small_d`, the one source of the kernel's d^j) is the Delta form
+d^j_{m1 m2}(beta) = sum_lam i^{m2-m1} Delta_{lam m1} Delta_{lam m2} e^{i lam beta}
+(Risbo 1996, J. Geodesy 70, 383; Trapani & Navaza 2006, Acta Cryst. A62,
+262), one real matmul per block of distinct beta, with Delta = d^j(pi/2)
+in closed form from exact integers (`_delta`).  wigner_entry and
 wigner_entry_function evaluate a grid of one slot, conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
 label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
@@ -41,8 +42,7 @@ tests' oracle, is off by 1e-5.
 The separable Gram sum takes d^j by a second route, independent of the
 kernel: `_small_d_by_degree` runs the three-term recurrence in j at fixed
 (m1, m2) from an exact seed at the Gauss-Legendre nodes t = cos(beta)
-(`EulerQuadrature.cos_beta`), every degree of a pair in one pass, with no
-eigensolve.
+(`EulerQuadrature.cos_beta`), every degree of a pair in one pass.
 
 EulerQuadrature keeps the one-dimensional factors of its product rule, so
 sums over it can be taken in separable order.  Its Gauss-Legendre factor is
@@ -55,6 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -114,21 +115,11 @@ def _entry_terms(two_j: int, two_m1: int, two_m2: int):
     jm1c = (two_j - two_m1) // 2
     jm2 = (two_j + two_m2) // 2
     jm2c = (two_j - two_m2) // 2
-    norm_sq = (
-        math.factorial(jm1)
-        * math.factorial(jm1c)
-        * math.factorial(jm2)
-        * math.factorial(jm2c)
-    )
+    norm_sq = math.prod(math.factorial(v) for v in (jm1, jm1c, jm2, jm2c))
     m1m2 = (two_m1 + two_m2) // 2
     terms = []
     for k in range(max(0, m1m2), min(jm1, jm2) + 1):
-        den = (
-            math.factorial(k)
-            * math.factorial(jm2 - k)
-            * math.factorial(jm1 - k)
-            * math.factorial(k - m1m2)
-        )
+        den = math.prod(math.factorial(v) for v in (k, jm2 - k, jm1 - k, k - m1m2))
         coef = math.sqrt(float(Fraction(norm_sq, den * den)))
         terms.append((coef, k, jm1 - k, jm2 - k, k - m1m2))
     return tuple(terms)
@@ -188,19 +179,34 @@ def _points(u, tol: float = 1e-9) -> _Points:
 
 
 @lru_cache(maxsize=None)
-def _jx_eigen(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact eigenvalues lam and real orthonormal eigenvectors O of J_x at degree
-    j, rows descending in m; V = D O diagonalises J_y = D J_x D^H, D = diag(i^{j-m})."""
-    m = np.arange(two_j, -two_j - 1, -2) / 2.0
-    j = two_j / 2.0
-    # <m+1| J+ |m> = sqrt((j - m)(j + m + 1)): row of m+1, column of m
-    j_plus = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), k=1)
-    lam, vec = np.linalg.eigh((j_plus + j_plus.T) / 2.0)
-    exact = np.round(2.0 * lam) / 2.0
-    if np.max(np.abs(lam - exact)) > 1e-9:
-        raise RuntimeError(f"J_x spectrum at degree {j} is not -j..j")
-    exact.flags.writeable = vec.flags.writeable = False
-    return exact, vec
+def _delta(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """lam = -j..j ascending and O = Delta = d^j(pi/2), rows and columns
+    descending in m, whose column k is J_x's eigenvector of eigenvalue
+    lam_k = k - j, so V = D O diagonalises J_y = D J_x D^H, D = diag(i^{j-m}).
+    O[x, k] = (-1)^{x+k} sqrt(C(2j, x) / C(2j, k)) K[x, k] / 2^j, K[x] the
+    integer coefficients of (1 + t)^x (1 - t)^{2j-x}: row x + 1 is row x
+    times (1 + t), whose running sum divides by (1 - t), and row 2j - x is
+    row x times (-1)^k.  K / 2^floor(j) and C(2j, x) / 4^q, 4^q <= C(2j, x)
+    < 4^{q+1}, are correctly rounded int divisions, and ldexp puts the
+    powers of two back exactly.  Refuses a degree whose 2^-floor(j) is no
+    normal float with ValueError."""
+    half, n = two_j // 2, two_j + 1
+    if half > -np.finfo(float).minexp:
+        raise ValueError(f"degree {two_j / 2} is beyond the kernel's limit of {0.5 - np.finfo(float).minexp}")
+    scaled, scale = np.empty((n, n)), 1 << half
+    row = [(-1) ** k * math.comb(two_j, k) for k in range(n)]  # (1 - t)^{2j}
+    for x in range(half + 1):
+        scaled[x] = [v / scale for v in row]
+        row = list(accumulate(a + b for a, b in zip(row, [0] + row[:-1])))
+    parity = 1 - 2 * (np.arange(n) % 2)
+    scaled[half + 1:] = scaled[: n // 2][::-1] * parity
+    q = np.array([(math.comb(two_j, x).bit_length() - 1) // 2 for x in range(n)])
+    g = np.array([math.comb(two_j, x) / 4**e for x, e in enumerate(q.tolist())])
+    ratio = np.sqrt(np.divide.outer(g, g * 2.0 ** (two_j % 2)))
+    vec = np.ldexp(np.outer(parity, parity) * scaled * ratio, np.subtract.outer(q, q))
+    lam = np.arange(-two_j, two_j + 1, 2) / 2.0
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
 
 
 def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
@@ -217,7 +223,7 @@ def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
 
 def _small_d(two_j: int, pairs, beta) -> np.ndarray:
     """d^j_{m1 m2}(beta) at each (2 m1, 2 m2) in pairs, points by pairs:
-    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_jx_eigen`)
+    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_delta`)
     is real, [cos(beta lam), sin(beta lam)] @ rows.T.  With r the rows of
     m1 and m2, a pair's row is [Re, -Im] of V_{r1} conj(V_{r2}): the real
     Delta product O_{r1} O_{r2} times that of i^{r1-r2} (`_I_POWERS`), one
@@ -226,7 +232,7 @@ def _small_d(two_j: int, pairs, beta) -> np.ndarray:
     last bits depend on the shape of its matmul: at 2j = 80 on one thread,
     splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
     into 100 or 200 none, and into 399 + 1 the lone beta's."""
-    lam, vec = _jx_eigen(two_j)
+    lam, vec = _delta(two_j)
     r1, r2 = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2).T) // 2
     product = vec[r1]
     product *= vec[r2]  # in place: a third gather-sized block would raise the peak
@@ -300,7 +306,7 @@ def _small_d_by_degree(m1: np.ndarray, m2: np.ndarray, t: np.ndarray, top: int, 
     convention ((-1)^{m1-m2} times the standard d), times scale, at every
     degree from j0 = max(|m1|, |m2|) to top: the three-term recurrence in j
     at fixed (m1, m2) (Kostelec & Rockmore 2008, J. Fourier Anal. Appl. 14,
-    145), with no J_y eigenbasis.
+    145), independent of the kernel's Delta.
 
     The pairs come in ascending order of j0.  Yields (j, rows) for each j
     from the first pair's j0 to top: rows[k] holds the values of the k-th
@@ -459,14 +465,8 @@ def clebsch_gordan(j1, m1, j2, m2, l, m) -> float:
     k_lo = max(0, (tj2 - tl - tm1) // 2, (tj1 + tm2 - tl) // 2)
     k_hi = min((tj1 + tj2 - tl) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     for k in range(k_lo, k_hi + 1):
-        den = (
-            math.factorial(k)
-            * fact(tj1 + tj2 - tl - 2 * k)
-            * fact(tj1 - tm1 - 2 * k)
-            * fact(tj2 + tm2 - 2 * k)
-            * fact(tl - tj2 + tm1 + 2 * k)
-            * fact(tl - tj1 - tm2 + 2 * k)
-        )
+        doubled = (tj1 + tj2 - tl - 2 * k, tj1 - tm1 - 2 * k, tj2 + tm2 - 2 * k, tl - tj2 + tm1 + 2 * k, tl - tj1 - tm2 + 2 * k)
+        den = math.factorial(k) * math.prod(map(fact, doubled))
         total += Fraction((-1) ** k, den)
     if total == 0:
         return 0.0
@@ -494,9 +494,7 @@ class EulerAngles:
     def matrix(self) -> np.ndarray:
         """Stacked 2x2 special unitary matrices, shape (..., 2, 2)."""
         a, b, c, d = self.matrix_entries()
-        return np.stack(
-            [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
-        )
+        return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 def wigner_entry_function(j, m1, m2):

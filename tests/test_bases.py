@@ -709,12 +709,13 @@ def test_verify_basis_passes_for_both_manifolds():
 
 
 def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
-    # the monomial kernel left 1.36e-11 of periodicity error at jmax 20
+    # the monomial kernel left 1.36e-11 of periodicity error at jmax 20, and
+    # a Delta from an eigensolve 7.4e-15 (C2) and 8.0e-15 (C3) at jmax 40
     for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
         fns = [f for j in range(J_MAX_LIMIT + 1) for f in bases.basis_for(manifold, j)]
         report = bases.verify_basis(fns, group, tol=1e-12)
         assert report["gram_max_error"] < 1e-12
-        assert report["periodicity_max_error"] < 1e-12
+        assert report["periodicity_max_error"] < 6e-15
         assert report["passed"] is True
         assert report["gram_entries"] < len(fns) ** 2
 

@@ -2,9 +2,10 @@
 
 The coupling coefficients get an independent oracle: a ladder-operator
 construction that never touches the factorial sum used in the library.
-The Wigner kernel, which works from the J_x eigenbasis, gets two: the
-monomial factorial sum in floating point, and the same sum in exact
-rational arithmetic at Pythagorean points.  The Gram's d^j, from the
+The Wigner kernel, which works from Delta = d^j(pi/2) in closed form,
+gets two: the monomial factorial sum in floating point, and the same sum
+in exact rational arithmetic at Pythagorean points; Delta itself is checked
+against its exact rational squares.  The Gram's d^j, from the
 recurrence in degree, is checked against the kernel at every pair, against
 exact orthonormality under the quadrature rule, and at its seed against
 exact rational squares.
@@ -257,6 +258,13 @@ def test_stable_small_d_matches_exact_rational_values():
                 assert np.max(np.abs(small_d(two_j, beta) - want)) < 1e-14, (two_j, beta)
 
 
+def test_stable_small_d_at_degree_20_is_within_1_5e_15_of_exact_rational_values():
+    # a Delta from an eigensolve was off by 3.2e-15 at both of these beta
+    for p, q, r in (PYTHAGOREAN[0], PYTHAGOREAN[3]):
+        beta = 2.0 * math.atan2(q, p)
+        assert np.max(np.abs(small_d(40, beta) - exact_wigner(40, (p, 0), (q, 0), r))) < 1.5e-15, (p, q, r)
+
+
 def test_pointwise_kernel_matches_exact_rational_values():
     # a = (p/r) zeta and b = (q/r) eta with Pythagorean phases zeta, eta:
     # every entry of u is a Gaussian rational, so D^j(u) is known exactly
@@ -308,11 +316,11 @@ def test_stable_small_d_stays_unitary_at_high_degree():
 def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
     # 10,000 distinct beta are taken in three blocks, each written into one
     # result; every entry keeps the bits of one matmul over all of them,
-    # whose rows are built here from J_x's real eigenvectors O: the product
+    # whose rows are built here from the columns of Delta = O: the product
     # O_{r1} O_{r2} times [Re, -Im] of i^{r1-r2}, read from the sign table
     two_j, beta = 40, np.random.default_rng(45).uniform(0, np.pi, 10_000)
     pairs = np.array([(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
-    lam, vec = wigner._jx_eigen(two_j)
+    lam, vec = wigner._delta(two_j)
     r1, r2 = (two_j - pairs[:, 0]) // 2, (two_j - pairs[:, 1]) // 2
     signs, product = wigner._I_POWERS[(r1 - r2) % 4], vec[r1] * vec[r2]
     rows = np.concatenate([signs[:, :1] * product, signs[:, 1:] * product], axis=-1)
@@ -322,26 +330,68 @@ def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
     assert wigner._small_d(two_j, pairs, beta).tobytes() == whole.tobytes()
 
 
-def test_kernel_eigenbasis_is_delta_up_to_column_signs():
-    # the kernel's eigenbasis is real, its spectrum exactly -j..j, and the
-    # column of eigenvalue lam is the row of lam of Delta = d^j(pi/2) up to
-    # one sign per column; Delta here is the recurrence in degree at t = 0
+def test_kernel_delta_is_its_exact_closed_form_to_the_last_bits():
+    # Delta^2 at row x and column k is C(2j, x) K^2 / (C(2j, k) 4^j), with
+    # K[x, k] the coefficient of t^k in (1 + t)^x (1 - t)^{2j-x}, summed here
+    # term by term: every entry has the sign (-1)^{x+k} sign(K), its square
+    # lies within 2^-53 (one ulp of [1/2, 1)) of the exact rational, and the
+    # entry within two of its own ulps of the exact root
+    for two_j in (*range(25), 80):
+        lam, vec = wigner._delta(two_j)
+        assert vec.dtype == float and lam.tolist() == [k - two_j / 2 for k in range(two_j + 1)]
+        for x in range(two_j + 1):
+            for k in range(two_j + 1):
+                terms = range(max(0, k - x), min(k, two_j - x) + 1)
+                coef = sum((-1) ** s * math.comb(two_j - x, s) * math.comb(x, k - s) for s in terms)
+                value = float(vec[x, k])
+                assert (value > 0) - (value < 0) == (-1) ** (x + k) * ((coef > 0) - (coef < 0)), (two_j, x, k)
+                if coef:
+                    square = Fraction(math.comb(two_j, x) * coef**2, math.comb(two_j, k) * 2**two_j)
+                    size, ulp = abs(Fraction(value)), Fraction(np.spacing(abs(value)))
+                    assert abs(size**2 - square) <= Fraction(1, 2**53), (two_j, x, k)
+                    assert (size - 2 * ulp) ** 2 <= square <= (size + 2 * ulp) ** 2, (two_j, x, k)
+    for two_j in (160, 161):
+        _, vec = wigner._delta(two_j)
+        assert np.max(np.abs(vec @ vec.T - np.eye(two_j + 1))) <= 1e-15
+
+
+def test_kernel_delta_is_the_recurrence_at_t_0():
+    # the Gram's route at beta = pi/2 gives the same Delta, in the same
+    # layout and signs; an eigensolve's Delta was off by up to 9.1e-15
     top = 80
     m1, m2 = ring_pairs(top)
     delta = recurrence_table(m1, m2, np.array([0.0]), top)[..., 0]
     for j in range(top + 1):
-        lam, vec = wigner._jx_eigen(2 * j)
-        assert vec.dtype == float and lam.dtype == float
-        assert lam.tolist() == list(range(-j, j + 1))
-        # grid is Delta, rows and columns descending in m; want's column of
-        # lam is Delta's row m1 = lam
         grid = np.zeros((2 * j + 1, 2 * j + 1))
         inside = (np.abs(m1) <= j) & (np.abs(m2) <= j)
         grid[j - m1[inside], j - m2[inside]] = delta[j, inside]
-        want = grid[j - lam.astype(int)].T
-        signs = np.sign(np.sum(want * vec, axis=0))
-        assert np.all(np.abs(signs) == 1), j
-        assert np.max(np.abs(vec - want * signs)) < 2e-14, j
+        assert np.max(np.abs(wigner._delta(2 * j)[1] - grid)) <= 1e-15, j
+
+
+def test_kernel_delta_refuses_a_degree_it_cannot_represent():
+    # 2^-floor(j) is a normal float up to j = 1022.5; beyond, a ValueError
+    # names the limit before any work, never an OverflowError
+    with pytest.raises(ValueError, match="limit of 1022.5"):
+        wigner._delta(2046)
+    with pytest.raises(ValueError, match="limit of 1022.5"):
+        wigner_entry(1023, 0, 0, 1.0, 0.0, 0.0, 1.0)
+
+
+def test_no_eigensolve_is_reached(monkeypatch):
+    # Delta comes from exact integers: with LAPACK's symmetric eigensolvers
+    # refusing and Delta's cache empty, a deck lift's D^20 and the C2 basis
+    # up to degree 6 still evaluate and verify
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve was reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    wigner._delta.cache_clear()
+    lift = build_quaternion().elements[5].pair.left.to_complex()
+    value = wigner_d(20, lift)
+    assert np.max(np.abs(value @ value.conj().T - np.eye(41))) < 1e-13
+    fns = [f for j in range(7) for f in bases.basis_for("C2", j)]
+    assert bases.verify_basis(fns, build_cyclic8(), tol=1e-12)["passed"] is True
 
 
 def ring_pairs(top):
