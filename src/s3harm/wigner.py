@@ -29,8 +29,8 @@ the rank blocks, and takes the points in chunks of bounded size.  Its d^j
 factor (`_small_d`, the one source of the kernel's d^j) is the Delta form
 d^j_{m1 m2}(beta) = sum_lam i^{m2-m1} Delta_{lam m1} Delta_{lam m2} e^{i lam beta}
 (Risbo 1996, J. Geodesy 70, 383; Trapani & Navaza 2006, Acta Cryst. A62,
-262), one real matmul per block of distinct beta, with Delta = d^j(pi/2)
-in closed form from exact integers (`_delta`).  wigner_entry and
+262), lam folded with -lam into floor(j) + 1 real coefficients a pair, with
+Delta = d^j(pi/2) in closed form from exact integers (`_delta`).  wigner_entry and
 wigner_entry_function evaluate a grid of one slot, conjugation_harmonic and `bases.BasisFunction.evaluate` one function
 whose slots are weighted by its Clebsch-Gordan coefficients (kept per
 label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
@@ -81,7 +81,7 @@ __all__ = [
 _ENTRY_BUDGET = 2**14
 # distinct beta per `_small_d` matmul; fixed, as a handful takes another BLAS path
 _BETA_BLOCK = 2**12
-_I_POWERS = np.array([[1.0, -0.0], [0.0, -1.0], [-1.0, -0.0], [0.0, 1.0]])  # [Re, -Im] of i^0..i^3
+_FOLD_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # Re of i^0, i^2 and -Im of i^1, i^3
 
 
 def _two_j(j, what: str = "degree", signed: bool = False) -> int:
@@ -222,30 +222,30 @@ def _unit_powers(unit: np.ndarray, top: int) -> np.ndarray:
 
 
 def _small_d(two_j: int, pairs, beta) -> np.ndarray:
-    """d^j_{m1 m2}(beta) at each (2 m1, 2 m2) in pairs, points by pairs:
-    d^j(beta) = exp(+i beta J_y) = V diag(e^{i beta lam}) V^H (`_delta`)
-    is real, [cos(beta lam), sin(beta lam)] @ rows.T.  With r the rows of
-    m1 and m2, a pair's row is [Re, -Im] of V_{r1} conj(V_{r2}): the real
-    Delta product O_{r1} O_{r2} times that of i^{r1-r2} (`_I_POWERS`), one
-    matmul into one result per block of at most _BETA_BLOCK beta.  Blocks
-    are of nearly equal size and break at multiples of 64, since an entry's
-    last bits depend on the shape of its matmul: at 2j = 80 on one thread,
-    splitting 400 beta into blocks of 4 or 16 changed 86% of the entries,
-    into 100 or 200 none, and into 399 + 1 the lone beta's."""
-    lam, vec = _delta(two_j)
+    """d^j_{m1 m2}(beta) at each (2 m1, 2 m2) in pairs, points by pairs.  With
+    r the rows of m1 and m2 it sums i^{r1-r2} O_{r1} O_{r2} e^{i beta lam} over
+    lam (`_delta`), where O_{r1} O_{r2} at -lam is (-1)^{r1-r2} that at lam:
+    folded, a pair's row is the product at lam >= 0 times 2 (1 at lam = 0) and
+    `_FOLD_SIGNS`: floor(j) + 1 coefficients of cos(beta lam) for even r1 - r2,
+    of sin(beta lam) for odd, one matmul per parity and block of at most
+    _BETA_BLOCK beta.  Blocks are of nearly equal size and break at multiples
+    of 64, since an entry's last bits depend on the shape of its matmul: at
+    2j = 80 on one thread, splitting 400 beta into blocks of 4 or 16 changed
+    86% of the entries, into 100 or 200 none, and into 399 + 1 the lone beta's."""
+    lam, vec = (v[..., (two_j + 1) // 2:] for v in _delta(two_j))  # lam >= 0
     r1, r2 = (two_j - np.asarray(pairs, dtype=int).reshape(-1, 2).T) // 2
-    product = vec[r1]
-    product *= vec[r2]  # in place: a third gather-sized block would raise the peak
-    rows = (_I_POWERS[(r1 - r2) % 4, :, None] * product[:, None]).reshape(len(r1), -1)
-    del product  # freed before the matmul
+    columns = [np.flatnonzero((r1 - r2) % 2 == parity) for parity in (0, 1)]
+    weight = np.where(lam > 0, 2.0, 1.0)  # with the sign, +-1 or +-2: each product scaled exactly
+    rows = [vec[r1[at]] * vec[r2[at]] * (_FOLD_SIGNS[(r1[at] - r2[at]) % 4, None] * weight) for at in columns]
     beta = np.asarray(beta, dtype=float)
-    out = np.empty((beta.size, len(rows)))
+    out = np.empty((beta.size, len(r1)))
     blocks = -(-beta.size // _BETA_BLOCK)
     edges = [64 * (k * -(-beta.size // 64) // blocks) for k in range(1, blocks)]
     for part, into in zip(np.split(beta.reshape(-1), edges), np.split(out, edges)):
         angle = part[:, None] * lam
-        np.matmul(np.concatenate([np.cos(angle), np.sin(angle)], axis=-1), rows.T, out=into)
-    return out.reshape(beta.shape + (len(rows),))
+        for at, row, wave in zip(columns, rows, (np.cos(angle), np.sin(angle))):
+            into[:, at] = wave @ row.T
+    return out.reshape(beta.shape + (len(r1),))
 
 
 def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1):

@@ -315,19 +315,52 @@ def test_stable_small_d_stays_unitary_at_high_degree():
 
 def test_small_d_over_many_beta_in_blocks_gives_the_bits_of_one_matmul():
     # 10,000 distinct beta are taken in three blocks, each written into one
-    # result; every entry keeps the bits of one matmul over all of them,
-    # whose rows are built here from the columns of Delta = O: the product
-    # O_{r1} O_{r2} times [Re, -Im] of i^{r1-r2}, read from the sign table
+    # result; every entry keeps the bits of one matmul per parity over all of
+    # them, whose folded rows are built here from the columns lam >= 0 of
+    # Delta = O: the product O_{r1} O_{r2} times 2 (1 at lam = 0) and the
+    # real part of i^{r1-r2} for even r1 - r2, against cos, or its -Im for
+    # odd, against sin
     two_j, beta = 40, np.random.default_rng(45).uniform(0, np.pi, 10_000)
     pairs = np.array([(6, -4), (40, 40), (0, 2), (-38, 12), (2, 2)])
     lam, vec = wigner._delta(two_j)
+    lam, vec = lam[two_j // 2:], vec[:, two_j // 2:]
     r1, r2 = (two_j - pairs[:, 0]) // 2, (two_j - pairs[:, 1]) // 2
-    signs, product = wigner._I_POWERS[(r1 - r2) % 4], vec[r1] * vec[r2]
-    rows = np.concatenate([signs[:, :1] * product, signs[:, 1:] * product], axis=-1)
+    power = 1j ** ((r1 - r2) % 4)
+    odd = (r1 - r2) % 2 == 1
+    rows = np.where(odd, -power.imag, power.real)[:, None] * np.where(lam > 0, 2.0, 1.0) * (vec[r1] * vec[r2])
+    assert rows.shape == (5, two_j // 2 + 1) and odd.tolist() == [True, False, True, True, False]
     angle = beta[:, None] * lam
-    whole = np.concatenate([np.cos(angle), np.sin(angle)], axis=-1) @ rows.T
+    whole = np.empty((beta.size, len(pairs)))
+    whole[:, ~odd] = np.cos(angle) @ rows[~odd].T
+    whole[:, odd] = np.sin(angle) @ rows[odd].T
     assert -(-beta.size // wigner._BETA_BLOCK) == 3
     assert wigner._small_d(two_j, pairs, beta).tobytes() == whole.tobytes()
+
+
+def test_small_d_folds_lam_with_minus_lam_in_bounded_memory():
+    # C3's degree-80 grid has 13,202 pairs: folded, their rows take 8.6 MB
+    # (81 coefficients a pair) and one call at 200 beta peaks near 39 MiB;
+    # the unfolded rows, half of them zeros, took 34 MB and the call 54 MiB
+    pairs, _ = bases._slot_grid(bases._mesh_c3(range(81)).terms.degree(80))
+    beta = np.random.default_rng(46).uniform(0, np.pi, 200)
+    tracemalloc.start()
+    try:
+        values = wigner._small_d(160, pairs, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (200, 13_202) and np.all(np.isfinite(values))
+    assert peak <= 45 * 2**20
+
+
+def test_kernel_delta_at_minus_lam_is_its_column_at_lam_up_to_row_signs():
+    # the fold's premise: O[x, 2j - k] = (-1)^x O[x, k] in value (a zero may
+    # differ in sign), so a product O_{r1} O_{r2} at -lam is (-1)^{r1-r2} that
+    # at lam
+    for two_j in range(162):
+        _, vec = wigner._delta(two_j)
+        signs = 1 - 2 * (np.arange(two_j + 1) % 2)
+        assert np.array_equal(vec[:, ::-1], signs[:, None] * vec), two_j
 
 
 def test_kernel_delta_is_its_exact_closed_form_to_the_last_bits():
