@@ -8,17 +8,16 @@ character averaging, and realized concretely by closed-form combinations
 of one or two matrix elements.
 
 Each basis is a table (`_Basis`): a column per field of its functions and
-the `_Terms` of all their terms.  `_mesh_c2` and `_mesh_c3` build it for a
-range of degrees from the selection rules, as masks over (j, m1, m2)
-meshes; `basis_c2` and `basis_c3` return BasisFunction records as views of
-it, and `_terms` walks any list of records back into one.  Every check
-reads the table, and `verify_basis` audits it in one walk over its
-degrees, without making a record.  The values of its functions at points
-come from the one pointwise evaluator, `wigner._slot_values`; this module
-only lays out each degree's terms as that evaluator's padded grid
-(`_slot_grid`).  A single record is evaluated without a table, as one
-function of one degree: its terms are a grid of one column, like that of
-`wigner.conjugation_harmonic`.
+the `_Terms` of all their terms, each with its (m1, m2).  `_mesh_c2` and
+`_mesh_c3` build it for a range of degrees from the selection rules, as
+masks over (j, m1, m2) meshes; `basis_c2` and `basis_c3` return
+BasisFunction records as views of it, and `_terms` walks any list of
+records back into one.  Every check reads the table, and `verify_basis`
+audits it in one walk over its degrees, without making a record.  Only the
+exact audit and the projectors read a term's flat index (`_Terms.flat`).
+The values at points come from the one pointwise evaluator,
+`wigner._slot_values`, which takes each degree's term columns and lays out
+its own grid; a single record is evaluated without a table.
 
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
@@ -71,6 +70,7 @@ from .su2 import _MU8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
     _entry_sum,
     _points,
+    _runs,
     _scalar_or_array,
     _slot_values,
     _small_d_by_degree,
@@ -269,12 +269,13 @@ def _average(gather: np.ndarray, phase: np.ndarray, index: np.ndarray, value: np
 class _Terms(NamedTuple):
     """Every term of a list of functions, one entry each, sorted by degree
     and, within a degree, in list order: the owner's position in the list,
-    its degree, the flat index of (m1, m2) in its coefficient vector, the
-    closed-form coefficient and the owner's norm factor."""
+    its degree, its labels (m1, m2), the closed-form coefficient and the
+    owner's norm factor."""
 
     owner: np.ndarray
     j: np.ndarray
-    index: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
     coef: np.ndarray
     norm: np.ndarray
 
@@ -283,13 +284,16 @@ class _Terms(NamedTuple):
         lo, hi = np.searchsorted(self.j, [j, j + 1])
         return _Terms(*(v[lo:hi] for v in self))
 
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, row) of a table in which each function's terms are
-        contiguous: the position of each function's first term, and for
-        each term the number of its function among them."""
-        starts = np.ones(len(self.owner), dtype=bool)
-        np.not_equal(self.owner[1:], self.owner[:-1], out=starts[1:])
-        return np.flatnonzero(starts), np.cumsum(starts) - 1
+    @property
+    def flat(self) -> np.ndarray:
+        """Each term's index (j - m1)(2j + 1) + (j - m2) in its function's
+        coefficient vector, (m1, m2) both descending."""
+        return (self.j - self.m1) * (2 * self.j + 1) + (self.j - self.m2)
+
+    def slot_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat term columns `_slot_values` takes: each term's
+        (2 m1, 2 m2), its owner and its weight, norm times coefficient."""
+        return 2 * np.stack([self.m1, self.m2], axis=-1), self.owner, self.norm * self.coef
 
 
 class _Basis(NamedTuple):
@@ -329,7 +333,7 @@ def _terms(functions: list[BasisFunction]) -> _Basis:
     if np.any(j < 0) or np.any((np.abs(tm1) > tj) | (np.abs(tm2) > tj)):
         raise ValueError("degrees must be non-negative, and no |m1| or |m2| of a term may exceed its degree")
     norm = np.array(norm, dtype=float)
-    columns = (owner, tj, (tj - tm1) * (2 * tj + 1) + (tj - tm2), np.array(coef, dtype=complex), norm[owner])
+    columns = (owner, tj, tm1, tm2, np.array(coef, dtype=complex), norm[owner])
     order = np.argsort(tj, kind="stable")
     terms = _Terms(*(v[order] for v in columns))
     manifolds = set(manifold)
@@ -340,7 +344,7 @@ def _terms(functions: list[BasisFunction]) -> _Basis:
 def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
     """Largest entry of P(X) - X over the sparse coefficient vectors X of
     the functions of one degree, given by their terms; 0 without terms."""
-    owner, index, value = terms.owner, terms.index, terms.norm * terms.coef
+    owner, index, value = terms.owner, terms.flat, terms.norm * terms.coef
     size = gather.shape[1]
     moved, averaged = _average(gather, phase, index, value)
     keys = np.concatenate([(owner * size + moved).reshape(-1), owner * size + index])
@@ -355,9 +359,9 @@ def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
     exactly the invariant orbit vectors up to normalisation: one function
     per invariant orbit, its terms on the whole orbit, their coefficients
     eighth roots of unity with the orbit's phases up to one common factor."""
-    index, coef = terms.index, terms.coef
+    index, coef = terms.flat, terms.coef
     exps = np.rint(np.angle(coef) * 4.0 / np.pi).astype(int) & 7
-    first, owner = terms.runs()
+    first, owner, _ = _runs(terms.owner)
     orbit = rep[index[first]]
     shift = (exps - orbit_phase[index]) & 7
     return bool(
@@ -370,16 +374,16 @@ def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
     )
 
 
-def _span_projector(terms: _Terms, size: int) -> np.ndarray:
+def _span_projector(terms: _Terms, index: np.ndarray, size: int) -> np.ndarray:
     """Orthogonal projector onto the span of the functions of one degree,
     given by their terms: the sum of c c^H / |c|^2 over each function's
-    coefficients c, at the terms' indices."""
-    row = terms.runs()[1]
+    coefficients c, at the terms' indices into the space of the given size."""
+    row = _runs(terms.owner)[1]
     left, right = np.nonzero(row[:, None] == row)  # every pair of terms of one function
     c = terms.coef
     squared = np.bincount(row, weights=(c.conj() * c).real)
     out = np.zeros((size, size), dtype=complex)
-    np.add.at(out, (terms.index[left], terms.index[right]), c[left] * c[right].conj() / squared[row[left]])
+    np.add.at(out, (index[left], index[right]), c[left] * c[right].conj() / squared[row[left]])
     return out
 
 
@@ -398,7 +402,8 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     gather, phase = _deck_action(build_cyclic8(), jj)
     averaged = np.zeros((dim * dim, dim * dim), dtype=complex)
     np.add.at(averaged, (np.arange(dim * dim), gather), _MU8[phase] / len(gather))
-    return averaged, _span_projector(_mesh_c2(range(jj, jj + 1)).terms, dim * dim)
+    terms = _mesh_c2(range(jj, jj + 1)).terms
+    return averaged, _span_projector(terms, terms.flat, dim * dim)
 
 
 def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
@@ -416,16 +421,16 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
     gather, phase = _deck_action(build_quaternion(), jj)
-    gather, phase = gather.reshape(-1, dim, dim), phase.reshape(-1, dim, dim)
-    if not (np.array_equal(gather % dim, np.broadcast_to(np.arange(dim), gather.shape))
+    rows, cols = (v.reshape(-1, dim, dim) for v in np.unravel_index(gather, (dim, dim)))
+    phase = phase.reshape(rows.shape)
+    if not (np.array_equal(cols, np.broadcast_to(np.arange(dim), cols.shape))
             and np.array_equal(phase, np.broadcast_to(phase[..., :1], phase.shape))):
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
     averaged = np.zeros((dim, dim), dtype=complex)
-    np.add.at(averaged, (np.arange(dim), gather[..., 0] // dim), _MU8[phase[..., 0]] / len(gather))
+    np.add.at(averaged, (np.arange(dim), rows[..., 0]), _MU8[phase[..., 0]] / len(gather))
     terms = _mesh_c3(range(jj, jj + 1)).terms
-    at_top = terms.index % dim == 0  # m2 = j, where the flat index is (j - m1) dim
-    terms = _Terms(*(v[at_top] for v in terms))
-    return averaged, _span_projector(terms._replace(index=terms.index // dim), dim)
+    terms = _Terms(*(v[terms.m2 == jj] for v in terms))
+    return averaged, _span_projector(terms, jj - terms.m1, dim)
 
 
 @dataclass(frozen=True)
@@ -446,22 +451,22 @@ class BasisFunction:
 
     def evaluate(self, u):
         """Value at u: EulerAngles, a 2x2 unitary, stacked matrices, or an
-        exact matrix; broadcasts over arrays.  The terms are one (ranks, 1)
-        grid of weights norm_factor * coef; labels that `_terms` refuses
-        raise ValueError."""
+        exact matrix; broadcasts over arrays.  The terms are one function
+        with weights norm_factor * coef; labels that `_terms` refuses raise
+        ValueError."""
         _integers([self.j, self.m1, self.m2, *(m for m1, m2, _ in self.terms for m in (m1, m2))])
         two_j = 2 * _require_integer_j(self.j)
-        pairs = [[(_two_m(m1, two_j, "m1"), _two_m(m2, two_j, "m2"))] for m1, m2, _ in self.terms]
+        pairs = [(_two_m(m1, two_j, "m1"), _two_m(m2, two_j, "m2")) for m1, m2, _ in self.terms]
         if not pairs:  # the empty sum
             return _scalar_or_array(np.zeros(_points(u).shape, dtype=complex))
-        weights = float(self.norm_factor) * np.array([[coef] for *_, coef in self.terms], dtype=complex)
+        weights = float(self.norm_factor) * np.array([coef for *_, coef in self.terms], dtype=complex)
         return _entry_sum(two_j, pairs, weights, u)
 
     def coefficient_vector(self) -> np.ndarray:
         """Coefficients on the (2j+1)^2 space, (m1, m2) both descending."""
         table = _terms([self])
         vec = np.zeros((2 * int(table.j[0]) + 1) ** 2, dtype=complex)
-        vec[table.terms.index] = table.terms.coef
+        vec[table.terms.flat] = table.terms.coef
         return self.norm_factor * vec
 
     def to_json_dict(self) -> dict:
@@ -477,22 +482,6 @@ class BasisFunction:
             ],
             "norm_factor": self.norm_factor,
         }
-
-
-def _slot_grid(degree: _Terms) -> tuple[np.ndarray, np.ndarray]:
-    """The padded (rank, function) grid of the terms of one degree, as
-    `_slot_values` takes it: each slot's (2 m1, 2 m2) and its weight
-    norm * coef, rank-major, the functions in list order, and a function
-    with fewer terms padded with a valid pair of weight 0, so that each
-    function's value is the sum of its terms in term order."""
-    j = int(degree.j[0])
-    first, row = degree.runs()
-    rank = np.arange(len(row)) - first[row]
-    slots = np.zeros((rank.max() + 1, len(first)), dtype=np.intp)
-    weights = np.zeros(slots.shape, dtype=complex)
-    slots[rank, row] = np.arange(len(row))
-    weights[rank, row] = degree.norm * degree.coef
-    return 2 * (j - np.stack(np.divmod(degree.index[slots], 2 * j + 1), axis=-1)), weights
 
 
 # the kinds of function, one shared string each in the tables' kind columns
@@ -514,8 +503,7 @@ def _mesh(manifold: str, degrees: range, multiplicity, j, m1, m2, kind, partner,
     tm1, tm2, coef = m1[owner], m2[owner], np.ones(len(owner), dtype=complex)
     tm1[second], tm2[second], coef[second] = partner[0][paired], partner[1][paired], phase[paired]
     norm = np.sqrt(2 * j + 1) / np.where(paired, 4.0 * math.pi, math.sqrt(8.0) * math.pi)
-    tj = j[owner]
-    terms = _Terms(owner, tj, (tj - tm1) * (2 * tj + 1) + (tj - tm2), coef, norm[owner])
+    terms = _Terms(owner, j[owner], tm1, tm2, coef, norm[owner])
     return _Basis(manifold, j, m1, m2, kind, norm, terms)
 
 
@@ -553,9 +541,7 @@ def _views(table: _Basis) -> list[BasisFunction]:
     consecutive runs of terms in list order.  They hold Python scalars,
     which json needs."""
     terms = table.terms
-    dim = 2 * terms.j + 1
-    rows = list(zip((terms.j - terms.index // dim).tolist(), (terms.j - terms.index % dim).tolist(),
-                    terms.coef.tolist()))
+    rows = list(zip(terms.m1.tolist(), terms.m2.tolist(), terms.coef.tolist()))
     bounds = np.searchsorted(terms.owner, np.arange(len(table.j) + 1)).tolist()
     columns = (v.tolist() for v in (table.j, table.m1, table.m2, table.kind, table.norm))
     return [
@@ -629,8 +615,7 @@ def _gram_batch(terms: _Terms, sets: np.ndarray, channel: np.ndarray, function: 
     two slots p, q of a channel, c the norm times the coefficient, over its
     channels and ranks in channel order, into an entry for every two of its
     functions that share a channel; no entry is reduced by key."""
-    j, owner = terms.j, terms.owner
-    m1, m2 = j - terms.index // (2 * j + 1), j - terms.index % (2 * j + 1)
+    j, m1, m2, owner = terms.j, terms.m1, terms.m2, terms.owner
     top = int(j.max())
     span = 2 * top + 1
     j0 = np.maximum(np.abs(m1), np.abs(m2))
@@ -644,8 +629,7 @@ def _gram_batch(terms: _Terms, sets: np.ndarray, channel: np.ndarray, function: 
     for degree, small_d in _small_d_by_degree(m1[first], m2[first], rule.cos_beta, top, root_w):
         lo, hi = edges[degree], edges[degree + 1]
         np.take(small_d, pair[by_degree[lo:hi]], axis=0, out=rows[lo:hi])
-    new = np.diff(channel * count + owner, prepend=-1) != 0  # the first term of a function in a channel
-    rank = np.arange(len(j)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    rank = _runs(channel * count + owner)[2]  # each term's rank among its function's terms in its channel
     heads = np.flatnonzero(np.diff(sets, prepend=-1))  # the first term of each set
     grid = np.maximum.reduceat(np.stack([channel, rank, function[owner]]), heads, axis=1) + 1
     within = np.cumsum(np.diff(sets, prepend=-1) != 0) - 1  # the set of each term
@@ -693,9 +677,7 @@ def _gram_entries(table: _Basis, rule=None):
         rule = euler_quadrature(2 * int(table.j.max()))
     n_alpha, n_beta, n_gamma = rule.shape
     terms = table.terms
-    j = terms.j
-    m1, m2 = j - terms.index // (2 * j + 1), j - terms.index % (2 * j + 1)
-    channels, chan = np.unique((m1 % n_alpha) * n_gamma + m2 % n_gamma, return_inverse=True)
+    channels, chan = np.unique((terms.m1 % n_alpha) * n_gamma + terms.m2 % n_gamma, return_inverse=True)
     label, joined = _channel_sets(chan, terms.owner, len(channels), count)
     sets = label[chan]
     channel, function = _places(label), _places(joined)  # each channel's and function's place in its set
@@ -815,7 +797,7 @@ def verify_basis(
     for j in degrees:
         degree = table.terms.degree(j)
         if len(degree.j):  # a degree without terms has no values to compare
-            for _, values in _slot_values(2 * j, *_slot_grid(degree), moved, images):
+            for _, values in _slot_values(2 * j, *degree.slot_columns(), moved, images):
                 values = values.reshape(len(values), -1, images)  # each chunk's values are its own
                 values[..., 1:] -= values[..., :1]
                 period_errs.append(np.max(np.abs(values[..., 1:]), initial=0.0))

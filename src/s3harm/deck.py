@@ -119,12 +119,6 @@ class DeckGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def by_label(self, label: str) -> DeckElement:
-        for el in self.elements:
-            if el.label == label:
-                return el
-        raise KeyError(label)
-
 
 def _element_order(g: HyperoctElement) -> int:
     """Order of g from its signed cycles: a cycle of length n has order n

@@ -239,12 +239,6 @@ class Su2Exact:
         (a, b), (c, d) = self.entries
         return Su2Exact(((-a, -b), (-c, -d)))
 
-    def adjoint(self) -> "Su2Exact":
-        (a, b), (c, d) = self.entries
-        return Su2Exact(
-            ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
-        )
-
     def det(self) -> Cyclo8:
         (a, b), (c, d) = self.entries
         return a * d - b * c

@@ -21,21 +21,22 @@ Every pointwise evaluator takes one route.  _points parses a point
 argument once, whatever its form: the SU(2) check, the unit phases and
 beta over the flattened stack of points (EulerAngles give beta and the
 phases directly, `_euler_points`), and the distinct beta values.
-_slot_values is then the one place where D^j values are summed: it
-evaluates a padded (rank, function) grid of (m1, m2) pairs and weights of
-one degree from that factorisation, written in u alone, with one row per
-slot and one column per point, sums each function's weighted slots over
-the rank blocks, and takes the points in chunks of bounded size.  Its d^j
+_slot_values is then the one place where D^j values are summed: it lays
+out the flat term columns of functions of one degree as a padded (rank,
+function) grid, evaluates it from that factorisation, written in u alone,
+with one row per slot and one column per point, sums each function's
+weighted slots over the rank blocks, and takes the points in chunks of
+bounded size.  Its d^j
 factor (`_small_d`, the one source of the kernel's d^j) is the Delta form
 d^j_{m1 m2}(beta) = sum_lam i^{m2-m1} Delta_{lam m1} Delta_{lam m2} e^{i lam beta}
 (Risbo 1996, J. Geodesy 70, 383; Trapani & Navaza 2006, Acta Cryst. A62,
 262), lam folded with -lam into floor(j) + 1 real coefficients a pair, with
-Delta = d^j(pi/2) in closed form from exact integers (`_delta`).  wigner_entry and
-wigner_entry_function evaluate a grid of one slot, conjugation_harmonic and `bases.BasisFunction.evaluate` one function
-whose slots are weighted by its Clebsch-Gordan coefficients (kept per
-label, `_cg_column`) or its closed-form terms, and wigner_d one rank of
-(2j+1)^2 one-slot functions at one point; `bases` lays out the grids of
-its lists of basis functions.
+Delta = d^j(pi/2) in closed form from exact integers (`_delta`).  The
+callers differ only in their terms: wigner_entry and wigner_entry_function
+one, conjugation_harmonic and `bases.BasisFunction.evaluate` those of one
+function, weighted by Clebsch-Gordan (kept per label, `_cg_column`) or
+closed-form coefficients, wigner_d (2j+1)^2 one-term functions at one
+point, and `bases.verify_basis` each degree of its table.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -248,19 +249,31 @@ def _small_d(two_j: int, pairs, beta) -> np.ndarray:
     return out.reshape(beta.shape + (len(r1),))
 
 
-def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1):
-    """Values at points (`_points`) of the functions of one degree j laid
-    out on a padded (rank, function) grid, chunk by chunk: yields (at,
-    values), the slice of the flattened points a chunk covers and their
-    values, a row per function and a column per point.  This is the one
-    place where D^j values are summed.
+def _runs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, run, rank) of items whose equal labels come in contiguous
+    runs: the position of each run's first item, and for each item the
+    number of its run and its position within it."""
+    labels = np.asarray(labels)
+    starts = np.diff(labels, prepend=labels[:1] - 1) != 0
+    first = np.flatnonzero(starts)
+    run = np.cumsum(starts) - 1
+    return first, run, np.arange(len(labels)) - first[run]
 
-    pairs holds each slot's (2 m1, 2 m2), shape (ranks, functions, 2), and
-    weights its weight, shape (ranks, functions), or None for a weight of 1
-    that multiplies nothing (1 + 0j would flip the sign of a zero part); a
-    function with fewer terms than the grid has ranks is padded with a
-    valid pair of weight 0.  A value is the sum of its function's weight
-    times D^j_{m1 m2} over the ranks, added in rank order.
+
+def _slot_values(two_j: int, pairs, owner, weights, points: _Points, group: int = 1):
+    """Values at points (`_points`) of functions of one degree j, chunk by
+    chunk: yields (at, values), the slice of the flattened points a chunk
+    covers and their values, a row per function and a column per point.
+    This is the one place where D^j values are summed.
+
+    The functions come as flat term columns: pairs holds each term's
+    (2 m1, 2 m2), owner its function (a function's terms are one contiguous
+    run, a row per run), and weights its weight, or None for a weight of 1
+    that multiplies nothing (1 + 0j would flip the sign of a zero part).
+    They are laid out here on a padded (rank, function) grid, rank-major; a
+    function with fewer terms is padded with the first term's pair at
+    weight 0, which needs weights.  A value is the sum of its function's
+    weight times D^j_{m1 m2} over the ranks, added in rank order.
 
     An entry is (a/|a|)^{m1+m2} (b/|b|)^{m1-m2} d^j_{m1 m2}(beta); the phases
     are integer powers, not exp(i k arg z), so exact lifts stay exact, and
@@ -272,15 +285,27 @@ def _slot_values(two_j: int, pairs, weights, points: _Points, group: int = 1):
     slots and the 2 (4j + 1) rows of the table of powers within
     _ENTRY_BUDGET, and one group at least.
     """
-    grid = np.shape(pairs)[:-1]
     pairs = np.reshape(pairs, (-1, 2))
+    grid = (len(pairs), 1)  # one function's terms are its ranks, in order
+    if owner[0] != owner[-1]:  # more functions: the padded rank-major grid
+        _, run, rank = _runs(owner)
+        grid = (int(rank.max()) + 1, int(run[-1]) + 1)
+        slot = np.zeros(grid, dtype=np.intp)  # a padding slot reads the first term
+        slot[rank, run] = np.arange(len(run))
+        pairs = pairs[slot.reshape(-1)]
+        if weights is not None:
+            padded = np.zeros(grid, dtype=complex)
+            padded[rank, run] = weights
+            weights = padded
+        elif slot.size > len(run):
+            raise ValueError("a padded grid needs weights")
     weights = None if weights is None else np.reshape(weights, (-1, 1))
     small_d = _small_d(two_j, pairs, points.beta)
     a_power = two_j + (pairs[:, 0] + pairs[:, 1]) // 2
     b_power = two_j + (pairs[:, 0] - pairs[:, 1]) // 2
     width = max(math.prod(grid), 2 * (2 * two_j + 1))
     step = group * max(1, _ENTRY_BUDGET // (width * group))
-    for start in range(0, len(points.where), step):
+    for start in range(0, max(len(points.where), 1), step):  # one chunk at least, empty for no points
         at = slice(start, start + step)
         powers = _unit_powers(points.unit[:, at], two_j)
         columns = powers[0][a_power]
@@ -368,27 +393,29 @@ def _scalar_or_array(values: np.ndarray):
     return values if values.shape else complex(values)
 
 
-def _grid_values(two_j: int, pairs, weights, points: _Points) -> np.ndarray:
+def _grid_values(two_j: int, pairs, owner, weights, points: _Points) -> np.ndarray:
     """Every value of `_slot_values`, a row per function and a column per
     flattened point."""
-    out = np.empty((np.shape(pairs)[1], len(points.where)), dtype=complex)
-    for at, values in _slot_values(two_j, pairs, weights, points):
+    out = None
+    for at, values in _slot_values(two_j, pairs, owner, weights, points):
+        if out is None:  # the first chunk gives the number of functions
+            out = np.empty((len(values), len(points.where)), dtype=complex)
         out[:, at] = values
     return out
 
 
 def _entry_sum(two_j: int, pairs, weights, u):
-    """The one function of a grid of `_slot_values` (pairs of shape
-    (ranks, 1, 2)) at the point argument u (`_points`), in its batch
-    shape; a complex at a single point."""
+    """The value of one function, whose terms are pairs (2 m1, 2 m2) with
+    weights (`_slot_values`), at the point argument u (`_points`), in its
+    batch shape; a complex at a single point."""
     points = _points(u)
-    return _scalar_or_array(_grid_values(two_j, pairs, weights, points).reshape(points.shape))
+    return _scalar_or_array(_grid_values(two_j, pairs, [0] * len(pairs), weights, points).reshape(points.shape))
 
 
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
     tj = _two_j(j)
-    pairs = [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]]
+    pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
     u = np.stack(np.broadcast_arrays(a, b, c, d), axis=-1)
     return _entry_sum(tj, pairs, None, u.reshape(u.shape[:-1] + (2, 2)))
 
@@ -404,8 +431,8 @@ def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
     if points.shape != ():
         raise ValueError(f"expected one 2x2 matrix, got a batch of shape {points.shape}")
     ms = np.arange(two_j, -two_j - 1, -2)
-    pairs = np.stack(np.meshgrid(ms, ms, indexing="ij"), axis=-1).reshape(1, -1, 2)
-    return _grid_values(two_j, pairs, None, points).reshape(two_j + 1, two_j + 1)
+    pairs = np.stack(np.meshgrid(ms, ms, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _grid_values(two_j, pairs, np.arange(len(pairs)), None, points).reshape(two_j + 1, two_j + 1)
 
 
 def su2_character(j, phi) -> float:
@@ -500,7 +527,7 @@ class EulerAngles:
 def wigner_entry_function(j, m1, m2):
     """Vectorized callable of EulerAngles returning D^j_{m1,m2}."""
     tj = _two_j(j)
-    pairs = [[(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]]
+    pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
 
     def evaluate(angles: EulerAngles):
         return _entry_sum(tj, pairs, None, angles)
@@ -679,4 +706,4 @@ def conjugation_harmonic(beta_label: int, l, m, u):
         raise ValueError(f"l must be an integer in 0..{two_j}")
     tm = _two_m(m, tl, "m")
     column = _cg_column(two_j, tl, tm)
-    return _entry_sum(two_j, [[pair] for *pair, _ in column], [[coef] for *_, coef in column], u)
+    return _entry_sum(two_j, [pair for *pair, _ in column], [coef for *_, coef in column], u)

@@ -20,6 +20,8 @@ from s3harm.wigner import (
     wigner_entry_function,
 )
 
+from helpers import by_label
+
 
 MULT_C8 = [1, 1, 7, 11, 23, 27, 45, 53, 77]
 MULT_Q = [1, 0, 10, 7, 27, 22, 52, 45, 85]
@@ -62,20 +64,20 @@ def test_criterion_04_group_structure():
 
     c2 = deck.build_cyclic8()
     assert c2.isomorphism == "cyclic-8" and c2.order == 8
-    g1 = c2.by_label("g1").element
+    g1 = by_label(c2, "g1").element
     p = gc.IDENTITY
     for t in range(1, 9):
         p = gc.multiply(g1, p)
         assert (p == gc.IDENTITY) == (t == 8)
-    g1_4 = c2.by_label("g1^4").element
+    g1_4 = by_label(c2, "g1^4").element
     assert g1_4 == gc.INVERSION
 
     c3 = deck.build_quaternion()
     assert c3.isomorphism == "quaternion"
-    q1 = c3.by_label("q1").element
-    q2 = c3.by_label("q2").element
-    q3 = c3.by_label("q3").element
-    j4 = c3.by_label("J4").element
+    q1 = by_label(c3, "q1").element
+    q2 = by_label(c3, "q2").element
+    q3 = by_label(c3, "q3").element
+    j4 = by_label(c3, "J4").element
     assert j4 == gc.INVERSION
     for q in (q1, q2, q3):
         assert gc.multiply(q, q) == j4
@@ -129,7 +131,7 @@ def test_criterion_05_table_fidelity():
         assert got == (left, right) or flipped == (left, right), label
     c3 = deck.build_quaternion()
     for label, eps, cycles, action, left, right in QUATERNION_GENERATORS:
-        d = c3.by_label(label)
+        d = by_label(c3, label)
         assert "(" + "".join("+" if s > 0 else "-" for s in d.element.signs) + ")" == eps
         assert gc.perm_to_cycles(d.element.perm) == cycles
         assert d.element.action_string() == action
@@ -275,7 +277,7 @@ def test_criterion_10_wigner_kernel():
                 if m1 == m2:
                     pats["q3"][r, c] = cmath.exp(-1j * np.pi * m1)
         for label, pat in pats.items():
-            got = wigner_d(j, q.by_label(label).pair.left)
+            got = wigner_d(j, by_label(q, label).pair.left)
             assert np.max(np.abs(got - pat)) < 1e-12, (label, j)
 
     # transformation law of the conjugation-adapted harmonics

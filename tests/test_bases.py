@@ -22,19 +22,21 @@ from s3harm.wigner import (
     wigner_entry,
 )
 
+from helpers import by_label
+
 
 def basis_values(functions, u):
     """Batched reference: every function at u, one column per function in
     list order, from the list's table, degree by degree: u parsed once
-    (`wigner._points`), and each degree's grid (`bases._slot_grid`)
-    evaluated by `wigner._slot_values`."""
+    (`wigner._points`), and each degree's terms evaluated by
+    `wigner._slot_values`."""
     table = bases._terms(functions)
     points = wigner._points(u)
     out = np.zeros((len(table.j), len(points.where)), dtype=complex)
     for j in np.flatnonzero(np.bincount(table.terms.j)):
         degree = table.terms.degree(j)
-        rows = degree.owner[degree.runs()[0]]
-        for at, values in wigner._slot_values(2 * int(j), *bases._slot_grid(degree), points):
+        rows = degree.owner[wigner._runs(degree.owner)[0]]
+        for at, values in wigner._slot_values(2 * int(j), *degree.slot_columns(), points):
             out[rows, at] = values
     return out.T.reshape(points.shape + (len(table.j),))
 
@@ -315,7 +317,7 @@ def test_evaluate_agrees_across_input_forms():
     v_plain = f.evaluate(u)
     v_stack = f.evaluate(stacked)
     assert abs(v_plain - v_stack[0]) < 1e-14
-    q1 = build_quaternion().by_label("q1").pair.left
+    q1 = by_label(build_quaternion(), "q1").pair.left
     assert abs(f.evaluate(q1) - f.evaluate(q1.to_complex())) < 1e-14
 
 
@@ -327,7 +329,7 @@ def test_a_record_is_evaluated_as_one_grid_without_a_table(monkeypatch):
         su2.matrix_from_point(x[0]),
         su2.matrix_from_point(x).reshape(3, 4, 2, 2),
         EulerAngles(np.linspace(-1, 6, 5)[:, None], np.linspace(0, np.pi, 5)[:, None], np.linspace(0, 3, 2)),
-        build_quaternion().by_label("q2").pair.left,
+        by_label(build_quaternion(), "q2").pair.left,
     ]
     fns = [f for j in (0, 3, 6) for manifold in ("C2", "C3") for f in bases.basis_for(manifold, j)[:3]]
     listed = [[basis_values([f], u)[..., 0] for u in forms] for f in fns]
@@ -336,7 +338,6 @@ def test_a_record_is_evaluated_as_one_grid_without_a_table(monkeypatch):
         raise AssertionError("a single record built a table")
 
     monkeypatch.setattr(bases, "_terms", no_table)
-    monkeypatch.setattr(bases, "_slot_grid", no_table)
     for f, expected in zip(fns, listed):
         for u, want in zip(forms, expected):
             got = np.asarray(f.evaluate(u))
@@ -355,7 +356,7 @@ def test_batched_evaluator_matches_per_function_sums(manifold):
         rng.uniform(0, 2 * np.pi, 6), rng.uniform(0, np.pi, 6), rng.uniform(0, 2 * np.pi, 6)
     )
     stacked = np.stack([su2.matrix_from_point(x) for x in gc.random_sphere_points(6, seed=9)])
-    exact = build_quaternion().by_label("q2").pair.left
+    exact = by_label(build_quaternion(), "q2").pair.left
     for u, mats in ((angles, angles.matrix()), (stacked, stacked), (exact, exact.to_complex())):
         entries = (mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1])
         batched = basis_values(fns, u)
@@ -748,9 +749,9 @@ def test_periodicity_stacks_no_identity_image(monkeypatch):
         parsed.append(np.shape(u))
         return real_points(u, *args)
 
-    def slot_values_spy(two_j, pairs, weights, points, group=1):
+    def slot_values_spy(two_j, pairs, owner, weights, points, group=1):
         evaluated.append((points.shape, group))
-        return real_slot_values(two_j, pairs, weights, points, group)
+        return real_slot_values(two_j, pairs, owner, weights, points, group)
 
     monkeypatch.setattr(bases, "_points", points_spy)
     monkeypatch.setattr(bases, "_slot_values", slot_values_spy)
@@ -799,8 +800,8 @@ def test_distinct_beta_route_without_repeats_is_the_dense_route(manifold, budget
     dense = np.full((len(fns), 23), np.nan, dtype=complex)
     for j in np.flatnonzero(np.bincount(terms.j)):
         degree = terms.degree(j)
-        ((at, values),) = wigner._slot_values(2 * int(j), *bases._slot_grid(degree), points)
-        dense[degree.owner[degree.runs()[0]], at] = values
+        ((at, values),) = wigner._slot_values(2 * int(j), *degree.slot_columns(), points)
+        dense[degree.owner[wigner._runs(degree.owner)[0]], at] = values
     one_by_one = np.stack([f.evaluate(u) for f in fns], axis=-1)
     monkeypatch.setattr(wigner, "_ENTRY_BUDGET", budget)
     assert np.array_equal(basis_values(fns, u), dense.T)
@@ -833,6 +834,59 @@ def test_functions_of_one_to_three_terms_sum_like_their_entries(monkeypatch):
         values.append(basis_values(fns, u))
     assert np.max(np.abs(values[0] - expected)) <= 1e-13
     assert all(np.array_equal(v, values[0]) for v in values[1:])
+
+
+def test_terms_shuffled_across_degrees_are_laid_out_by_the_kernel():
+    # 1-, 2- and 3-term records in one degree, one holding a term twice,
+    # shuffled across three degrees: each degree's flat term columns go to
+    # the kernel, which pads its own grid, and each value is the sum of
+    # weight times entry over the record's terms
+    def fn(j, norm, *terms):
+        return bases.BasisFunction("C2", j, terms[0][0], terms[0][1], "test", terms, norm)
+
+    fns = [
+        fn(2, 0.4, (2, 0, 1.0)),
+        fn(2, 0.6, (0, -2, 1j), (-2, 2, -0.5)),
+        fn(4, 1.2, (4, 4, 0.5 - 0.5j), (1, -3, 1.0), (-4, 0, 0.25j)),
+        fn(4, 0.8, (3, 3, 1.0), (3, 3, -0.5 + 0.25j)),
+        fn(4, 0.3, (0, 0, 1.0)),
+        fn(7, 0.9, (7, -7, 1.0), (-6, 5, 1j), (2, 2, -1.0)),
+        fn(7, 1.1, (-1, 1, 0.5)),
+        fn(7, 0.5, (6, 0, 1.0), (-6, 0, -1.0)),
+    ]
+    shuffled = [fns[i] for i in (5, 0, 3, 6, 2, 1, 7, 4)]
+    u = su2.matrix_from_point(gc.random_sphere_points(31, seed=4))
+    entries = (u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1])
+    points = wigner._points(u)
+    terms = bases._terms(shuffled).terms
+    seen = []
+    for j in np.flatnonzero(np.bincount(terms.j)):
+        degree = terms.degree(j)
+        values = wigner._grid_values(2 * int(j), *degree.slot_columns(), points)
+        owners = degree.owner[wigner._runs(degree.owner)[0]]
+        assert values.shape == (len(owners), 31)
+        for f, got in zip((shuffled[k] for k in owners), values):
+            expected = sum(f.norm_factor * coef * wigner_entry(f.j, m1, m2, *entries) for m1, m2, coef in f.terms)
+            assert np.max(np.abs(got - expected)) <= 1e-14
+        seen.extend(owners.tolist())
+    assert sorted(seen) == list(range(len(fns)))
+    assert bases.verify_basis(shuffled, build_cyclic8()) == bases.verify_basis(fns, build_cyclic8())
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_the_flat_index_is_where_the_coefficient_vector_is_nonzero(manifold):
+    # the index the table derives from its (m1, m2) labels, against the
+    # coefficient vector of each record, whose matrix holds each term's
+    # coefficient at row j - m1 and column j - m2
+    mesh = bases._by_manifold(manifold, bases._mesh_c2, bases._mesh_c3)(range(13))
+    records = [f for j in range(13) for f in bases.basis_for(manifold, j)]
+    bounds = np.append(wigner._runs(mesh.terms.owner)[0], len(mesh.terms.owner))
+    assert len(records) == len(bounds) - 1
+    for f, lo, hi in zip(records, bounds, bounds[1:]):
+        vec = f.coefficient_vector()
+        assert np.array_equal(np.sort(mesh.terms.flat[lo:hi]), np.flatnonzero(vec))
+        matrix = vec.reshape(2 * f.j + 1, 2 * f.j + 1)
+        assert all(matrix[f.j - m1, f.j - m2] == f.norm_factor * coef for m1, m2, coef in f.terms)
 
 
 @pytest.mark.parametrize(
@@ -988,7 +1042,7 @@ def test_pairs_against_the_product_table_fail_the_homomorphism_check():
     # no longer acts as g1^2 does
     group = build_cyclic8()
     els = list(group.elements)
-    g1, g2 = group.by_label("g1"), group.by_label("g1^2")
+    g1, g2 = by_label(group, "g1"), by_label(group, "g1^2")
     els[els.index(g1)], els[els.index(g2)] = replace(g1, pair=g2.pair), replace(g2, pair=g1.pair)
     swapped = DeckGroup(name=group.name, isomorphism=group.isomorphism, elements=tuple(els))
     fns = [f for j in range(4) for f in bases.basis_c2(j)]

@@ -13,6 +13,8 @@ from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.su2 import IsoPair, lift_even_word
 
+from helpers import by_label
+
 
 # label, epsilon, cycles, point action, left lift, right lift
 CYCLIC_TABLE = [
@@ -60,7 +62,7 @@ def test_cyclic_group_structure():
     group = deck.build_cyclic8()
     assert group.order == 8
     assert group.isomorphism == "cyclic-8"
-    g1 = group.by_label("g1").element
+    g1 = by_label(group, "g1").element
     power = gc.IDENTITY
     for t in range(1, 9):
         power = gc.multiply(g1, power)
@@ -76,10 +78,10 @@ def test_quaternion_group_structure():
     assert group.order == 8
     assert group.isomorphism == "quaternion"
     e = gc.IDENTITY
-    q1 = group.by_label("q1").element
-    q2 = group.by_label("q2").element
-    q3 = group.by_label("q3").element
-    j4 = group.by_label("J4").element
+    q1 = by_label(group, "q1").element
+    q2 = by_label(group, "q2").element
+    q3 = by_label(group, "q3").element
+    j4 = by_label(group, "J4").element
     assert j4 == gc.INVERSION
     for q in (q1, q2, q3):
         assert gc.multiply(q, q) == j4
@@ -265,7 +267,7 @@ def test_conjugated_pairs_keep_the_pair_table_but_move_points_wrongly():
     # the comparison on the basis points of R^4 can see that the pairs no
     # longer act as their signed permutations
     base = deck.build_quaternion()
-    h = deck.build_cyclic8().by_label("g1").pair
+    h = by_label(deck.build_cyclic8(), "g1").pair
     els = [
         deck.DeckElement(
             el.label,

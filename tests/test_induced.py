@@ -23,6 +23,8 @@ from s3harm.induced import (
     sn_character_table,
 )
 
+from helpers import by_label
+
 
 def transversal_is_left(little: str) -> bool:
     """Whether the transversal tiles S(4) by disjoint left cosets c K."""
@@ -157,7 +159,7 @@ def test_frozen_character_columns(mu, f, col_c8, col_q):
 
 def test_character_worked_examples():
     c2 = deck.build_cyclic8()
-    g1sq = c2.by_label("g1^2").element
+    g1sq = by_label(c2, "g1^2").element
     assert induced_character(make_irrep(MU_REPRESENTATIVES[0], (2, 2)), g1sq) == 2
     rep = make_irrep(MU_REPRESENTATIVES[1], ((3,), (1,)))
     assert induced_character(rep, gc.INVERSION) == -4
@@ -188,7 +190,7 @@ def _parse_f(text):
 def test_character_is_a_class_function_on_the_big_group():
     big = gc.closure(list(gc.WEYL_GENERATORS.values()), bound=500)
     rep = make_irrep(MU_REPRESENTATIVES[2], ((2,), (1, 1)))
-    probe = deck.build_quaternion().by_label("q2").element
+    probe = by_label(deck.build_quaternion(), "q2").element
     base = induced_character(rep, probe)
     for h in big[:40]:
         conj = gc.multiply(gc.multiply(h, probe), gc.inverse(h))

@@ -13,6 +13,8 @@ from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.su2 import Cyclo8, IsoPair, Su2Exact
 
+from helpers import adjoint
+
 
 A = Cyclo8((0, 1, 0, 0), 0)          # primitive eighth root
 ONE = Cyclo8.from_int(1)
@@ -20,7 +22,7 @@ ROOT2 = Cyclo8((0, 1, 0, -1), 0)     # a - a^3
 
 
 def is_unitary(m: Su2Exact) -> bool:
-    return m * m.adjoint() == Su2Exact.identity()
+    return m * adjoint(m) == Su2Exact.identity()
 
 
 def canonical(pair: IsoPair) -> IsoPair:

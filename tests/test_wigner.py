@@ -37,6 +37,8 @@ from s3harm.wigner import (
     wigner_entry_function,
 )
 
+from helpers import by_label
+
 
 def random_su2(rng):
     x = rng.normal(size=4)
@@ -139,7 +141,7 @@ def test_entry_broadcasting_matches_scalar_loop():
     us = np.stack([random_su2(rng) for _ in range(40)])
     assert 41 * 41 * 40 > wigner._ENTRY_BUDGET
     points = wigner._points(us)
-    batched = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
+    batched = wigner._grid_values(40, all_pairs(40), np.arange(41 * 41), None, points)
     assert batched.shape == (41 * 41, 40)
     for k in range(40):
         assert np.max(np.abs(batched[:, k].reshape(41, 41) - wigner_d(20, us[k]))) < 1e-14
@@ -341,7 +343,10 @@ def test_small_d_folds_lam_with_minus_lam_in_bounded_memory():
     # C3's degree-80 grid has 13,202 pairs: folded, their rows take 8.6 MB
     # (81 coefficients a pair) and one call at 200 beta peaks near 39 MiB;
     # the unfolded rows, half of them zeros, took 34 MB and the call 54 MiB
-    pairs, _ = bases._slot_grid(bases._mesh_c3(range(81)).terms.degree(80))
+    terms, owner, _ = bases._mesh_c3(range(81)).terms.degree(80).slot_columns()
+    _, run, rank = wigner._runs(owner)
+    pairs = np.zeros((2, run[-1] + 1, 2), dtype=int) + terms[0]  # padded as `_slot_values` pads
+    pairs[rank, run] = terms
     beta = np.random.default_rng(46).uniform(0, np.pi, 200)
     tracemalloc.start()
     try:
@@ -569,12 +574,25 @@ def test_wigner_d_is_the_all_pairs_grid():
     first = wigner_d(20, u)
     assert wigner_d(20, u).tobytes() == first.tobytes()
     points = wigner._points(u)
-    grid = wigner._grid_values(40, np.reshape(all_pairs(40), (1, -1, 2)), None, points)
+    grid = wigner._grid_values(40, all_pairs(40), np.arange(41 * 41), None, points)
     assert grid.reshape(41, 41).tobytes() == first.tobytes()
     # calls at other degrees in between change no bit
     for j in range(12):
         wigner_d(j, u)
     assert wigner_d(20, u).tobytes() == first.tobytes()
+
+
+def test_the_kernel_pads_a_shorter_function_and_refuses_padding_without_weights():
+    # functions of 2 and 1 terms: the kernel lays out two ranks and pads the
+    # second function with the first term's pair at weight 0
+    u = random_su2(np.random.default_rng(3))
+    points = wigner._points(u)
+    entry = [wigner_entry(1, m1, m2, u[0, 0], u[0, 1], u[1, 0], u[1, 1]) for m1, m2 in ((1, 0), (0, -1), (-1, 1))]
+    values = wigner._grid_values(2, [(2, 0), (0, -2), (-2, 2)], [4, 4, 9], [1.0, 1j, 0.5], points)
+    assert values.shape == (2, 1)
+    assert abs(values[0, 0] - (entry[0] + 1j * entry[1])) < 1e-15 and abs(values[1, 0] - 0.5 * entry[2]) < 1e-15
+    with pytest.raises(ValueError, match="needs weights"):
+        wigner._grid_values(2, [(2, 0), (0, -2), (-2, 2)], [4, 4, 9], None, points)
 
 
 def test_a_harmonic_over_a_large_stack_is_evaluated_in_bounded_memory():
@@ -640,19 +658,19 @@ def test_quaternion_generator_matrices_follow_closed_patterns():
                     pat_q2[r, col] = (-1.0) ** (j + m1)
                 if m1 == m2:
                     pat_q3[r, col] = cmath.exp(-1j * np.pi * m1)
-        assert np.allclose(wigner_d(j, q.by_label("q1").pair.left), pat_q1, atol=1e-12)
-        assert np.allclose(wigner_d(j, q.by_label("q2").pair.left), pat_q2, atol=1e-12)
-        assert np.allclose(wigner_d(j, q.by_label("q3").pair.left), pat_q3, atol=1e-12)
+        assert np.allclose(wigner_d(j, by_label(q, "q1").pair.left), pat_q1, atol=1e-12)
+        assert np.allclose(wigner_d(j, by_label(q, "q2").pair.left), pat_q2, atol=1e-12)
+        assert np.allclose(wigner_d(j, by_label(q, "q3").pair.left), pat_q3, atol=1e-12)
         # central element enters through the right factor only
-        wr = wigner_d(j, q.by_label("J4").pair.right)
+        wr = wigner_d(j, by_label(q, "J4").pair.right)
         assert np.allclose(wr, (-1.0) ** (2 * j) * np.eye(dim), atol=1e-12)
 
 
 def test_spot_values_spin_one_generators():
     q = build_quaternion()
-    d_q1 = wigner_d(1, q.by_label("q1").pair.left)
-    d_q2 = wigner_d(1, q.by_label("q2").pair.left)
-    d_q3 = wigner_d(1, q.by_label("q3").pair.left)
+    d_q1 = wigner_d(1, by_label(q, "q1").pair.left)
+    d_q2 = wigner_d(1, by_label(q, "q2").pair.left)
+    d_q3 = wigner_d(1, by_label(q, "q3").pair.left)
     assert np.allclose(d_q1, np.fliplr(np.diag([-1, -1, -1])), atol=1e-13)
     assert np.allclose(d_q2, np.fliplr(np.diag([1, -1, 1])), atol=1e-13)
     assert np.allclose(d_q3, np.diag([-1, 1, -1]), atol=1e-13)
@@ -687,9 +705,9 @@ def test_character_trace_identity():
 def test_two_sided_character_examples():
     c2 = build_cyclic8()
     q = build_quaternion()
-    assert abs(character_jj(c2.by_label("e").pair, 2) - 25.0) < 1e-12
-    assert abs(character_jj(q.by_label("J4").pair, 1) - 9.0) < 1e-12
-    assert abs(character_jj(q.by_label("q1").pair, 2) - 5.0) < 1e-12
+    assert abs(character_jj(by_label(c2, "e").pair, 2) - 25.0) < 1e-12
+    assert abs(character_jj(by_label(q, "J4").pair, 1) - 9.0) < 1e-12
+    assert abs(character_jj(by_label(q, "q1").pair, 2) - 5.0) < 1e-12
 
 
 def test_two_sided_character_ignores_simultaneous_sign():
@@ -1033,7 +1051,7 @@ def test_a_clebsch_gordan_column_is_summed_once_per_label(monkeypatch):
 
 def test_harmonic_accepts_exact_matrices():
     q = build_quaternion()
-    d = q.by_label("q1")
+    d = by_label(q, "q1")
     via_exact = conjugation_harmonic(3, 2, 1, d.pair.left)
     via_complex = conjugation_harmonic(3, 2, 1, d.pair.left.to_complex())
     assert abs(via_exact - via_complex) < 1e-14
