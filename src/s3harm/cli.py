@@ -40,7 +40,9 @@ def _tolerance(text: str) -> float:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite positive number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"tolerance (--tol or {TOL_ENV_VAR}) must be a finite positive number, got {text!r}"
+        )
     return value
 
 
@@ -52,32 +54,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _resolve_tol(parser: argparse.ArgumentParser, flag: float | None) -> float:
-    if flag is not None:
-        return flag
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
+def _degree(text: str) -> int:
+    """A degree in 0..J_MAX_LIMIT, for --j and --jmax."""
     try:
-        return _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"{TOL_ENV_VAR}: {exc}")
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= J_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"degree must be an integer in 0..{J_MAX_LIMIT}, got {text!r}")
+    return value
 
 
-def _check_output(parser: argparse.ArgumentParser, path: str | None) -> None:
-    """Refuse an --output path that cannot be written, before any work."""
-    if path is None:
-        return
+def _writable(path: str) -> str:
+    """An --output path that can be written, checked before any work."""
     folder = os.path.dirname(os.path.abspath(path))
     target = path if os.path.exists(path) else folder
     if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
-        parser.error(f"--output {path!r} cannot be written")
-
-
-def _check_j(parser: argparse.ArgumentParser, value: int, name: str) -> int:
-    if value < 0 or value > J_MAX_LIMIT:
-        parser.error(f"{name} must be in 0..{J_MAX_LIMIT}")
-    return value
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}")
+    return path
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
@@ -294,12 +288,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--output", default=None, help="write to a file instead of stdout")
+    common.add_argument("--output", type=_writable, default=None, help="write to a file instead of stdout")
     common.add_argument("--seed", type=_seed, default=42)
     common.add_argument(
         "--tol",
         type=_tolerance,
-        default=None,
+        default=os.environ.get(TOL_ENV_VAR, DEFAULT_TOL),
         help=f"tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR})",
     )
     parser = argparse.ArgumentParser(
@@ -320,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
         "multiplicity", parents=[common], help="periodic-harmonic counts per degree"
     )
     p_mult.add_argument("--manifold", choices=("C2", "C3"), required=True)
-    p_mult.add_argument("--jmax", type=int, default=8)
+    p_mult.add_argument("--jmax", type=_degree, default=8)
     p_mult.set_defaults(run=cmd_multiplicity)
 
     p_basis = sub.add_parser(
         "basis", parents=[common], help="symbolic orthonormal basis records"
     )
     p_basis.add_argument("--manifold", choices=("C2", "C3"), required=True)
-    p_basis.add_argument("--j", type=int, required=True)
+    p_basis.add_argument("--j", type=_degree, required=True)
     p_basis.set_defaults(run=cmd_basis)
 
     p_induced = sub.add_parser(
@@ -338,19 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", choices=("group", "basis", "induced", "all"), default="all")
     p_verify.add_argument("--manifold", choices=("C2", "C3"), default=None)
-    p_verify.add_argument("--jmax", type=int, default=4)
+    p_verify.add_argument("--jmax", type=_degree, default=4)
     p_verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in ("j", "jmax"):
-        if getattr(args, name, None) is not None:
-            _check_j(parser, getattr(args, name), f"--{name}")
-    _check_output(parser, args.output)
-    args.tol = _resolve_tol(parser, args.tol)
+    args = build_parser().parse_args(argv)
     try:
         payload, code = args.run(args)
         _emit(payload, args)

@@ -39,7 +39,6 @@ __all__ = [
     "deck_group",
     "product_table",
     "relations_hold",
-    "standard_glue",
     "verify_deck_group",
 ]
 
@@ -67,29 +66,6 @@ QUATERNION_WORDS = {
 # Equivalent inversion-free spelling of q1; same isometry, used as a
 # consistency probe on the builder's input.
 _Q1_ALT = (2, 1, 0, 4)
-
-
-@dataclass(frozen=True)
-class GlueOperator:
-    """One face identification: its word, signed permutation, and pair."""
-
-    faces: str
-    word: tuple
-    element: HyperoctElement
-    pair: IsoPair
-
-
-def standard_glue(faces: str) -> GlueOperator:
-    """Glue operator for a face pair named like "1<=6"."""
-    if faces not in GLUE_WORDS:
-        raise ValueError(f"unknown face pair {faces!r}; expected one of {sorted(GLUE_WORDS)}")
-    word = GLUE_WORDS[faces]
-    return GlueOperator(
-        faces=faces,
-        word=word,
-        element=gc.element_from_word(word),
-        pair=lift_even_word(word),
-    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ stacks of them; `apply` keeps integer inputs exact.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass
@@ -41,12 +40,10 @@ __all__ = [
     "closure",
     "compose_in_order",
     "cycles_to_perm",
-    "element_from_json",
     "element_from_word",
     "has_fixed_point_on_sphere",
     "inverse",
     "multiply",
-    "orbit",
     "perm_to_cycles",
 ]
 
@@ -162,13 +159,6 @@ class HyperoctElement:
             parts.append(("-" if self.signs[i] < 0 else "") + f"x{inv[i]}")
         return "(" + ",".join(parts) + ")"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "signs": list(self.signs),
-            "perm": list(self.perm),
-            "cycles": self.cycles,
-        }
-
     def sort_key(self):
         return (self.perm, tuple(0 if s > 0 else 1 for s in self.signs))
 
@@ -283,27 +273,6 @@ def has_fixed_point_on_sphere(g: HyperoctElement) -> bool:
     around its cycle is +1.
     """
     return any(s == 1 for _, s in _signed_cycles(g))
-
-
-def orbit(group, x, tol: float = 1e-9) -> list[np.ndarray]:
-    """Distinct images of x under all elements, deduplicated to `tol`.
-
-    The result is sorted lexicographically for deterministic output.
-    """
-    images = []
-    for g in group:
-        y = np.asarray(apply(g, x), dtype=float)
-        if not any(np.max(np.abs(y - z)) <= tol for z in images):
-            images.append(y)
-    return sorted(images, key=lambda v: tuple(np.round(v / tol) * tol))
-
-
-def element_from_json(text: str) -> HyperoctElement:
-    data = json.loads(text) if isinstance(text, str) else text
-    elem = HyperoctElement(tuple(data["signs"]), tuple(data["perm"]))
-    if "cycles" in data and cycles_to_perm(data["cycles"]) != elem.perm:
-        raise ValueError("cycle string disagrees with one-line perm")
-    return elem
 
 
 def _integer(value, what: str) -> int:

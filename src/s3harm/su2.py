@@ -294,10 +294,6 @@ class IsoPair:
     left: Su2Exact
     right: Su2Exact
 
-    @classmethod
-    def identity(cls) -> "IsoPair":
-        return cls(Su2Exact.identity(), Su2Exact.identity())
-
     def compose(self, other: "IsoPair") -> "IsoPair":
         """Pair of self followed by other (application order)."""
         return IsoPair(self.left * other.left, self.right * other.right)

@@ -32,11 +32,12 @@ d^j_{m1 m2}(beta) = sum_lam i^{m2-m1} Delta_{lam m1} Delta_{lam m2} e^{i lam bet
 (Risbo 1996, J. Geodesy 70, 383; Trapani & Navaza 2006, Acta Cryst. A62,
 262), lam folded with -lam into floor(j) + 1 real coefficients a pair, with
 Delta = d^j(pi/2) in closed form from exact integers (`_delta`).  The
-callers differ only in their terms: wigner_entry and wigner_entry_function
-one, conjugation_harmonic and `bases.BasisFunction.evaluate` those of one
-function, weighted by Clebsch-Gordan (kept per label, `_cg_column`) or
-closed-form coefficients, wigner_d (2j+1)^2 one-term functions at one
-point, and `bases.verify_basis` each degree of its table.
+callers differ only in their terms: wigner_entry_function one (wigner_entry
+stacks its entries into matrices and calls it), conjugation_harmonic and
+`bases.BasisFunction.evaluate` those of one function, weighted by
+Clebsch-Gordan (kept per label, `_cg_column`) or closed-form coefficients,
+wigner_d (2j+1)^2 one-term functions at one point, and `bases.verify_basis`
+each degree of its table.
 D^j stays unitary to 1e-14 at j = 40, where the monomial sum, now only the
 tests' oracle, is off by 1e-5.
 
@@ -414,10 +415,9 @@ def _entry_sum(two_j: int, pairs, weights, u):
 
 def wigner_entry(j, m1, m2, a, b, c, d):
     """D^j_{m1,m2} evaluated at matrix entries a,b,c,d (arrays broadcast)."""
-    tj = _two_j(j)
-    pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
+    evaluate = wigner_entry_function(j, m1, m2)
     u = np.stack(np.broadcast_arrays(a, b, c, d), axis=-1)
-    return _entry_sum(tj, pairs, None, u.reshape(u.shape[:-1] + (2, 2)))
+    return evaluate(u.reshape(u.shape[:-1] + (2, 2)))
 
 
 def wigner_d(j, u, unitary_tol: float = 1e-9) -> np.ndarray:
@@ -525,12 +525,14 @@ class EulerAngles:
 
 
 def wigner_entry_function(j, m1, m2):
-    """Vectorized callable of EulerAngles returning D^j_{m1,m2}."""
+    """Vectorized callable returning D^j_{m1,m2} at any point argument that
+    `_points` takes: EulerAngles, one 2x2 special unitary, a (..., 2, 2)
+    stack of them or an Su2Exact."""
     tj = _two_j(j)
     pairs = [(_two_m(m1, tj, "m1"), _two_m(m2, tj, "m2"))]
 
-    def evaluate(angles: EulerAngles):
-        return _entry_sum(tj, pairs, None, angles)
+    def evaluate(u):
+        return _entry_sum(tj, pairs, None, u)
 
     return evaluate
 

@@ -1,6 +1,6 @@
 """Lookups that only the tests need, kept out of the package."""
 
-from s3harm.su2 import Su2Exact
+from s3harm.su2 import IsoPair, Su2Exact
 
 
 def by_label(group, label: str):
@@ -12,3 +12,8 @@ def adjoint(m: Su2Exact) -> Su2Exact:
     """The conjugate transpose of an exact 2x2 matrix."""
     (a, b), (c, d) = m.entries
     return Su2Exact(((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())))
+
+
+def identity_pair() -> IsoPair:
+    """The pair (e, e), which moves no point."""
+    return IsoPair(Su2Exact.identity(), Su2Exact.identity())

@@ -292,13 +292,49 @@ def assert_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return errors
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", "0"])
 def test_bad_tol_environment_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("S3HARM_TOL", value)
     assert_usage_error(capsys, ["verify", "--suite", "group"])
+
+
+def test_tol_flag_beats_a_bad_environment_value(capsys, monkeypatch):
+    # the environment is parsed only when --tol is absent
+    monkeypatch.setenv("S3HARM_TOL", "abc")
+    code, out = run(capsys, ["verify", "--suite", "group", "--format", "json", "--tol", "1e-09"])
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-09
+
+
+@pytest.mark.parametrize("value", ["abc", "abc\n0"])
+def test_bad_tol_environment_message_names_the_variable(capsys, monkeypatch, value):
+    # one line, even for a value that holds a newline
+    monkeypatch.setenv("S3HARM_TOL", value)
+    (line,) = assert_usage_error(capsys, ["verify", "--suite", "group"])
+    assert "S3HARM_TOL" in line
+
+
+DEGREE_OPTIONS = [
+    ["multiplicity", "--manifold", "C2", "--jmax"],
+    ["basis", "--manifold", "C2", "--j"],
+    ["verify", "--suite", "basis", "--jmax"],
+]
+
+
+@pytest.mark.parametrize("value", ["-1", str(cli.J_MAX_LIMIT + 1), "4.0"])
+@pytest.mark.parametrize("prefix", DEGREE_OPTIONS, ids=lambda prefix: prefix[0])
+def test_bad_degree_is_usage_error(capsys, monkeypatch, prefix, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a subcommand ran before its degree was checked")
+
+    for name in ("cmd_multiplicity", "cmd_basis", "cmd_verify"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    assert_usage_error(capsys, prefix + [value])
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])

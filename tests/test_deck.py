@@ -13,7 +13,7 @@ from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.su2 import IsoPair, lift_even_word
 
-from helpers import by_label
+from helpers import by_label, identity_pair
 
 
 # label, epsilon, cycles, point action, left lift, right lift
@@ -113,12 +113,22 @@ def test_element_orders():
 
 
 def test_glue_operators_pair_faces():
-    # each glue word carries face f to face 7 - f (antipodal face of the cube)
+    # each glue word moves the first cell's center e0 to the center of a
+    # different neighbouring cell, as a proper fixed-point-free isometry
+    # whose SU(2) x SU(2) lift moves u(+-e_k) exactly as its signed
+    # permutation moves +-e_k
+    basis = np.eye(4, dtype=int)
+    points = np.vstack([basis, -basis])
+    u = {tuple(x): deck._exact_matrix(m) for x, m in zip(points, su2.matrix_from_point(points))}
+    centers = {}
     for faces, word in deck.GLUE_WORDS.items():
-        op = deck.standard_glue(faces)
-        assert op.word == word
-        assert op.element == gc.element_from_word(word)
-        assert op.pair.same_isometry(deck.standard_glue(faces).pair)
+        element, pair = gc.element_from_word(word), lift_even_word(word)
+        centers[faces] = tuple(int(v) for v in gc.apply(element, basis[0]))
+        assert element.determinant() == 1
+        assert not gc.has_fixed_point_on_sphere(element)
+        for x, y in zip(points, gc.apply(element, points)):
+            assert pair.left.inverse() * u[tuple(x)] * pair.right == u[tuple(y)], (faces, x)
+    assert centers == {"1<=6": (0, -1, 0, 0), "2<=4": (0, 0, -1, 0), "3<=5": (0, 0, 0, -1)}
 
 
 def test_only_identity_fixes_a_point():
@@ -221,7 +231,7 @@ def test_verify_flags_a_corrupted_group():
             deck.DeckElement(
                 label="e",
                 element=gc.WEYL_GENERATORS[0],
-                pair=IsoPair.identity(),
+                pair=identity_pair(),
                 order=1,
             ),
         ),

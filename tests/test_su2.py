@@ -13,7 +13,7 @@ from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.su2 import Cyclo8, IsoPair, Su2Exact
 
-from helpers import adjoint
+from helpers import adjoint, identity_pair
 
 
 A = Cyclo8((0, 1, 0, 0), 0)          # primitive eighth root
@@ -289,11 +289,11 @@ def test_cyclic_generator_has_order_eight_as_a_pair():
     from s3harm.deck import CYCLIC_GENERATOR_WORD
 
     g1 = su2.lift_even_word(CYCLIC_GENERATOR_WORD)
-    p = IsoPair.identity()
+    p = identity_pair()
     orders = []
     for t in range(1, 9):
         p = g1.compose(p)
-        orders.append(p.same_isometry(IsoPair.identity()))
+        orders.append(p.same_isometry(identity_pair()))
     # proper isometry order 8, and the eighth power is (e, e) on the nose
     assert orders == [False, False, False, False, False, False, False, True]
     assert p.left == Su2Exact.identity()
@@ -306,7 +306,7 @@ def test_rotation_half_angles_of_cyclic_powers():
     g1 = su2.lift_even_word(CYCLIC_GENERATOR_WORD)
     expected_left = [0.75, 0.5, 0.25, 1.0, 0.25, 0.5, 0.75, 0.0]
     expected_right = [0.5, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5, 0.0]
-    p = IsoPair.identity()
+    p = identity_pair()
     for t in range(8):
         p = g1.compose(p)
         phi_l, phi_r = su2.rotation_angles(p)
@@ -318,7 +318,7 @@ def test_pair_closure_of_adjacent_products_has_order_192():
     # canonical pairs from adjacent reflection products close onto the
     # rotation half of the rank-4 reflection group, one pair per rotation
     gens = [canonical(su2.lift_even_word((s, s + 1))) for s in range(4)]
-    seen = {canonical(IsoPair.identity())}
+    seen = {canonical(identity_pair())}
     frontier = list(seen)
     while frontier:
         nxt = []
