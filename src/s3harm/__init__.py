@@ -1,6 +1,6 @@
 """Closed-form periodic spherical harmonics on S^3 for two cubic space forms.
 
-Subpackages cover exact hyperoctahedral group arithmetic (`groupcore`),
+Its modules cover exact hyperoctahedral group arithmetic (`groupcore`),
 cyclotomic-exact SU(2) lifts (`su2`), the two deck groups (`deck`), Wigner
 representation kernels and quadrature (`wigner`), multiplicities, projectors
 and orthonormal bases (`bases`), and the induced-representation reduction of

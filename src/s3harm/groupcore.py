@@ -42,6 +42,7 @@ __all__ = [
     "cycles_to_perm",
     "element_from_word",
     "has_fixed_point_on_sphere",
+    "identity_multiplicity",
     "inverse",
     "multiply",
     "perm_to_cycles",
@@ -273,6 +274,17 @@ def has_fixed_point_on_sphere(g: HyperoctElement) -> bool:
     around its cycle is +1.
     """
     return any(s == 1 for _, s in _signed_cycles(g))
+
+
+def identity_multiplicity(elements, character) -> int:
+    """How often the identity representation of a finite group appears in a
+    representation: the mean of its character over the group's elements.
+    Raises RuntimeError unless that mean is a non-negative integer to 1e-9."""
+    mean = sum(character(g) for g in elements) / len(elements)
+    value = int(round(mean))
+    if abs(mean - value) > 1e-9 or value < 0:
+        raise RuntimeError(f"character mean {mean} is not a clean non-negative integer")
+    return value
 
 
 def _integer(value, what: str) -> int:

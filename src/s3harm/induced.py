@@ -243,15 +243,7 @@ def induced_character(rep: InducedIrrep, g: HyperoctElement) -> int:
 
 def multiplicity_identity(rep: InducedIrrep, group: DeckGroup) -> int:
     """How often the trivial rep of the deck group appears in (mu, f)^."""
-    total = sum(induced_character(rep, el.element) for el in group.elements)
-    if total % len(group.elements):
-        raise RuntimeError(
-            f"character sum of {rep.mu_string} {rep.f_string} over {group.name} is not divisible"
-        )
-    value = total // len(group.elements)
-    if value < 0:
-        raise RuntimeError("negative multiplicity; character implementation bug")
-    return value
+    return gc.identity_multiplicity(group.elements, lambda el: induced_character(rep, el.element))
 
 
 _F_ORDERS = {
@@ -292,12 +284,6 @@ def irrep_census() -> list[dict]:
                     "m_q": multiplicity_identity(rep, q),
                 }
             )
-    sums = census_sums(rows)
-    if sums["sum_dim_sq"] != 384:
-        raise RuntimeError(f"census dimension check failed: sum of squares {sums['sum_dim_sq']} != 384")
-    for key in ("sum_dim_m_c8", "sum_dim_m_q"):
-        if sums[key] != 48:
-            raise RuntimeError(f"census aggregate {key} = {sums[key]} != 48")
     return rows
 
 

@@ -57,6 +57,9 @@ def test_multiplicity_closed_forms():
         assert bases.multiplicity_q(j) == (2 * j + 1) * (j + 2) // 2
     for j in range(1, 21, 2):
         assert bases.multiplicity_q(j) == (2 * j + 1) * (j - 1) // 2
+    # cyclic counts: 4 m(j) = (2j+1)^2 - 1 + (-1)^j (4 + 8 floor(j/4))
+    for j in range(81):
+        assert 4 * bases.multiplicity_c8(j) == (2 * j + 1) ** 2 - 1 + (-1) ** j * (4 + 8 * (j // 4))
 
 
 def test_cyclic_recursion():
@@ -1120,6 +1123,16 @@ def test_verify_basis_of_one_degree_audits_that_degree_alone():
 def test_verify_basis_empty_list():
     report = bases.verify_basis([], build_cyclic8())
     assert report["passed"] is True and report["count"] == 0
+
+
+def test_verify_basis_of_an_empty_table_keeps_its_manifold():
+    # C3 has no harmonic at degree 1, so its table there is empty
+    table = bases._mesh_c3(range(1, 2))
+    assert not len(table.j)
+    report = bases.verify_basis(table, build_quaternion())
+    assert report["manifold"] == "C3"
+    assert report["passed"] is True and report["count"] == 0
+    assert bases.verify_basis([], build_quaternion())["manifold"] is None
 
 
 def test_verify_basis_rejects_mixed_manifolds():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from s3harm import bases, cli
+from s3harm import bases, cli, induced
 
 
 def run(capsys, argv):
@@ -165,6 +165,42 @@ def test_verify_induced_suite_passes(capsys):
         "induced-aggregate-c8-48",
         "induced-aggregate-q-48",
     }
+
+
+def test_a_wrong_basis_count_reaches_the_verify_report(capsys, monkeypatch):
+    # the mesh builds its table without counting; verify compares the
+    # counts with the multiplicities and reports the mismatch
+    real = bases._character_average
+
+    def one_more_at_three(group, j):
+        return real(group, j) + (group.name == "C2" and j == 3)
+
+    monkeypatch.setattr(bases, "_character_average", one_more_at_three)
+    code, out = run(capsys, ["verify", "--suite", "basis", "--jmax", "4", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    detail = payload["details"]["basis-c2-orthonormal-periodic"]
+    assert detail["passed"] is False
+    assert detail["count_by_degree"] != detail["multiplicity_by_degree"]
+    assert detail["multiplicity_by_degree"]["3"] == detail["count_by_degree"]["3"] + 1
+    assert payload["details"]["basis-c3-orthonormal-periodic"]["passed"] is True
+
+
+def test_a_wrong_census_multiplicity_reaches_the_verify_report(capsys, monkeypatch):
+    # the census prints what it counts; verify checks its sums
+    real = induced.multiplicity_identity
+
+    def one_more_for_the_trivial_rep(rep, group):
+        return real(rep, group) + (rep.mu_string == "{++++}" and rep.f_string == "[4]" and group.name == "C2")
+
+    monkeypatch.setattr(induced, "multiplicity_identity", one_more_for_the_trivial_rep)
+    code, out = run(capsys, ["verify", "--suite", "induced", "--format", "json"])
+    assert code == 1
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert rows["induced-aggregate-c8-48"] == {"name": "induced-aggregate-c8-48", "passed": False, "measured": 49}
+    assert rows["induced-aggregate-q-48"]["passed"] is True
+    assert rows["induced-sum-dim-squared-384"]["passed"] is True
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

@@ -227,3 +227,19 @@ def test_sphere_points_follow_the_documented_stream():
     # Python, so the first point of seed 42 is frozen.
     frozen = [0.7897882977934517, 0.12514488853487296, -0.09404462518310398, 0.5930672896192183]
     assert np.max(np.abs(gc.random_sphere_points(1, seed=42)[0] - frozen)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "values, mean",
+    [([3, 1, -1, 1], 1), ([2.0000000000001, 1.9999999999999, 2.0, 2.0], 2), ([np.int64(4), np.int64(0)], 2)],
+    ids=["int", "float", "numpy-int"],
+)
+def test_identity_multiplicity_is_the_character_mean(values, mean):
+    got = gc.identity_multiplicity(range(len(values)), values.__getitem__)
+    assert got == mean and type(got) is int
+
+
+@pytest.mark.parametrize("values", [[1, 0], [-2, 0], [-0.25, 0.25, -0.5, -0.5]], ids=["half", "negative", "near-zero"])
+def test_identity_multiplicity_refuses_a_mean_that_is_no_count(values):
+    with pytest.raises(RuntimeError, match="not a clean non-negative integer"):
+        gc.identity_multiplicity(range(len(values)), values.__getitem__)
