@@ -22,7 +22,7 @@ its own grid; a single record is evaluated without a table.
 A harmonic sum_{m1,m2} X[m1,m2] D_{m1,m2}(u) has the coefficient matrix X
 (rows m1, columns m2, both descending).  Precomposing it with
 u -> wl^-1 u wr sends X to A X B^T, A = D(wl^-1)^T and B = D(wr): the map
-kron(A, B) on the row-major flattening that coefficient_vector uses.  Every
+kron(A, B) on the row-major flattening that `_Terms.flat` indexes.  Every
 lift of both deck groups is diag(z, w) or [[0, b], [c, 0]] with eighth
 roots of unity as entries, so D^j of it has one nonzero per row and each
 deck element moves the (2j+1)^2 index pairs by a permutation times an
@@ -455,13 +455,6 @@ class BasisFunction:
             return _scalar_or_array(np.zeros(_points(u).shape, dtype=complex))
         weights = float(self.norm_factor) * np.array([coef for *_, coef in self.terms], dtype=complex)
         return _entry_sum(two_j, pairs, weights, u)
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Coefficients on the (2j+1)^2 space, (m1, m2) both descending."""
-        table = _terms([self])
-        vec = np.zeros((2 * int(table.j[0]) + 1) ** 2, dtype=complex)
-        vec[table.terms.flat] = table.terms.coef
-        return self.norm_factor * vec
 
     def to_json_dict(self) -> dict:
         return {

@@ -66,7 +66,10 @@ def _degree(text: str) -> int:
 
 
 def _writable(path: str) -> str:
-    """An --output path that can be written, checked before any work."""
+    """An --output path that can be written, checked before any work.  A path
+    with no file name ("" or one that ends in a separator) is refused."""
+    if not os.path.basename(path):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}: it names no file")
     folder = os.path.dirname(os.path.abspath(path))
     target = path if os.path.exists(path) else folder
     if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
@@ -242,7 +245,7 @@ def _verify_induced_suite(args: argparse.Namespace) -> list[dict]:
     try:
         rows = irrep_census()
     except RuntimeError as exc:
-        return [{"name": "induced-census", "passed": False, "measured": str(exc)}]
+        return [{"name": "induced-census", "passed": False, "measured": None, "detail": str(exc)}]
     sums = census_sums(rows)
     targets = (
         ("induced-sum-dim-squared-384", "sum_dim_sq", 384),
@@ -289,13 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", type=_writable, default=None, help="write to a file instead of stdout")
-    common.add_argument("--seed", type=_seed, default=42)
-    common.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=os.environ.get(TOL_ENV_VAR, DEFAULT_TOL),
-        help=f"tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR})",
-    )
+    common.add_argument("--seed", type=_seed, default=42, help="seed of verify's random points; the "
+                        "other subcommands accept and ignore it, so one option list serves every call")
     parser = argparse.ArgumentParser(
         prog="s3harm",
         description="Deck groups, multiplicities, and periodic harmonic bases "
@@ -333,6 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("group", "basis", "induced", "all"), default="all")
     p_verify.add_argument("--manifold", choices=("C2", "C3"), default=None)
     p_verify.add_argument("--jmax", type=_degree, default=4)
+    p_verify.add_argument(
+        "--tol",
+        type=_tolerance,
+        default=os.environ.get(TOL_ENV_VAR, DEFAULT_TOL),
+        help=f"tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR})",
+    )
     p_verify.set_defaults(run=cmd_verify)
     return parser
 

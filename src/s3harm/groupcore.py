@@ -12,7 +12,7 @@ Glue words for the deck transformations are written in application order
 (first letter acts first); use `element_from_word` / `compose_in_order`
 for those.
 
-Cycle strings are parsed and printed right to left: "(0132)" denotes the
+Cycle strings are printed right to left: "(0132)" denotes the
 permutation with 1 -> 0, 3 -> 1, 2 -> 3, 0 -> 2, matching the emitted
 deck-group tables.  Points of E^4 are plain length-4 sequences or (..., 4)
 stacks of them; `apply` keeps integer inputs exact.
@@ -39,7 +39,6 @@ __all__ = [
     "apply",
     "closure",
     "compose_in_order",
-    "cycles_to_perm",
     "element_from_word",
     "has_fixed_point_on_sphere",
     "identity_multiplicity",
@@ -56,36 +55,9 @@ def _perm_inverse(perm):
     return tuple(inv)
 
 
-def cycles_to_perm(text: str) -> tuple[int, int, int, int]:
-    """Parse a cycle string such as "(01)(23)" or "e" into one-line form.
-
-    Cycles are read right to left: within "(abc)" the permutation sends
-    c to b, b to a and a to c.
-    """
-    text = text.strip()
-    if text in ("e", "", "()"):
-        return IDENTITY_PERM
-    perm = [0, 1, 2, 3]
-    seen = set()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"malformed cycle string {text!r}")
-    for cyc in text[1:-1].split(")("):
-        idx = []
-        for ch in cyc:
-            if ch not in "0123":
-                raise ValueError(f"bad coordinate {ch!r} in {text!r}")
-            idx.append(int(ch))
-        if len(idx) < 2 or set(idx) & seen:
-            raise ValueError(f"invalid cycle {cyc!r} in {text!r}")
-        seen.update(idx)
-        for a, b in zip(idx, idx[1:]):
-            perm[b] = a
-        perm[idx[0]] = idx[-1]
-    return tuple(perm)
-
-
 def perm_to_cycles(perm) -> str:
-    """Inverse of `cycles_to_perm`; fixed points are dropped, identity is "e"."""
+    """Cycle string of a one-line permutation, read right to left as in the
+    module docstring; fixed points are dropped, identity is "e"."""
     perm = tuple(perm)
     if sorted(perm) != [0, 1, 2, 3]:
         raise ValueError(f"perm must be a permutation of 0..3: {perm}")
@@ -140,14 +112,6 @@ class HyperoctElement:
     def epsilon(self) -> str:
         """Sign column rendered as in the deck tables, e.g. "(+-++)"."""
         return "(" + "".join("+" if s > 0 else "-" for s in self.signs) + ")"
-
-    def matrix(self) -> np.ndarray:
-        """4x4 integer matrix M with M @ x == apply(self, x)."""
-        inv = _perm_inverse(self.perm)
-        m = np.zeros((4, 4), dtype=int)
-        for i in range(4):
-            m[i, inv[i]] = self.signs[i]
-        return m
 
     def determinant(self) -> int:
         return prod(s * (-1) ** (n - 1) for n, s in _signed_cycles(self))

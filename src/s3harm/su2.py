@@ -12,8 +12,8 @@ well defined up to a simultaneous sign flip.  Pairs of consecutive letters
 in reading order, and each central inversion letter flips the sign of wr.
 
 Ring elements are validated once, where they enter through the Cyclo8
-constructor; sums, differences, products, negations and conjugates of
-valid elements are formed in straight-line integer code and normalised
+constructor; sums, differences, products and negations of valid
+elements are formed in straight-line integer code and normalised
 once each, by `_normalised`, which the constructor runs as well.
 
 Floats come from one table of eighth roots, `_MU8`, correctly rounded at
@@ -38,7 +38,6 @@ __all__ = [
     "IsoPair",
     "lift_even_word",
     "matrix_from_point",
-    "pair_action",
     "point_from_matrix",
     "rotation_angles",
     "weyl_matrix",
@@ -151,10 +150,6 @@ class Cyclo8:
             ),
             self.half_powers + other.half_powers,
         )
-
-    def conjugate(self) -> "Cyclo8":
-        c0, c1, c2, c3 = self.coeffs
-        return _normalised((c0, -c3, -c2, -c1), self.half_powers)
 
     def is_zero(self) -> bool:
         return self.coeffs == (0, 0, 0, 0)
@@ -339,11 +334,6 @@ def _complex_matrices(u) -> np.ndarray:
     if arr.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {arr.shape}")
     return arr
-
-
-def pair_action(pair: IsoPair, u) -> np.ndarray:
-    """Numeric image of a special unitary u (or a stack) under the pair."""
-    return pair.left.inverse().to_complex() @ _complex_matrices(u) @ pair.right.to_complex()
 
 
 def matrix_from_point(x) -> np.ndarray:

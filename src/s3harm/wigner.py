@@ -518,11 +518,6 @@ class EulerAngles:
         z2 = np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)
         return z1, z2, -np.conj(z2), np.conj(z1)
 
-    def matrix(self) -> np.ndarray:
-        """Stacked 2x2 special unitary matrices, shape (..., 2, 2)."""
-        a, b, c, d = self.matrix_entries()
-        return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
-
 
 def wigner_entry_function(j, m1, m2):
     """Vectorized callable returning D^j_{m1,m2} at any point argument that

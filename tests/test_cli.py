@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from s3harm import bases, cli, induced
+from s3harm import bases, cli, deck, induced
 
 
 def run(capsys, argv):
@@ -201,6 +201,23 @@ def test_a_wrong_census_multiplicity_reaches_the_verify_report(capsys, monkeypat
     assert rows["induced-aggregate-c8-48"] == {"name": "induced-aggregate-c8-48", "passed": False, "measured": 49}
     assert rows["induced-aggregate-q-48"]["passed"] is True
     assert rows["induced-sum-dim-squared-384"]["passed"] is True
+
+
+def test_a_census_that_raises_is_one_failed_verify_row(capsys, monkeypatch):
+    # the trivial rep's character is off by one at one C2 deck element, so
+    # its mean over C2 is no count and irrep_census raises inside the suite
+    real = induced.induced_character
+    moved = deck.build_cyclic8().elements[0].element
+
+    def off_by_one(rep, g):
+        return real(rep, g) + (rep.mu_string == "{++++}" and rep.f_string == "[4]" and g == moved)
+
+    monkeypatch.setattr(induced, "induced_character", off_by_one)
+    code, out = run(capsys, ["verify", "--suite", "induced", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["rows"] == [{"name": "induced-census", "passed": False, "measured": None}]
+    assert "is not a clean non-negative integer" in payload["details"]["induced-census"]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -396,6 +413,38 @@ def test_unwritable_output_is_refused_before_any_suite(capsys, monkeypatch, tmp_
 
     monkeypatch.setattr(cli, "cmd_verify", must_not_run)
     assert_usage_error(capsys, ["verify", "--suite", "group", "--output", str(target)])
+
+
+@pytest.mark.parametrize("where", ["missing-directory-slash", "empty"])
+def test_an_output_path_with_no_file_name_is_refused_before_any_work(capsys, monkeypatch, tmp_path, where):
+    target = os.path.join(str(tmp_path), "missing", "") if where == "missing-directory-slash" else ""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before --output was checked")
+
+    monkeypatch.setattr(cli, "cmd_verify", must_not_run)
+    assert_usage_error(capsys, ["verify", "--suite", "group", "--output", target])
+
+
+# one cheap call of each subcommand that has no tolerance to read
+NO_TOL_CALLS = [
+    ["group", "--which", "G", "--count-only"],
+    ["multiplicity", "--manifold", "C2", "--jmax", "3"],
+    ["basis", "--manifold", "C3", "--j", "2"],
+    ["induced"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_TOL_CALLS, ids=lambda argv: argv[0])
+def test_only_verify_reads_the_tolerance_environment(capsys, monkeypatch, argv):
+    _, want = run(capsys, argv)
+    monkeypatch.setenv("S3HARM_TOL", "abc")
+    assert run(capsys, argv) == (0, want)
+
+
+@pytest.mark.parametrize("argv", NO_TOL_CALLS, ids=lambda argv: argv[0])
+def test_tol_flag_outside_verify_is_usage_error(capsys, argv):
+    assert_usage_error(capsys, argv + ["--tol", "1e-9"])
 
 
 def test_verify_loads_no_numpy_random_ma_or_polynomial():

@@ -13,7 +13,7 @@ from s3harm import groupcore as gc
 from s3harm import su2
 from s3harm.su2 import IsoPair, lift_even_word
 
-from helpers import by_label, identity_pair
+from helpers import by_label, cycles_to_perm, identity_pair, pair_action
 
 
 # label, epsilon, cycles, point action, left lift, right lift
@@ -171,7 +171,7 @@ def test_pairs_track_elements_on_random_points():
         for d in deck.deck_group(name).elements:
             for x in pts:
                 u = su2.matrix_from_point(x)
-                moved = su2.point_from_matrix(su2.pair_action(d.pair, u))
+                moved = su2.point_from_matrix(pair_action(d.pair, u))
                 assert np.allclose(moved, gc.apply(d.element, x), atol=1e-12)
 
 
@@ -215,10 +215,10 @@ def test_every_deck_lift_converts_to_zeros_and_eighth_roots_exactly():
     # the float route moves the quaternion group's points with no rounding
     pts = gc.random_sphere_points(100, seed=42)
     for el in deck.build_quaternion().elements:
-        moved = su2.point_from_matrix(su2.pair_action(el.pair, su2.matrix_from_point(pts)))
+        moved = su2.point_from_matrix(pair_action(el.pair, su2.matrix_from_point(pts)))
         assert np.array_equal(moved, gc.apply(el.element, pts)), el.label
     for el in deck.build_cyclic8().elements:
-        moved = su2.point_from_matrix(su2.pair_action(el.pair, su2.matrix_from_point(pts)))
+        moved = su2.point_from_matrix(pair_action(el.pair, su2.matrix_from_point(pts)))
         assert np.max(np.abs(moved - gc.apply(el.element, pts))) < 1e-15, el.label
 
 
@@ -334,7 +334,7 @@ def test_json_serialization_round_trips_elements():
             assert blob["label"] == d.label
             assert blob["order"] == d.order
             assert blob["epsilon"] == epsilon_string(d.element)
-            assert gc.cycles_to_perm(blob["cycles"]) == d.element.perm
+            assert cycles_to_perm(blob["cycles"]) == d.element.perm
             assert blob["action"] == d.element.action_string()
 
 

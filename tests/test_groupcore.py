@@ -5,6 +5,8 @@ import pytest
 
 from s3harm import groupcore as gc
 
+from helpers import cycles_to_perm, signed_perm_matrix
+
 
 RNG_SEED = 20240817
 
@@ -24,7 +26,7 @@ def test_weyl_generators_are_householder_reflections():
         a = np.array(vec, dtype=float)
         a = a / np.linalg.norm(a)
         householder = np.eye(4) - 2.0 * np.outer(a, a)
-        assert np.allclose(gc.WEYL_GENERATORS[s].matrix(), householder, atol=1e-12)
+        assert np.allclose(signed_perm_matrix(gc.WEYL_GENERATORS[s]), householder, atol=1e-12)
 
 
 def test_weyl_generators_are_involutions():
@@ -63,7 +65,7 @@ def test_multiply_matches_matrix_product():
     for a in elems:
         for b in elems:
             prod = gc.multiply(a, b)
-            assert np.array_equal(prod.matrix(), a.matrix() @ b.matrix())
+            assert np.array_equal(signed_perm_matrix(prod), signed_perm_matrix(a) @ signed_perm_matrix(b))
 
 
 def test_multiply_is_associative():
@@ -111,7 +113,7 @@ def test_apply_matches_matrix_action():
     rng = np.random.default_rng(RNG_SEED + 3)
     pts = gc.random_sphere_points(10, seed=7)
     for g in random_elements(rng, 10):
-        m = g.matrix()
+        m = signed_perm_matrix(g)
         for x in pts:
             assert np.allclose(gc.apply(g, x), m @ np.asarray(x), atol=1e-13)
 
@@ -127,7 +129,7 @@ def test_word_letters_act_first_letter_first():
 def test_j4_letter_is_central_inversion():
     w = gc.element_from_word(("J4",))
     assert w == gc.INVERSION
-    assert np.array_equal(w.matrix(), -np.eye(4))
+    assert np.array_equal(signed_perm_matrix(w), -np.eye(4))
 
 
 def test_cycle_string_round_trip_on_all_permutations():
@@ -135,7 +137,7 @@ def test_cycle_string_round_trip_on_all_permutations():
 
     for p in permutations(range(4)):
         text = gc.perm_to_cycles(p)
-        assert gc.cycles_to_perm(text) == p
+        assert cycles_to_perm(text) == p
 
 
 def test_cycle_string_refuses_a_non_permutation():
@@ -146,15 +148,15 @@ def test_cycle_string_refuses_a_non_permutation():
 
 def test_cycle_string_parse_is_reversed():
     # "(0132)" means 0 <- 1 <- 3 <- 2 <- 0 in one-line form [2, 0, 3, 1]
-    assert gc.cycles_to_perm("(0132)") == (2, 0, 3, 1)
-    assert gc.cycles_to_perm("e") == (0, 1, 2, 3)
-    assert gc.cycles_to_perm("(03)(12)") == (3, 2, 1, 0)
+    assert cycles_to_perm("(0132)") == (2, 0, 3, 1)
+    assert cycles_to_perm("e") == (0, 1, 2, 3)
+    assert cycles_to_perm("(03)(12)") == (3, 2, 1, 0)
 
 
 def test_fixed_point_criterion_matches_eigenvalue_test():
     group = gc.closure(list(gc.WEYL_GENERATORS.values()), bound=500)
     for g in group:
-        eigs = np.linalg.eigvals(g.matrix().astype(float))
+        eigs = np.linalg.eigvals(signed_perm_matrix(g).astype(float))
         has_unit_eig = bool(np.any(np.abs(eigs - 1.0) < 1e-9))
         assert gc.has_fixed_point_on_sphere(g) == has_unit_eig
 
@@ -162,7 +164,7 @@ def test_fixed_point_criterion_matches_eigenvalue_test():
 def test_determinant_matches_numpy():
     group = gc.closure(list(gc.WEYL_GENERATORS.values()), bound=500)
     for g in group:
-        det = round(float(np.linalg.det(g.matrix().astype(float))))
+        det = round(float(np.linalg.det(signed_perm_matrix(g).astype(float))))
         assert g.determinant() == det
 
 
