@@ -30,7 +30,10 @@ eighth root of unity.  `_deck_action` reads that gather and its exponents
 mod 8 exactly off the Su2Exact lifts.  Group averages, the projector
 ranks (orbits with trivial stabiliser phase), the homomorphism check and
 the dense `averaged` projectors are all built from it, with no Wigner
-kernel on the deck path.
+kernel on the deck path.  Both dense projectors hold about one nonzero a
+row, and are scattered into a lazily zero-filled private map
+(`_lazy_zeros`), so only the pages written become resident and not every
+huge page numpy advises for a large `np.zeros`.
 
 Normalization: the emitted functions have unit norm under the UNNORMALIZED
 Euler measure da sin(b) db dg of total mass 8 pi^2.  The quadrature inner
@@ -368,6 +371,24 @@ def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
     )
 
 
+def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A zero complex array on a private anonymous map, for the sparse
+    scatters into the dense projectors.  The kernel zero-fills its pages on
+    first touch and numpy gives the map no huge-page advice, so under the
+    `madvise` huge-page mode only the 4 KiB pages written become resident,
+    where `np.zeros` (advised) faults in a whole 2 MiB page at each write.
+    Under `always` the kernel may back the map by huge pages all the same,
+    and under `never` `np.zeros` was as sparse.  A shared map (mmap's
+    default) is shmem, whose untouched pages a read makes resident.  The
+    map is released with the array."""
+    # imported here: `verify` builds no dense projector, and loading the
+    # extension module adds about 48 KB to its peak resident set
+    import mmap
+
+    nbytes = math.prod(shape) * np.dtype(complex).itemsize
+    return np.ndarray(shape, dtype=complex, buffer=mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY))
+
+
 def _span_projector(terms: _Terms, index: np.ndarray, size: int) -> np.ndarray:
     """Orthogonal projector onto the span of the functions of one degree,
     given by their terms: the sum of c c^H / |c|^2 over each function's
@@ -376,7 +397,7 @@ def _span_projector(terms: _Terms, index: np.ndarray, size: int) -> np.ndarray:
     left, right = np.nonzero(row[:, None] == row)  # every pair of terms of one function
     c = terms.coef
     squared = np.bincount(row, weights=(c.conj() * c).real)
-    out = np.zeros((size, size), dtype=complex)
+    out = _lazy_zeros((size, size))
     np.add.at(out, (index[left], index[right]), c[left] * c[right].conj() / squared[row[left]])
     return out
 
@@ -389,12 +410,14 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     from the exact monomial action (one entry mu8^k / 8 per row and
     element), the second the projector onto the span of the closed-form
     basis `basis_c2`, from its table.  Agreement of the two is a standing
-    cross-check.
+    cross-check.  Both have about one nonzero a row and live on lazily
+    zero-filled maps (`_lazy_zeros`), so at j = 20 each of the 43 MB
+    matrices keeps only the pages it writes resident.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
     gather, phase = _deck_action(build_cyclic8(), jj)
-    averaged = np.zeros((dim * dim, dim * dim), dtype=complex)
+    averaged = _lazy_zeros((dim * dim, dim * dim))
     np.add.at(averaged, (np.arange(dim * dim), gather), _MU8[phase] / len(gather))
     terms = _mesh_c2(range(jj, jj + 1)).terms
     return averaged, _span_projector(terms, terms.flat, dim * dim)
@@ -410,7 +433,9 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     exact action, and applies identically for every m2.  Returns
     (averaged, closed_form), the second the projector onto the span of the
     closed-form basis `basis_c3` at m2 = j, from its table's terms there;
-    trace times (2j+1) is the multiplicity.
+    trace times (2j+1) is the multiplicity.  Both live on lazily zero-filled
+    maps (`_lazy_zeros`), as the cyclic-8 pair does, so only the pages the
+    scatters write become resident.
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
@@ -420,7 +445,7 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     if not (np.array_equal(cols, np.broadcast_to(np.arange(dim), cols.shape))
             and np.array_equal(phase, np.broadcast_to(phase[..., :1], phase.shape))):
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
-    averaged = np.zeros((dim, dim), dtype=complex)
+    averaged = _lazy_zeros((dim, dim))
     np.add.at(averaged, (np.arange(dim), rows[..., 0]), _MU8[phase[..., 0]] / len(gather))
     terms = _mesh_c3(range(jj, jj + 1)).terms
     terms = _Terms(*(v[terms.m2 == jj] for v in terms))

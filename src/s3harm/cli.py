@@ -91,8 +91,20 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _to_csv(payload: dict) -> str:
+def _rows(payload: dict) -> list[dict]:
+    """The payload's table.  A verify payload's rows gain a `detail` column:
+    the row's reason string, or a pointer to its nested report, which only
+    the json format prints."""
     rows = payload.get("rows", [])
+    if "details" not in payload:
+        return rows
+    detail = {name: "see --format json" if isinstance(value, dict) else value
+              for name, value in payload["details"].items()}
+    return [{**row, "detail": detail.get(row["name"], "")} for row in rows]
+
+
+def _to_csv(payload: dict) -> str:
+    rows = _rows(payload)
     buf = io.StringIO()
     if not rows:
         writer = csv.writer(buf)
@@ -121,10 +133,14 @@ def _scalar(value):
 def _to_text(payload: dict) -> str:
     lines = []
     for key, value in payload.items():
-        if key in ("rows", "schema") or isinstance(value, dict):
-            continue  # nested reports stay in the json format
+        if key in ("rows", "schema"):
+            continue
+        if isinstance(value, dict):
+            if any(isinstance(v, dict) for v in value.values()):
+                lines.append(f"{key}: nested reports in --format json")
+            continue
         lines.append(f"{key}: {_scalar(value)}")
-    rows = payload.get("rows", [])
+    rows = _rows(payload)
     if rows:
         fields = list(rows[0].keys())
         table = [[str(_scalar(r.get(f, ""))) for f in fields] for r in rows]

@@ -217,7 +217,19 @@ def test_a_census_that_raises_is_one_failed_verify_row(capsys, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert payload["rows"] == [{"name": "induced-census", "passed": False, "measured": None}]
-    assert "is not a clean non-negative integer" in payload["details"]["induced-census"]
+    reason = payload["details"]["induced-census"]
+    assert "is not a clean non-negative integer" in reason
+    # the text and csv formats print the reason in the row's detail column
+    code, out = run(capsys, ["verify", "--suite", "induced"])
+    assert code == 1
+    header, row = out.splitlines()[-2:]
+    assert header.split() == ["name", "passed", "measured", "detail"]
+    assert row.split(None, 3) == ["induced-census", "false", "None", reason]
+    code, out = run(capsys, ["verify", "--suite", "induced", "--format", "csv"])
+    assert code == 1
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"name": "induced-census", "passed": "false", "measured": "", "detail": reason}
+    ]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
