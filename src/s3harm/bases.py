@@ -3,9 +3,10 @@ deck-periodic harmonics for the two cubic space forms.
 
 Degree-j harmonics on S^3 are spanned by the (2j+1)^2 matrix elements
 D^j_{m1,m2}(u).  A deck group H of order 8 acts on them; the dimension of
-the H-invariant subspace is the multiplicity m(j), computed here by
-character averaging, and realized concretely by closed-form combinations
-of one or two matrix elements.
+the H-invariant subspace is the multiplicity m(j), counted for each
+manifold by a character average and by a closed form, and realized by
+closed-form combinations of one or two matrix elements.  `MANIFOLDS` is the
+one place a manifold's deck group, mesh, counts and census column meet.
 
 Each basis is a table (`_Basis`): a column per field of its functions and
 the `_Terms` of all their terms, each with its (m1, m2).  `_mesh_c2` and
@@ -63,12 +64,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import groupcore as gc
-from .deck import DeckGroup, build_cyclic8, build_quaternion, product_table
+from .deck import DeckGroup, build_cyclic8, build_quaternion, deck_group, product_table
 from .su2 import _MU8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
     _entry_sum,
@@ -85,6 +86,8 @@ from .wigner import (
 
 __all__ = [
     "BasisFunction",
+    "MANIFOLDS",
+    "Manifold",
     "basis_c2",
     "basis_c3",
     "basis_for",
@@ -143,20 +146,11 @@ def multiplicity_q_character_sum(j) -> int:
     return _character_average(build_quaternion(), j)
 
 
-# independent counts of each manifold's harmonics, against which verify_basis
-# checks the exact orbit count; the first is the one `multiplicity_for` gives
-_MULTIPLICITY_ROUTES = {"C2": (multiplicity_c8,), "C3": (multiplicity_q, multiplicity_q_character_sum)}
-
-
-def _by_manifold(manifold: str, for_c2, for_c3):
-    key = manifold.strip().upper()
-    if key not in ("C2", "C3"):
-        raise ValueError(f"unknown manifold {manifold!r}; expected C2 or C3")
-    return for_c2 if key == "C2" else for_c3
-
-
-def multiplicity_for(manifold: str, j) -> int:
-    return _by_manifold(manifold, multiplicity_c8, multiplicity_q)(j)
+def multiplicity_c8_closed_form(j) -> int:
+    """Independent route to multiplicity_c8: 4 m(j) = (2j+1)^2 - 1 + (-1)^j (4 + 8 floor(j/4))."""
+    two_j = _two_j(j)
+    jj = two_j // 2
+    return 0 if two_j % 2 else ((two_j + 1) ** 2 - 1 + (-1) ** jj * (4 + 8 * (jj // 4))) // 4
 
 
 def _monomial_form(mat: Su2Exact) -> tuple[bool, int, int]:
@@ -416,10 +410,10 @@ def projector_c8(j) -> tuple[np.ndarray, np.ndarray]:
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    gather, phase = _deck_action(build_cyclic8(), jj)
+    gather, phase = _deck_action(MANIFOLDS["C2"].group, jj)
     averaged = _lazy_zeros((dim * dim, dim * dim))
     np.add.at(averaged, (np.arange(dim * dim), gather), _MU8[phase] / len(gather))
-    terms = _mesh_c2(range(jj, jj + 1)).terms
+    terms = MANIFOLDS["C2"].mesh(range(jj, jj + 1)).terms
     return averaged, _span_projector(terms, terms.flat, dim * dim)
 
 
@@ -439,7 +433,7 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
     """
     jj = _require_integer_j(j)
     dim = 2 * jj + 1
-    gather, phase = _deck_action(build_quaternion(), jj)
+    gather, phase = _deck_action(MANIFOLDS["C3"].group, jj)
     rows, cols = (v.reshape(-1, dim, dim) for v in np.unravel_index(gather, (dim, dim)))
     phase = phase.reshape(rows.shape)
     if not (np.array_equal(cols, np.broadcast_to(np.arange(dim), cols.shape))
@@ -447,7 +441,7 @@ def projector_q(j) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"a quaternion deck element acts on the right at degree {jj}")
     averaged = _lazy_zeros((dim, dim))
     np.add.at(averaged, (np.arange(dim), rows[..., 0]), _MU8[phase[..., 0]] / len(gather))
-    terms = _mesh_c3(range(jj, jj + 1)).terms
+    terms = MANIFOLDS["C3"].mesh(range(jj, jj + 1)).terms
     terms = _Terms(*(v[terms.m2 == jj] for v in terms))
     return averaged, _span_projector(terms, jj - terms.m1, dim)
 
@@ -498,6 +492,8 @@ class BasisFunction:
 
 # the kinds of function, one shared string each in the tables' kind columns
 _KINDS = np.array(["single-term", "two-term-sum", "two-term-difference"], dtype=object)
+# i^m at m % 4 + 4 [m < 0], exact, with the signed zeros of Python's 1j**m (exact for |m| <= 100)
+_I_POWERS = np.array([1, 1j, -1 + 0j, -1j, 1, complex(-0.0, 1), complex(-1, -0.0), complex(0.0, -1)])
 
 
 def _mesh(manifold: str, j, m1, m2, kind, partner, phase) -> _Basis:
@@ -518,17 +514,15 @@ def _mesh(manifold: str, j, m1, m2, kind, partner, phase) -> _Basis:
 
 def _mesh_c2(degrees: range) -> _Basis:
     """The table of `basis_c2` at the given integer degrees, its rule a mask
-    over the (j, m1, m2) mesh.  The phases are Python's powers, taken once
-    per distinct m and multiplied in the order i^{m1} (-1)^{j+m2} i^{m2},
-    so their signed zeros are those of that product of Python numbers."""
+    over the (j, m1, m2) mesh.  The phases are i^{m1} (-1)^{j+m2} i^{m2},
+    multiplied in that order from the exact table `_I_POWERS`."""
     top = max(degrees)
     grids = np.ix_(np.asarray(degrees), np.arange(-top, top + 1), np.arange(top + 1))
     j, m1, m2 = grids
     rule = (np.abs(m1) <= j) & (m2 <= j) & (m1 % 2 == 0) & ((m2 > 0) | ((m1 // 2 + j) % 2 == 0))
     j, m1, m2 = (np.broadcast_to(grid, rule.shape)[rule] for grid in grids)
-    i_power = np.array([1j**m for m in range(-top, top + 1)])
     sign = np.array([(-1.0) ** k for k in range(2 * top + 1)])
-    phase = i_power[m1 + top] * sign[j + m2] * i_power[m2 + top]
+    phase = _I_POWERS[m1 % 4 + 4 * (m1 < 0)] * sign[j + m2] * _I_POWERS[m2 % 4]  # m2 >= 0
     return _mesh("C2", j, m1, m2, _KINDS[np.where(m2 > 0, 1, 0)], (m1, -m2), phase)
 
 
@@ -543,6 +537,39 @@ def _mesh_c3(degrees: range) -> _Basis:
     odd = j % 2 == 1
     kind = _KINDS[np.where(m1 == 0, 0, np.where(odd, 2, 1))]  # single-term, sum or difference
     return _mesh("C3", j, m1, m2, kind, (-m1, m2), np.where(odd, -1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class Manifold:
+    """A cubic space form's parts: `group` (`deck.deck_group` of the name), basis
+    mesh, independent counts (the first reported), census column, verify's relations row."""
+
+    name: str
+    mesh: Callable[[range], _Basis]
+    count_routes: tuple[Callable[[int], int], ...]
+    census_column: str
+    relations_row: str
+
+    @property
+    def group(self) -> DeckGroup:
+        return deck_group(self.name)
+
+
+MANIFOLDS = {m.name: m for m in (
+    Manifold("C2", _mesh_c2, (multiplicity_c8, multiplicity_c8_closed_form), "m_c8",
+             "c2-generator-fourth-power-is-inversion"),
+    Manifold("C3", _mesh_c3, (multiplicity_q, multiplicity_q_character_sum), "m_q", "c3-quaternion-relations"),
+)}
+
+
+def _manifold(name: str) -> Manifold:
+    if (key := name.strip().upper()) not in MANIFOLDS:
+        raise ValueError(f"unknown manifold {name!r}; expected {' or '.join(MANIFOLDS)}")
+    return MANIFOLDS[key]
+
+
+def multiplicity_for(manifold: str, j) -> int:
+    return _manifold(manifold).count_routes[0](j)
 
 
 def _views(table: _Basis) -> list[BasisFunction]:
@@ -567,8 +594,7 @@ def basis_c2(j) -> list[BasisFunction]:
     self-pairing phase i^{m1} (-1)^j equals +1; every m2 > 0 pairs with
     -m2 in the phase i^{m1} (-1)^{j+m2} i^{m2}.
     """
-    jj = _require_integer_j(j)
-    return _views(_mesh_c2(range(jj, jj + 1)))
+    return basis_for("C2", j)
 
 
 def basis_c3(j) -> list[BasisFunction]:
@@ -578,12 +604,12 @@ def basis_c3(j) -> list[BasisFunction]:
     Odd degree pairs m1 with -m1 in differences (even m1 > 0); even degree
     keeps the m1 = 0 elements and pairs the rest in sums.  All m2 appear.
     """
-    jj = _require_integer_j(j)
-    return _views(_mesh_c3(range(jj, jj + 1)))
+    return basis_for("C3", j)
 
 
 def basis_for(manifold: str, j) -> list[BasisFunction]:
-    return _by_manifold(manifold, basis_c2, basis_c3)(j)
+    mesh, jj = _manifold(manifold).mesh, _require_integer_j(j)
+    return _views(mesh(range(jj, jj + 1)))
 
 
 def _channel_sets(chan: np.ndarray, owner: np.ndarray, channels: int, count: int):
@@ -763,7 +789,7 @@ def verify_basis(
     normalisation (`closed_form_matches`); and P, applied to the terms of
     each basis matrix through the same permutations and phases, must fix it
     (`fix_max_error`).  The rank is compared with every independent count
-    of the manifold (`multiplicity_routes_agree`).
+    in the manifold's record (`count_routes`; `multiplicity_routes_agree`).
 
     A list is walked into a table once (`_terms`), and its degrees once.
     The n_points base points and their images under every element but the
@@ -784,11 +810,12 @@ def verify_basis(
         return report
     if manifold is None:
         raise ValueError("basis list mixes manifolds")
+    count_routes = _manifold(manifold).count_routes  # a label it does not know raises ValueError
     per_degree = np.bincount(table.j).tolist()
     degrees = list(range(int(table.j.min()), len(per_degree)))  # a degree left out counts 0
     report["degrees"] = degrees
     report["count_by_degree"] = {j: per_degree[j] for j in degrees}
-    routes = {j: [route(j) for route in _MULTIPLICITY_ROUTES[manifold]] for j in degrees}
+    routes = {j: [route(j) for route in count_routes] for j in degrees}
     report["multiplicity_by_degree"] = {j: counts[0] for j, counts in routes.items()}
     counts_ok = report["count_by_degree"] == report["multiplicity_by_degree"]
 

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import groupcore as gc
-from .bases import _mesh_c2, _mesh_c3, basis_for, multiplicity_for, verify_basis
-from .deck import build_cyclic8, build_quaternion, deck_group, verify_deck_group
+from .bases import MANIFOLDS, basis_for, multiplicity_for, verify_basis
+from .deck import deck_group, verify_deck_group
 from .induced import census_sums, irrep_census
 
 SCHEMA = "s3harm/1"
@@ -223,13 +223,11 @@ def _verify_group_suite(args: argparse.Namespace) -> list[dict]:
     checks.append(
         {"name": "rotation-subgroup-order-48", "passed": len(sub) == 48, "measured": len(sub)}
     )
-    for name, group, relations_row in (
-        ("deck-c2-structure", build_cyclic8(), "c2-generator-fourth-power-is-inversion"),
-        ("deck-c3-structure", build_quaternion(), "c3-quaternion-relations"),
-    ):
-        quality = verify_deck_group(group)
+    for manifold in MANIFOLDS.values():
+        quality = verify_deck_group(manifold.group)
+        name = f"deck-{manifold.name.lower()}-structure"
         checks.append({"name": name, "passed": quality["passed"], "measured": None, "detail": quality})
-        checks.append({"name": relations_row, "passed": quality["relations"], "measured": None})
+        checks.append({"name": manifold.relations_row, "passed": quality["relations"], "measured": None})
     return checks
 
 
@@ -241,14 +239,14 @@ def _largest_error(report: dict) -> float:
 
 def _verify_basis_suite(args: argparse.Namespace) -> list[dict]:
     checks = []
-    for manifold, builder, mesh in (("C2", build_cyclic8, _mesh_c2), ("C3", build_quaternion, _mesh_c3)):
-        if args.manifold and args.manifold != manifold:
+    for manifold in MANIFOLDS.values():
+        if args.manifold and args.manifold != manifold.name:
             continue
         # the basis of degrees 0..jmax as one table, audited without a record
-        report = verify_basis(mesh(range(args.jmax + 1)), builder(), seed=args.seed, tol=args.tol)
+        report = verify_basis(manifold.mesh(range(args.jmax + 1)), manifold.group, seed=args.seed, tol=args.tol)
         checks.append(
             {
-                "name": f"basis-{manifold.lower()}-orthonormal-periodic",
+                "name": f"basis-{manifold.name.lower()}-orthonormal-periodic",
                 "passed": report["passed"],
                 "measured": _largest_error(report),
                 "detail": report,
@@ -263,11 +261,10 @@ def _verify_induced_suite(args: argparse.Namespace) -> list[dict]:
     except RuntimeError as exc:
         return [{"name": "induced-census", "passed": False, "measured": None, "detail": str(exc)}]
     sums = census_sums(rows)
-    targets = (
-        ("induced-sum-dim-squared-384", "sum_dim_sq", 384),
-        ("induced-aggregate-c8-48", "sum_dim_m_c8", 48),
-        ("induced-aggregate-q-48", "sum_dim_m_q", 48),
-    )
+    targets = [("induced-sum-dim-squared-384", "sum_dim_sq", 384)] + [
+        (f"induced-aggregate-{m.census_column.removeprefix('m_')}-48", f"sum_dim_{m.census_column}", 48)
+        for m in MANIFOLDS.values()
+    ]
     return [
         {"name": name, "passed": sums[key] == want, "measured": sums[key]}
         for name, key, want in targets
@@ -320,21 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser(
         "group", parents=[common], help="element tables of the symmetry and deck groups"
     )
-    p_group.add_argument("--which", choices=("G", "C2", "C3"), required=True)
+    p_group.add_argument("--which", choices=("G", *MANIFOLDS), required=True)
     p_group.add_argument("--count-only", action="store_true")
     p_group.set_defaults(run=cmd_group)
 
     p_mult = sub.add_parser(
         "multiplicity", parents=[common], help="periodic-harmonic counts per degree"
     )
-    p_mult.add_argument("--manifold", choices=("C2", "C3"), required=True)
+    p_mult.add_argument("--manifold", choices=tuple(MANIFOLDS), required=True)
     p_mult.add_argument("--jmax", type=_degree, default=8)
     p_mult.set_defaults(run=cmd_multiplicity)
 
     p_basis = sub.add_parser(
         "basis", parents=[common], help="symbolic orthonormal basis records"
     )
-    p_basis.add_argument("--manifold", choices=("C2", "C3"), required=True)
+    p_basis.add_argument("--manifold", choices=tuple(MANIFOLDS), required=True)
     p_basis.add_argument("--j", type=_degree, required=True)
     p_basis.set_defaults(run=cmd_basis)
 
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", choices=("group", "basis", "induced", "all"), default="all")
-    p_verify.add_argument("--manifold", choices=("C2", "C3"), default=None)
+    p_verify.add_argument("--manifold", choices=tuple(MANIFOLDS), default=None)
     p_verify.add_argument("--jmax", type=_degree, default=4)
     p_verify.add_argument(
         "--tol",

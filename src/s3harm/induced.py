@@ -25,7 +25,8 @@ from itertools import permutations
 from math import factorial, prod
 
 from . import groupcore as gc
-from .deck import DeckGroup, build_cyclic8, build_quaternion
+from .bases import MANIFOLDS
+from .deck import DeckGroup
 from .groupcore import HyperoctElement, _perm_inverse
 
 __all__ = [
@@ -265,8 +266,7 @@ def irrep_census() -> list[dict]:
     20 entries whose squared dimensions sum to the group order 384.  The
     returned rows are JSON-able and ordered as the summary table prints.
     """
-    c8 = build_cyclic8()
-    q = build_quaternion()
+    groups = {m.census_column: m.group for m in MANIFOLDS.values()}
     rows = []
     for minus in range(5):
         mu = MU_REPRESENTATIVES[minus]
@@ -280,19 +280,17 @@ def irrep_census() -> list[dict]:
                     "orbit": rep.mu_string,
                     "f": rep.f_string,
                     "dim": rep.dimension,
-                    "m_c8": multiplicity_identity(rep, c8),
-                    "m_q": multiplicity_identity(rep, q),
+                    **{column: multiplicity_identity(rep, group) for column, group in groups.items()},
                 }
             )
     return rows
 
 
 def census_sums(rows: list[dict]) -> dict:
-    """Sum of squared dimensions and the two dimension-weighted multiplicity
-    sums of census rows; 384, 48 and 48 for a correct census."""
+    """Sum of squared dimensions and the dimension-weighted multiplicity sum
+    of each manifold's census column; 384, 48 and 48 for a correct census."""
     return {
         "sum_dim_sq": sum(r["dim"] ** 2 for r in rows),
-        "sum_dim_m_c8": sum(r["dim"] * r["m_c8"] for r in rows),
-        "sum_dim_m_q": sum(r["dim"] * r["m_q"] for r in rows),
+        **{f"sum_dim_{m.census_column}": sum(r["dim"] * r[m.census_column] for r in rows) for m in MANIFOLDS.values()},
     }
 

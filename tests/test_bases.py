@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from s3harm import bases
+from s3harm import bases, deck
 from s3harm import groupcore as gc
 from s3harm import su2, wigner
 from s3harm.cli import J_MAX_LIMIT
@@ -61,6 +61,7 @@ def test_multiplicity_closed_forms():
     # cyclic counts: 4 m(j) = (2j+1)^2 - 1 + (-1)^j (4 + 8 floor(j/4))
     for j in range(81):
         assert 4 * bases.multiplicity_c8(j) == (2 * j + 1) ** 2 - 1 + (-1) ** j * (4 + 8 * (j // 4))
+        assert bases.multiplicity_c8_closed_form(j) == bases.multiplicity_c8(j)
 
 
 def test_cyclic_recursion():
@@ -111,6 +112,7 @@ def test_molien_series_gives_every_multiplicity():
 def test_half_integer_degrees_have_no_periodic_harmonics():
     for jx2 in (1, 3, 5, 9):
         assert bases.multiplicity_c8(jx2 / 2) == 0
+        assert bases.multiplicity_c8_closed_form(jx2 / 2) == 0
         assert bases.multiplicity_q(jx2 / 2) == 0
 
 
@@ -200,7 +202,9 @@ def test_dense_projectors_keep_only_their_written_pages_resident():
 def test_one_sided_projector_refuses_a_two_sided_group(monkeypatch):
     # projector_q averages the left factors only; a group acting on the
     # right as well must be refused, not silently truncated
-    monkeypatch.setattr(bases, "build_quaternion", build_cyclic8)
+    # C3's record reads its group through deck.deck_group, so the cyclic
+    # group stands in for the quaternion one there
+    monkeypatch.setattr(deck, "build_quaternion", build_cyclic8)
     bases.projector_q(0)
     with pytest.raises(RuntimeError):
         bases.projector_q(1)
@@ -271,7 +275,7 @@ def test_half_integer_degree_rejected():
     with pytest.raises(ValueError):
         bases.basis_c3(0.5)
     # negative degrees are refused, half-integer or not
-    for count in (bases.multiplicity_c8, bases.multiplicity_q, bases.multiplicity_q_character_sum):
+    for count in (route for m in bases.MANIFOLDS.values() for route in m.count_routes):
         for j in (-0.5, -1, -1.5):
             with pytest.raises(ValueError):
                 count(j)
@@ -285,11 +289,31 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b)
 
 
+def test_c2_phase_table_is_pythons_powers_bit_for_bit():
+    # where Python's 1j**m is exact, signed zeros included; past |m| = 100
+    # it drifts in its last bits and the table does not
+    m = np.arange(-100, 101)
+    table = bases._I_POWERS[m % 4 + 4 * (m < 0)]
+    assert same_bits(table, np.array([1j ** int(k) for k in m]))
+    assert 1j**-119 != bases._I_POWERS[1 + 4]
+
+
+@pytest.mark.parametrize("j", [101, 120])
+def test_c2_tables_past_degree_100_are_exact(j):
+    # Python's 1j**m drifts in its last bits above |m| = 100, which the
+    # float checks pass and the exact closed_form_matches check fails
+    table = bases.MANIFOLDS["C2"].mesh(range(j, j + 1))
+    assert np.array_equal(np.abs(table.terms.coef), np.ones(len(table.terms.coef)))
+    report = bases.verify_basis(table, build_cyclic8(), tol=1e-12, n_points=5)
+    assert report["projector"][j]["closed_form_matches"] is True
+    assert report["passed"] is True
+
+
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_the_mesh_table_is_the_walk_of_its_records(manifold):
     # the table of degrees 0..20 built at once from the selection rules,
     # against the walk of the records each degree's table gives
-    mesh = bases._by_manifold(manifold, bases._mesh_c2, bases._mesh_c3)(range(21))
+    mesh = bases.MANIFOLDS[manifold].mesh(range(21))
     walk = bases._terms([f for j in range(21) for f in bases.basis_for(manifold, j)])
     assert mesh.manifold == walk.manifold == manifold
     for column in ("j", "m1", "m2", "kind", "norm"):
@@ -754,7 +778,7 @@ def test_verify_basis_holds_to_1e_12_at_the_cli_degree_cap():
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_chunked_periodicity_is_the_dense_route(manifold, monkeypatch):
-    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    group = bases.MANIFOLDS[manifold].group
     fns = [f for j in range(7) for f in bases.basis_for(manifold, j)]
     n_points = 37
     # a few base points and their images per kernel pass in verify_basis,
@@ -909,7 +933,7 @@ def test_the_flat_index_is_where_the_coefficient_vector_is_nonzero(manifold):
     # the index the table derives from its (m1, m2) labels, against the
     # coefficient vector of each record, whose matrix holds each term's
     # coefficient at row j - m1 and column j - m2
-    mesh = bases._by_manifold(manifold, bases._mesh_c2, bases._mesh_c3)(range(13))
+    mesh = bases.MANIFOLDS[manifold].mesh(range(13))
     records = [f for j in range(13) for f in bases.basis_for(manifold, j)]
     bounds = np.append(wigner._runs(mesh.terms.owner)[0], len(mesh.terms.owner))
     assert len(records) == len(bounds) - 1
@@ -1029,7 +1053,7 @@ def test_a_product_grid_takes_d_once_per_distinct_beta(monkeypatch):
 def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, monkeypatch):
     # and the same bits from every other pointwise evaluator, each one grid
     # of the kernel chunked by the same budget
-    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    group = bases.MANIFOLDS[manifold].group
     fns = [f for j in range(13) for f in bases.basis_for(manifold, j)]
     u = su2.matrix_from_point(gc.random_sphere_points(31, seed=5))
     a, b, c, d = (u[:, row, col] for row in (0, 1) for col in (0, 1))
@@ -1055,7 +1079,7 @@ def test_the_smallest_entry_budget_gives_the_same_periodicity_bits(manifold, mon
 
 @pytest.mark.parametrize("manifold", ["C2", "C3"])
 def test_a_phase_flip_at_the_top_degree_fails_verification(manifold):
-    group = bases._by_manifold(manifold, build_cyclic8, build_quaternion)()
+    group = bases.MANIFOLDS[manifold].group
     fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
     k = next(i for i, f in enumerate(fns) if f.j == 8 and len(f.terms) == 2)
     (first, (m1, m2, coef)) = fns[k].terms
@@ -1087,12 +1111,18 @@ def test_pairs_against_the_product_table_fail_the_homomorphism_check():
     assert report["multiplicity_routes_agree"] is True
 
 
-def test_disagreeing_multiplicity_route_fails_the_report(monkeypatch):
-    fns = [f for j in range(4) for f in bases.basis_c3(j)]
-    assert bases.verify_basis(fns, build_quaternion(), n_points=30)["passed"] is True
-    off_at_two = lambda j: bases.multiplicity_q_character_sum(j) + (j == 2)
-    monkeypatch.setitem(bases._MULTIPLICITY_ROUTES, "C3", (bases.multiplicity_q, off_at_two))
-    report = bases.verify_basis(fns, build_quaternion(), n_points=30)
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_disagreeing_multiplicity_route_fails_the_report(manifold, monkeypatch):
+    # each manifold has two distinct count routes; the second, off by one at
+    # degree 2
+    record = bases.MANIFOLDS[manifold]
+    assert len(set(record.count_routes)) == len(record.count_routes) == 2
+    fns = [f for j in range(4) for f in bases.basis_for(manifold, j)]
+    assert bases.verify_basis(fns, record.group, n_points=30)["passed"] is True
+    reported, second = record.count_routes
+    off_at_two = lambda j: second(j) + (j == 2)
+    monkeypatch.setitem(bases.MANIFOLDS, manifold, replace(record, count_routes=(reported, off_at_two)))
+    report = bases.verify_basis(fns, record.group, n_points=30)
     assert report["multiplicity_routes_agree"] is False
     assert report["passed"] is False
 
@@ -1135,7 +1165,8 @@ def test_verify_basis_checks_the_rank_of_an_empty_degree(monkeypatch):
     assert bases._fix_error(*bases._deck_action(build_quaternion(), 1), empty) == 0.0
     # a route that counts one harmonic at the empty degree fails the report
     one_at_one = lambda j: bases.multiplicity_q_character_sum(j) + (j == 1)
-    monkeypatch.setitem(bases._MULTIPLICITY_ROUTES, "C3", (bases.multiplicity_q, one_at_one))
+    record = bases.MANIFOLDS["C3"]
+    monkeypatch.setitem(bases.MANIFOLDS, "C3", replace(record, count_routes=(bases.multiplicity_q, one_at_one)))
     report = bases.verify_basis(fns, build_quaternion(), n_points=20)
     assert report["multiplicity_routes_agree"] is False
     assert report["passed"] is False
@@ -1151,6 +1182,23 @@ def test_verify_basis_of_one_degree_audits_that_degree_alone():
 def test_verify_basis_empty_list():
     report = bases.verify_basis([], build_cyclic8())
     assert report["passed"] is True and report["count"] == 0
+
+
+def test_verify_basis_audits_a_manifold_label_the_lookup_accepts():
+    # the records' label is read through the one manifold lookup, as
+    # multiplicity_for reads it, so case and surrounding blanks do not matter
+    fns = [replace(f, manifold=" c2 ") for j in range(4) for f in bases.basis_c2(j)]
+    report = bases.verify_basis(fns, build_cyclic8(), n_points=20)
+    assert report["manifold"] == " c2 "
+    assert report["multiplicity_by_degree"] == {j: MULT_C8[j] for j in range(4)}
+    assert report["multiplicity_routes_agree"] is True
+    assert report["passed"] is True
+
+
+def test_verify_basis_refuses_a_manifold_label_the_lookup_does_not_know():
+    fns = [replace(f, manifold="C9") for f in bases.basis_c2(2)]
+    with pytest.raises(ValueError, match="unknown manifold 'C9'; expected C2 or C3"):
+        bases.verify_basis(fns, build_cyclic8(), n_points=20)
 
 
 def test_verify_basis_of_an_empty_table_keeps_its_manifold():
