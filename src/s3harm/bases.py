@@ -28,13 +28,14 @@ lift of both deck groups is diag(z, w) or [[0, b], [c, 0]] with eighth
 roots of unity as entries, so D^j of it has one nonzero per row and each
 deck element moves the (2j+1)^2 index pairs by a permutation times an
 eighth root of unity.  `_deck_action` reads that gather and its exponents
-mod 8 exactly off the Su2Exact lifts.  Group averages, the projector
-ranks (orbits with trivial stabiliser phase), the homomorphism check and
-the dense `averaged` projectors are all built from it, with no Wigner
-kernel on the deck path.  Both dense projectors hold about one nonzero a
-row, and are scattered into a lazily zero-filled private map
-(`_lazy_zeros`), so only the pages written become resident and not every
-huge page numpy advises for a large `np.zeros`.
+mod 8 exactly off the Su2Exact lifts.  The projector ranks (orbits with
+trivial stabiliser phase), the homomorphism check, the check that each
+element fixes each basis function (an integer comparison of exponents,
+`_fixed`) and the dense `averaged` projectors are all built from it, with
+no Wigner kernel and no tolerance on the deck path.  Both dense
+projectors hold about one nonzero a row, and are scattered into a lazily
+zero-filled private map (`_lazy_zeros`), so only the pages written become
+resident and not every huge page numpy advises for a large `np.zeros`.
 
 Normalization: the emitted functions have unit norm under the UNNORMALIZED
 Euler measure da sin(b) db dg of total mass 8 pi^2.  The quadrature inner
@@ -69,7 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import groupcore as gc
-from .deck import DeckGroup, build_cyclic8, build_quaternion, deck_group, product_table
+from .deck import DeckGroup, _manifold_name, build_cyclic8, build_quaternion, deck_group, product_table
 from .su2 import _MU8, IsoPair, Su2Exact, matrix_from_point
 from .wigner import (
     _entry_sum,
@@ -243,20 +244,6 @@ def _invariant_orbits(gather: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray
     return rep, orbit_phase, np.flatnonzero((rep == index) & ~twisted)
 
 
-def _average(gather: np.ndarray, phase: np.ndarray, index: np.ndarray, value: np.ndarray):
-    """Group average mean_h A_h X B_h^T of sparse coefficient vectors, given
-    by their entries X.flat[index] = value.
-
-    Since (A_h X B_h^T).flat[i] = mu8[phase[h, i]] X.flat[gather[h, i]],
-    the entry at k moves to the i with gather[h, i] = k, which is
-    gather[h, k]: every gather is an involution.  Returns those positions
-    and their values, each of shape (|H|,) + index.shape; entries at one
-    position add up.
-    """
-    moved = gather[:, index]
-    return moved, _MU8[np.take_along_axis(phase, moved, axis=1)] * value / len(gather)
-
-
 class _Terms(NamedTuple):
     """Every term of a list of functions, one entry each, sorted by degree
     and, within a degree, in list order: the owner's position in the list,
@@ -332,17 +319,27 @@ def _terms(functions: list[BasisFunction]) -> _Basis:
     return _Basis(manifold, j, m1, m2, np.array(kind, dtype=object), norm, terms)
 
 
-def _fix_error(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> float:
-    """Largest entry of P(X) - X over the sparse coefficient vectors X of
-    the functions of one degree, given by their terms; 0 without terms."""
-    owner, index, value = terms.owner, terms.flat, terms.norm * terms.coef
-    size = gather.shape[1]
-    moved, averaged = _average(gather, phase, index, value)
-    keys = np.concatenate([(owner * size + moved).reshape(-1), owner * size + index])
-    slots, where = np.unique(keys, return_inverse=True)
-    residual = np.zeros(len(slots), dtype=complex)
-    np.add.at(residual, where, np.concatenate([averaged.reshape(-1), -value]))
-    return float(np.max(np.abs(residual), initial=0.0))
+def _root_exponents(coef: np.ndarray) -> np.ndarray | None:
+    """Each coefficient's k with coef == mu8^k exactly; None unless all are eighth roots of unity."""
+    exps = np.rint(np.nan_to_num(np.angle(coef)) * 4.0 / np.pi).astype(int) & 7  # a NaN warns in a cast
+    return exps if np.array_equal(coef, _MU8[exps]) else None
+
+
+def _fixed(gather: np.ndarray, phase: np.ndarray, terms: _Terms) -> bool:
+    """Whether every deck element fixes each function of one degree exactly,
+    given by their terms: each coefficient is mu8^e, and each element h maps
+    the multiset of (function, position, e) of the terms onto itself, term i
+    to (function, gather[h, i], e[i] - phase[h, i] mod 8).  This suffices,
+    and is needed where no function names a position twice, as each gather
+    is a permutation.  True without terms; the norm does not enter."""
+    exps = _root_exponents(terms.coef)
+    if exps is None:
+        return False
+    # each term's (function, position, e) as one integer, and its image under each element
+    start = terms.owner * gather.shape[1]
+    held = np.sort((start + terms.flat) * 8 + exps)
+    moved = np.sort((start + gather[:, terms.flat]) * 8 + ((exps - phase[:, terms.flat]) & 7), axis=1)
+    return bool(np.all(moved == held))
 
 
 def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
@@ -350,14 +347,14 @@ def _matches_orbits(terms: _Terms, rep, orbit_phase, invariant) -> bool:
     exactly the invariant orbit vectors up to normalisation: one function
     per invariant orbit, its terms on the whole orbit, their coefficients
     eighth roots of unity with the orbit's phases up to one common factor."""
-    index, coef = terms.flat, terms.coef
-    exps = np.rint(np.angle(coef) * 4.0 / np.pi).astype(int) & 7
+    index, exps = terms.flat, _root_exponents(terms.coef)
+    if exps is None:
+        return False
     first, owner, _ = _runs(terms.owner)
     orbit = rep[index[first]]
     shift = (exps - orbit_phase[index]) & 7
     return bool(
-        np.array_equal(coef, _MU8[exps])
-        and np.array_equal(rep[index], orbit[owner])
+        np.array_equal(rep[index], orbit[owner])
         and np.array_equal(shift, shift[first][owner])
         and np.array_equal(np.bincount(rep)[orbit], np.bincount(owner))
         and np.all(np.bincount(index) <= 1)
@@ -563,9 +560,7 @@ MANIFOLDS = {m.name: m for m in (
 
 
 def _manifold(name: str) -> Manifold:
-    if (key := name.strip().upper()) not in MANIFOLDS:
-        raise ValueError(f"unknown manifold {name!r}; expected {' or '.join(MANIFOLDS)}")
-    return MANIFOLDS[key]
+    return MANIFOLDS[_manifold_name(name)]
 
 
 def multiplicity_for(manifold: str, j) -> int:
@@ -786,10 +781,12 @@ def verify_basis(
     construction); its rank, the number of orbits of index pairs with
     trivial stabiliser phase, is an exact integer reported beside trace P;
     its invariant orbit vectors must be the basis records up to
-    normalisation (`closed_form_matches`); and P, applied to the terms of
-    each basis matrix through the same permutations and phases, must fix it
-    (`fix_max_error`).  The rank is compared with every independent count
-    in the manifold's record (`count_routes`; `multiplicity_routes_agree`).
+    normalisation (`closed_form_matches`); and every element, read through
+    the same gathers and exponents mod 8 as integers, must fix each basis
+    matrix (`fixed`, `_fixed`), which is exactly when P fixes it.  The rank
+    is compared with every independent count in the manifold's record
+    (`count_routes`; `multiplicity_routes_agree`).  Every check on the
+    deck side is exact; `tol` bounds only the Gram and periodicity errors.
 
     A list is walked into a table once (`_terms`), and its degrees once.
     The n_points base points and their images under every element but the
@@ -839,20 +836,19 @@ def verify_basis(
                 period_errs.append(np.max(np.abs(values[..., 1:]), initial=0.0))
         gather, phase = _deck_action(group, j)
         rep, orbit_phase, invariant = _invariant_orbits(gather, phase)
-        fixed = gather == np.arange(gather.shape[1])
+        still = gather == np.arange(gather.shape[1])
         blocks[j] = {
             "rank": len(invariant),
             "expected_rank": report["multiplicity_by_degree"][j],
-            "trace": float(np.sum(_MU8[phase[fixed]]).real) / len(gather),
-            "fix_max_error": _fix_error(gather, phase, degree),
+            "trace": float(np.sum(_MU8[phase[still]]).real) / len(gather),
+            "fixed": _fixed(gather, phase, degree),
             "homomorphism": _is_homomorphism(gather, phase, products),
             "closed_form_matches": _matches_orbits(degree, rep, orbit_phase, invariant),
         }
     # np.max, unlike the builtin max, keeps a NaN, which then fails the tolerance
     period_err = report["periodicity_max_error"] = float(np.max(period_errs, initial=0.0))
     report["projector"] = blocks
-    exact_ok = all(b["homomorphism"] and b["closed_form_matches"] for b in blocks.values())
-    fix_err = float(np.max([b["fix_max_error"] for b in blocks.values()]))
+    exact_ok = all(b["homomorphism"] and b["closed_form_matches"] and b["fixed"] for b in blocks.values())
     report["multiplicity_routes_agree"] = all(
         count == blocks[j]["rank"] for j, counts in routes.items() for count in counts
     )
@@ -863,6 +859,5 @@ def verify_basis(
         and period_err < tol
         and exact_ok
         and report["multiplicity_routes_agree"]
-        and fix_err < tol
     )
     return report

@@ -141,14 +141,22 @@ def build_quaternion() -> DeckGroup:
     return _finish_group("C3", "quaternion", elements)
 
 
+# each spelling of a manifold or isomorphism name, blanks stripped, case folded and "_" read as "-"
+_ALIASES = (dict.fromkeys(("c2", "cyclic", "cyclic-8", "c8"), "C2")
+            | dict.fromkeys(("c3", "q", "q8", "quaternion"), "C3"))
+
+
+def _manifold_name(name: str) -> str:
+    """The manifold, C2 or C3, that a spelling in `_ALIASES` names: the one
+    name lookup of `deck_group` and of the manifold table in `bases`."""
+    if (key := name.strip().lower().replace("_", "-")) not in _ALIASES:
+        raise ValueError(f"unknown manifold {name!r}; expected C2 or C3")
+    return _ALIASES[key]
+
+
 def deck_group(name: str) -> DeckGroup:
     """Look up a deck group by manifold or isomorphism name."""
-    key = name.strip().lower().replace("_", "-")
-    if key in {"c2", "cyclic", "cyclic-8", "c8"}:
-        return build_cyclic8()
-    if key in {"c3", "q", "q8", "quaternion"}:
-        return build_quaternion()
-    raise ValueError(f"unknown deck group {name!r}; expected C2 or C3")
+    return build_cyclic8() if _manifold_name(name) == "C2" else build_quaternion()
 
 
 # Sorted element orders and commutativity of the two possible deck groups.

@@ -659,8 +659,9 @@ def test_deck_operators_refuse_a_non_unitary_lift():
 
 
 def test_projector_fixes_coefficient_vectors():
-    # the gather-plus-phase average on coefficient matrices against the
-    # public dense projectors, at the basis matrices and at random matrices
+    # the public dense projectors fix every basis matrix, and at random
+    # matrices they are the gather-plus-phase average
+    # mean_h mu8^phase[h, i] X.flat[gather[h, i]]; the exact check passes
     rng = np.random.default_rng(3)
     cases = (
         (bases.basis_c2, build_cyclic8(), lambda j: bases.projector_c8(j)[0]),
@@ -671,18 +672,14 @@ def test_projector_fixes_coefficient_vectors():
             dim = 2 * j + 1
             dense = dense_projector(j)
             gather, phase = bases._deck_action(group, j)
-            mats = [coefficient_vector(f) for f in build(j)]
+            for f in build(j):
+                x = coefficient_vector(f)
+                assert np.max(np.abs(dense @ x - x)) < 1e-12
             probes = rng.standard_normal((3, dim * dim)) + 1j * rng.standard_normal((3, dim * dim))
-            for k, x in enumerate(mats + list(probes)):
-                index = np.flatnonzero(x)
-                moved, values = bases._average(gather, phase, index, x[index])
-                projected = np.zeros(dim * dim, dtype=complex)
-                np.add.at(projected, moved.reshape(-1), values.reshape(-1))
-                assert np.max(np.abs(projected - dense @ x)) < 1e-13
-                if k < len(mats):
-                    assert np.max(np.abs(projected - x)) < 1e-12
-            if mats:
-                assert bases._fix_error(gather, phase, bases._terms(build(j)).terms) < 1e-12
+            for x in probes:
+                averaged = np.mean(bases._MU8[phase] * x[gather], axis=0)
+                assert np.max(np.abs(averaged - dense @ x)) < 1e-13
+            assert bases._fixed(gather, phase, bases._terms(build(j)).terms) is True
 
 
 def test_orbit_count_is_every_multiplicity_up_to_degree_200():
@@ -745,6 +742,35 @@ def test_phased_orbit_sums_are_the_closed_form_records(manifold):
     assert not bases._matches_orbits(bases._terms(records[:-1]).terms, rep, orbit_phase, invariant)
 
 
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_the_exact_fix_check_reads_each_term_through_every_gather(manifold):
+    group = bases.MANIFOLDS[manifold].group
+    other = bases.MANIFOLDS["C3" if manifold == "C2" else "C2"].group
+    for j in range(13):
+        terms = bases._terms(bases.basis_for(manifold, j)).terms
+        assert bases._fixed(*bases._deck_action(group, j), terms) is True
+    action = bases._deck_action(group, 3)
+    records = bases.basis_for(manifold, 3)
+    (n1, n2, c), (m1, m2, coef) = records[-1].terms
+    def fixed(last_terms, rest=records[:-1]):
+        return bases._fixed(*action, bases._terms(rest + [replace(records[-1], terms=last_terms)]).terms)
+    # each function is fixed on its own, so a list missing one still is
+    assert bases._fixed(*action, bases._terms(records[:-1]).terms) is True
+    assert fixed(((n1, n2, c), (m1, m2, -coef))) is False  # a partner's sign flipped
+    assert fixed(((n1, n2, c / 2), (m1, m2, coef))) is False  # a coefficient off the unit circle
+    assert fixed(((n1, n2, c),)) is False  # a partner dropped: its image is not a term
+    assert fixed(((n1, n2, c), (n1, n2, c), (m1, m2, coef))) is False  # a position named twice
+    # a NaN coefficient fails both exact checks, and its parse raises no warning
+    nan = bases._terms(records[:-1] + [replace(records[-1], terms=((n1, n2, complex("nan")), (m1, m2, coef)))])
+    assert bases._fixed(*action, nan.terms) is False
+    assert not bases._matches_orbits(nan.terms, *bases._invariant_orbits(*action))
+    # a partner that only another function holds is not a term of this one
+    assert fixed(((n1, n2, c),), rest=records[:-1] + [replace(records[-1], terms=((m1, m2, coef),))]) is False
+    # and the other manifold's group fixes some function of degree 2 or 3 no longer
+    assert not all(bases._fixed(*bases._deck_action(other, k), bases._terms(bases.basis_for(manifold, k)).terms)
+                   for k in (2, 3))
+
+
 def test_verify_basis_passes_for_both_manifolds():
     for manifold, group in (("C2", build_cyclic8()), ("C3", build_quaternion())):
         fns = [f for j in range(4) for f in bases.basis_for(manifold, j)]
@@ -757,7 +783,7 @@ def test_verify_basis_passes_for_both_manifolds():
             assert block["rank"] == block["expected_rank"]
             assert isinstance(block["rank"], int)
             assert abs(block["trace"] - block["rank"]) < 1e-12
-            assert block["fix_max_error"] < 1e-10
+            assert block["fixed"] is True
             assert block["homomorphism"] is True
             assert block["closed_form_matches"] is True
         assert report["multiplicity_routes_agree"] is True
@@ -1088,7 +1114,23 @@ def test_a_phase_flip_at_the_top_degree_fails_verification(manifold):
     assert report["passed"] is False
     assert report["periodicity_max_error"] > 1e-3
     assert report["projector"][8]["closed_form_matches"] is False
-    assert report["projector"][8]["fix_max_error"] > 1e-3
+    assert report["projector"][8]["fixed"] is False
+
+
+@pytest.mark.parametrize("manifold", ["C2", "C3"])
+def test_a_coefficient_nudged_by_1e_15_fails_the_exact_fix_check(manifold):
+    # the float residual this check replaced read about 1e-15 here, far
+    # below any tolerance; the exact check sees the coefficient leave the
+    # eighth roots of unity
+    fns = [f for j in range(9) for f in bases.basis_for(manifold, j)]
+    k = next(i for i, f in enumerate(fns) if f.j == 8 and len(f.terms) == 2)
+    (m1, m2, coef), second = fns[k].terms
+    fns[k] = replace(fns[k], terms=((m1, m2, coef + 1e-15), second))
+    report = bases.verify_basis(fns, bases.MANIFOLDS[manifold].group, n_points=17)
+    assert report["projector"][8]["fixed"] is False
+    assert all(block["fixed"] for j, block in report["projector"].items() if j != 8)
+    assert report["gram_max_error"] < report["tol"] and report["periodicity_max_error"] < report["tol"]
+    assert report["passed"] is False
 
 
 def test_pairs_against_the_product_table_fail_the_homomorphism_check():
@@ -1106,7 +1148,7 @@ def test_pairs_against_the_product_table_fail_the_homomorphism_check():
     blocks = report["projector"]
     assert blocks[0]["homomorphism"] is True
     assert not any(blocks[j]["homomorphism"] for j in (1, 2, 3))
-    assert all(b["rank"] == b["expected_rank"] and b["fix_max_error"] < 1e-12 for b in blocks.values())
+    assert all(b["rank"] == b["expected_rank"] and b["fixed"] for b in blocks.values())
     assert report["periodicity_max_error"] < 1e-10
     assert report["multiplicity_routes_agree"] is True
 
@@ -1134,7 +1176,7 @@ def test_verify_basis_fails_against_wrong_group():
     assert report["periodicity_max_error"] > 1e-3
     # the projector block audits the group it is given, not the manifold's own
     assert any(
-        block["fix_max_error"] > 1e-3 or block["rank"] != block["expected_rank"]
+        not block["fixed"] or block["rank"] != block["expected_rank"]
         for block in report["projector"].values()
     )
 
@@ -1157,12 +1199,12 @@ def test_verify_basis_checks_the_rank_of_an_empty_degree(monkeypatch):
     assert report["degrees"] == [0, 1, 2, 3]
     assert report["count_by_degree"][1] == report["multiplicity_by_degree"][1] == 0
     assert report["projector"][1] == {
-        "rank": 0, "expected_rank": 0, "trace": 0.0, "fix_max_error": 0.0,
+        "rank": 0, "expected_rank": 0, "trace": 0.0, "fixed": True,
         "homomorphism": True, "closed_form_matches": True,
     }
     assert report["passed"] is True
     empty = bases._terms(fns).terms.degree(1)
-    assert bases._fix_error(*bases._deck_action(build_quaternion(), 1), empty) == 0.0
+    assert bases._fixed(*bases._deck_action(build_quaternion(), 1), empty) is True
     # a route that counts one harmonic at the empty degree fails the report
     one_at_one = lambda j: bases.multiplicity_q_character_sum(j) + (j == 1)
     record = bases.MANIFOLDS["C3"]
@@ -1193,6 +1235,23 @@ def test_verify_basis_audits_a_manifold_label_the_lookup_accepts():
     assert report["multiplicity_by_degree"] == {j: MULT_C8[j] for j in range(4)}
     assert report["multiplicity_routes_agree"] is True
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("alias", ["c2", "C2", "cyclic", "cyclic-8", "c8", "c3", "C3", "q", "q8", "quaternion"])
+def test_every_manifold_lookup_reads_one_alias_table(alias):
+    # the spellings `deck.deck_group` accepts (test_deck_group_name_aliases)
+    # name the same manifold in `multiplicity_for` and `basis_for`
+    name = "C2" if deck.deck_group(alias).isomorphism == "cyclic-8" else "C3"
+    assert deck.deck_group(alias) is bases.MANIFOLDS[name].group
+    assert [bases.multiplicity_for(alias, j) for j in range(6)] == [bases.multiplicity_for(name, j) for j in range(6)]
+    assert bases.basis_for(alias, 4) == bases.basis_for(name, 4)
+    assert bases.basis_for(alias, 4)[0].manifold == name
+
+
+def test_an_unknown_manifold_name_raises_in_every_lookup():
+    for lookup in (deck.deck_group, lambda name: bases.multiplicity_for(name, 2), lambda name: bases.basis_for(name, 2)):
+        with pytest.raises(ValueError, match="unknown manifold 'C9'; expected C2 or C3"):
+            lookup("C9")
 
 
 def test_verify_basis_refuses_a_manifold_label_the_lookup_does_not_know():
@@ -1247,7 +1306,7 @@ def test_periodicity_under_every_deck_element():
                 assert np.max(np.abs(values - f.evaluate(v))) < 1e-10
 
 
-@pytest.mark.parametrize("check", ["gram", "periodicity", "fix"])
+@pytest.mark.parametrize("check", ["gram", "periodicity"])
 def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
     fns = [f for j in range(5) for f in bases.basis_c2(j)]
     if check == "gram":
@@ -1258,7 +1317,7 @@ def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
                 yield degree, rows * np.nan if degree == 3 else rows
 
         monkeypatch.setattr(bases, "_small_d_by_degree", poisoned_small_d)
-    elif check == "periodicity":
+    else:
         real_values = bases._slot_values
 
         def poisoned_values(two_j, *grid_and_points):
@@ -1266,16 +1325,8 @@ def test_a_nan_at_one_degree_fails_verification(monkeypatch, check):
                 yield at, values * np.nan if two_j == 6 else values
 
         monkeypatch.setattr(bases, "_slot_values", poisoned_values)
-    else:
-        real_fix = bases._fix_error
-
-        def poisoned_fix(gather, phase, *terms):
-            return math.nan if gather.shape[1] == 7**2 else real_fix(gather, phase, *terms)
-
-        monkeypatch.setattr(bases, "_fix_error", poisoned_fix)
     report = bases.verify_basis(fns, build_cyclic8())
-    measured = {"gram": "gram_max_error", "periodicity": "periodicity_max_error", "fix": None}[check]
-    assert math.isnan(report[measured] if measured else report["projector"][3]["fix_max_error"])
+    assert math.isnan(report[f"{check}_max_error"])
     if check == "gram":  # the poison reaches the Gram's fold alone
         assert math.isfinite(report["periodicity_max_error"])
     assert report["passed"] is False

@@ -256,25 +256,19 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert captured.err.splitlines() == ["s3harm: internal error: RuntimeError: kernel exploded second line"]
 
 
-def test_basis_row_measures_the_projector_errors(capsys, monkeypatch):
-    # a projector failure must show in the row's measured value, not only
-    # in its passed flag
-    real = cli.verify_basis
-
-    def failing_fix(functions, group, **kwargs):
-        report = real(functions, group, **kwargs)
-        block = report["projector"][max(report["projector"])]
-        block["fix_max_error"] = 1.0
-        report["passed"] = False
-        return report
-
-    monkeypatch.setattr(cli, "verify_basis", failing_fix)
+def test_basis_row_measures_the_report_errors_alone(capsys, monkeypatch):
+    # the projector blocks hold exact checks alone: one that fails shows in
+    # the row's passed flag, while measured stays the report's largest error
+    monkeypatch.setattr(bases, "_fixed", lambda *args: False)
     code, out = run(capsys, ["verify", "--suite", "basis", "--manifold", "C2", "--jmax", "2",
                              "--format", "json"])
     assert code == 1
-    (row,) = json.loads(out)["rows"]
+    payload = json.loads(out)
+    (row,) = payload["rows"]
+    report = payload["details"][row["name"]]
     assert row["passed"] is False
-    assert row["measured"] == 1.0
+    assert not any(block["fixed"] for block in report["projector"].values())
+    assert row["measured"] == max(report["gram_max_error"], report["periodicity_max_error"]) < 1e-13
 
 
 def test_jmax_guard_exits_with_usage_error(capsys):
